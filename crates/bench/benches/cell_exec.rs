@@ -1,10 +1,8 @@
 //! Benches the hot execution path of a single campaign cell — the
-//! simulated cluster run behind every `CellExecuted` event — under
-//! the executor speed pass's two axes:
+//! simulated cluster run behind every `CellExecuted` event:
 //!
-//! * **cold vs pooled**: rank pooling disabled (every run spawns and
-//!   joins fresh rank threads, the pre-pool behaviour and the
-//!   `KC_RANK_POOL=0` escape hatch) against the default persistent
+//! * **dispatch and chain**: a bare ring dispatch and one BT/S profile
+//!   chain window on the thread's persistent
 //!   [`RankPool`](kc_machine::RankPool), where parked workers are
 //!   re-dispatched without thread churn;
 //! * **traced vs untraced**: a fresh one-spec campaign with and
@@ -13,28 +11,26 @@
 //!
 //! With `KC_BENCH_TRAJECTORY=<dir>` the bench leaves a
 //! `BENCH_cell_exec.json` breakdown behind whose cells carry each
-//! variant's best-of-rounds duration (`dispatch|p8|cold` vs
-//! `dispatch|p8|pooled`, chain runs, traced/untraced campaigns), so
-//! `kc-bench diff` gates the pooled-vs-cold trajectory across commits
-//! and `scripts/verify.sh` can assert the pooled dispatch actually
-//! beats thread spawning.
+//! variant's best-of-rounds duration (`dispatch|p8|pooled`, the chain
+//! run, traced/untraced campaigns), so `kc-bench diff` tracks them
+//! across commits.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kc_bench::{trajectory_dir, BenchTrajectory};
 use kc_core::{JsonLinesSink, SlowCell};
 use kc_experiments::{AnalysisSpec, Campaign, Runner};
-use kc_machine::{set_rank_pooling, Cluster, MachineConfig};
+use kc_machine::{Cluster, MachineConfig};
 use kc_npb::{Benchmark, Class, NpbApp, NpbExecutor};
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Ranks for the bare-dispatch cells: big enough that thread spawn
+/// Ranks for the bare-dispatch cell: big enough that per-rank hand-off
 /// cost is unmistakable, small enough for any CI box.
 const DISPATCH_RANKS: usize = 8;
 
 /// One bare cluster dispatch: the smallest unit the rank pool
-/// accelerates.  A ring exchange keeps every rank honest without
+/// carries.  A ring exchange keeps every rank honest without
 /// adding numeric work that would drown the dispatch cost.
 fn dispatch(cluster: &Cluster, ranks: usize) -> f64 {
     cluster
@@ -83,23 +79,13 @@ fn bench_cell_exec(c: &mut Criterion) {
     g.warm_up_time(Duration::from_secs(1));
     g.measurement_time(Duration::from_secs(3));
 
-    // bare dispatch: thread spawn+join per run vs parked-pool reuse
+    // bare dispatch on the parked pool
     let cluster = Cluster::new(machine.clone());
-    set_rank_pooling(false);
-    g.bench_function("dispatch_p8_cold", |b| {
-        b.iter(|| black_box(dispatch(&cluster, DISPATCH_RANKS)))
-    });
-    set_rank_pooling(true);
     g.bench_function("dispatch_p8_pooled", |b| {
         b.iter(|| black_box(dispatch(&cluster, DISPATCH_RANKS)))
     });
 
     // realistic cell: one BT/S profile chain window
-    set_rank_pooling(false);
-    g.bench_function("chain_bt_s_p4_cold", |b| {
-        b.iter(|| black_box(chain(&exec, &ids)))
-    });
-    set_rank_pooling(true);
     g.bench_function("chain_bt_s_p4_pooled", |b| {
         b.iter(|| black_box(chain(&exec, &ids)))
     });
@@ -115,7 +101,6 @@ fn bench_cell_exec(c: &mut Criterion) {
     g.finish();
 
     emit_trajectory(&cluster, &exec, &ids, &runner, &scratch);
-    set_rank_pooling(true);
     let _ = std::fs::remove_dir_all(&scratch);
 }
 
@@ -131,9 +116,7 @@ fn best_of(rounds: usize, mut f: impl FnMut()) -> f64 {
 }
 
 /// With `KC_BENCH_TRAJECTORY=<dir>`, record each variant's
-/// best-of-rounds duration as a trajectory cell, and print the
-/// pooled-vs-cold dispatch ratio so verification scripts can assert
-/// the pool earns its keep.
+/// best-of-rounds duration as a trajectory cell.
 fn emit_trajectory(
     cluster: &Cluster,
     exec: &NpbExecutor,
@@ -146,47 +129,25 @@ fn emit_trajectory(
     };
     const ROUNDS: usize = 20;
     let mut cells = Vec::new();
-    let mut measure = |key: &str, pooled: Option<bool>, f: &mut dyn FnMut()| {
-        if let Some(on) = pooled {
-            set_rank_pooling(on);
-        }
+    let mut measure = |key: &str, f: &mut dyn FnMut()| {
         f(); // warm once so thread-local pools and caches exist
         cells.push(SlowCell {
             key: key.to_string(),
             duration_secs: best_of(ROUNDS, f),
         });
     };
-    measure("dispatch|p8|cold", Some(false), &mut || {
+    measure("dispatch|p8|pooled", &mut || {
         black_box(dispatch(cluster, DISPATCH_RANKS));
     });
-    measure("dispatch|p8|pooled", Some(true), &mut || {
-        black_box(dispatch(cluster, DISPATCH_RANKS));
-    });
-    measure("chain|BT|S|p4|cold", Some(false), &mut || {
+    measure("chain|BT|S|p4|pooled", &mut || {
         black_box(chain(exec, ids));
     });
-    measure("chain|BT|S|p4|pooled", Some(true), &mut || {
-        black_box(chain(exec, ids));
-    });
-    measure("campaign|BT|S|p4|untraced", None, &mut || {
+    measure("campaign|BT|S|p4|untraced", &mut || {
         campaign_run(runner, None);
     });
-    measure("campaign|BT|S|p4|traced", None, &mut || {
+    measure("campaign|BT|S|p4|traced", &mut || {
         campaign_run(runner, Some(scratch));
     });
-    let secs = |key: &str| {
-        cells
-            .iter()
-            .find(|c| c.key == key)
-            .map(|c| c.duration_secs)
-            .unwrap_or(f64::NAN)
-    };
-    eprintln!(
-        "[cell_exec] dispatch p8: cold {:.6}s pooled {:.6}s ({:.1}x)",
-        secs("dispatch|p8|cold"),
-        secs("dispatch|p8|pooled"),
-        secs("dispatch|p8|cold") / secs("dispatch|p8|pooled"),
-    );
     let path = BenchTrajectory::from_cells("cell_exec", cells)
         .write_to(&out)
         .expect("failed to write bench trajectory");

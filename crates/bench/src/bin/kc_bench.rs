@@ -15,89 +15,79 @@
 //! Exits 1 when any cell regressed, 2 on usage errors, 0 otherwise.
 
 use kc_bench::trajectory::{diff_dirs, trace_svg_for, DirDiff};
+use kc_core::cli::{self, CliError, Flag};
 use std::path::PathBuf;
 
-const DEFAULT_THRESHOLD_PCT: f64 = 10.0;
-const DEFAULT_MIN_SECS: f64 = 0.001;
+const USAGE_HEADER: &str =
+    "usage: kc-bench diff <dir-a> <dir-b> [--threshold PCT] [--min-secs S] [--trace-dir DIR]\n\
+     \n\
+     compares the BENCH_*.json trajectories of two KC_BENCH_TRAJECTORY\n\
+     directories (matched by file name) and lists cells whose simulation\n\
+     time regressed beyond the threshold; exits 1 on any regression\n\
+     \n";
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: kc-bench diff <dir-a> <dir-b> [--threshold PCT] [--min-secs S] \
-         [--trace-dir DIR]\n\
-         \n\
-         compares the BENCH_*.json trajectories of two KC_BENCH_TRAJECTORY\n\
-         directories (matched by file name) and lists cells whose simulation\n\
-         time regressed beyond the threshold; exits 1 on any regression\n\
-         \n\
-         --threshold PCT  relative growth a cell must exceed to count \
-         (default {DEFAULT_THRESHOLD_PCT})\n\
-         --min-secs S     absolute growth floor, seconds (default {DEFAULT_MIN_SECS})\n\
-         --trace-dir DIR  link regressed benches to their rendered --trace\n\
-         \x20                timeline SVGs (BENCH_<name>.svg or <name>.svg in DIR)"
-    );
-    std::process::exit(2);
-}
-
-fn die(msg: String) -> ! {
-    eprintln!("error: {msg}");
-    usage();
-}
-
-struct DiffArgs {
-    before: PathBuf,
-    after: PathBuf,
-    threshold_pct: f64,
+/// What `diff`'s arguments configure.
+pub(crate) struct DiffArgs {
+    pub(crate) dirs: Vec<PathBuf>,
+    pub(crate) threshold_pct: f64,
     min_secs: f64,
     trace_dir: Option<PathBuf>,
 }
 
-fn parse_diff_args(args: &[String]) -> DiffArgs {
-    let mut dirs: Vec<PathBuf> = Vec::new();
-    let mut threshold_pct = DEFAULT_THRESHOLD_PCT;
-    let mut min_secs = DEFAULT_MIN_SECS;
-    let mut trace_dir = None;
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        let mut value = |name: &str| -> f64 {
-            i += 1;
-            let Some(v) = args.get(i) else {
-                die(format!("{name} needs a value"));
-            };
-            v.parse()
-                .unwrap_or_else(|_| die(format!("bad {name} value '{v}'")))
-        };
-        match arg {
-            "--help" | "-h" => usage(),
-            "--threshold" => threshold_pct = value("--threshold"),
-            "--min-secs" => min_secs = value("--min-secs"),
-            "--trace-dir" => {
-                i += 1;
-                let Some(v) = args.get(i) else {
-                    die("--trace-dir needs a value".to_string());
-                };
-                trace_dir = Some(PathBuf::from(v));
-            }
-            other if other.starts_with('-') => die(format!("unknown flag '{other}'")),
-            dir => dirs.push(PathBuf::from(dir)),
+impl Default for DiffArgs {
+    fn default() -> Self {
+        Self {
+            dirs: Vec::new(),
+            threshold_pct: 10.0,
+            min_secs: 0.001,
+            trace_dir: None,
         }
-        i += 1;
     }
-    if dirs.len() != 2 {
-        die(format!(
+}
+
+fn flags() -> [Flag<DiffArgs>; 3] {
+    [
+        Flag::value(
+            "--threshold",
+            "PCT",
+            "relative growth a cell must exceed to count (default 10)",
+            cli::number,
+            |o, pct| o.threshold_pct = pct,
+        ),
+        Flag::value(
+            "--min-secs",
+            "S",
+            "absolute growth floor, seconds (default 0.001)",
+            cli::number,
+            |o, secs| o.min_secs = secs,
+        ),
+        Flag::value(
+            "--trace-dir",
+            "DIR",
+            "link regressed benches to their rendered --trace timeline SVGs \
+             (BENCH_<name>.svg or <name>.svg in DIR)",
+            cli::path,
+            |o, dir| o.trace_dir = Some(dir),
+        ),
+    ]
+}
+
+pub(crate) fn parse_cli(args: &[String]) -> Result<DiffArgs, CliError> {
+    let (command, rest) = cli::subcommand(args)?;
+    if command != "diff" {
+        return Err(CliError::Usage(format!("unknown subcommand '{command}'")));
+    }
+    let diff = cli::parse(rest, &flags(), |o: &mut DiffArgs, dir| {
+        o.dirs.push(PathBuf::from(dir));
+        Ok(())
+    })?;
+    if diff.dirs.len() != 2 {
+        return Err(CliError::Usage(format!(
             "diff needs exactly two directories, got {}",
-            dirs.len()
-        ));
+            diff.dirs.len()
+        )));
     }
-    let after = dirs.pop().expect("two dirs");
-    let before = dirs.pop().expect("two dirs");
-    DiffArgs {
-        before,
-        after,
-        threshold_pct,
-        min_secs,
-        trace_dir,
-    }
+    Ok(diff)
 }
 
 fn print_diff(d: &DirDiff, threshold_pct: f64, trace_dir: Option<&std::path::Path>) {
@@ -140,20 +130,15 @@ fn print_diff(d: &DirDiff, threshold_pct: f64, trace_dir: Option<&std::path::Pat
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("diff") => {
-            let a = parse_diff_args(&args[1..]);
-            let d = diff_dirs(&a.before, &a.after, a.threshold_pct, a.min_secs)
-                .unwrap_or_else(|e| die(format!("cannot read trajectories: {e}")));
-            print_diff(&d, a.threshold_pct, a.trace_dir.as_deref());
-            if d.has_regressions() {
-                let total: usize = d.diffs.iter().map(|t| t.regressions.len()).sum();
-                eprintln!("{total} cell(s) regressed");
-                std::process::exit(1);
-            }
-            println!("no regressions");
-        }
-        Some("--help") | Some("-h") | None => usage(),
-        Some(other) => die(format!("unknown subcommand '{other}'")),
+    let usage = || cli::usage(USAGE_HEADER, &flags(), 18);
+    let a = cli::exit_on(parse_cli(&args), usage);
+    let d = diff_dirs(&a.dirs[0], &a.dirs[1], a.threshold_pct, a.min_secs)
+        .unwrap_or_else(|e| cli::reject(format!("cannot read trajectories: {e}")));
+    print_diff(&d, a.threshold_pct, a.trace_dir.as_deref());
+    if d.has_regressions() {
+        let total: usize = d.diffs.iter().map(|t| t.regressions.len()).sum();
+        eprintln!("{total} cell(s) regressed");
+        std::process::exit(1);
     }
+    println!("no regressions");
 }

@@ -71,6 +71,7 @@
 //! ```
 
 pub mod analysis;
+pub mod cli;
 pub mod coefficients;
 pub mod error;
 pub mod executor;

@@ -13,7 +13,7 @@
 //! independent pipe stream; concurrent connections batch together;
 //! SIGTERM stops accepting and drains).
 //!
-//! Requests resolve through one shared [`Campaign`]: each server
+//! Requests resolve through one shared [`kc_experiments::Campaign`]: each server
 //! batch prefetches its cells as a single set through the bounded
 //! cell scheduler, so duplicate cells across in-flight requests
 //! execute exactly once and at most `--jobs` cells execute at any
@@ -22,241 +22,71 @@
 //! executions — and the run appends to the `PATH.history.jsonl`
 //! sidecar on shutdown.  The store spec is a bare PATH — the format is
 //! auto-detected (JSON file or sharded binary directory) — or
-//! `sharded:PATH` / `json:PATH` to force the format for a fresh store
-//! (the old `--store-format` flag is a deprecated alias).  The
-//! sharded format appends
-//! each measured cell immediately, so a second instance over the same
-//! store directory sees this one's cells as they land.  `--trace` writes the canonical telemetry
-//! stream (cell spans + `RequestServed` events); `--metrics` prints
+//! `sharded:PATH` / `json:PATH` to force the format for a fresh store.
+//! The sharded format appends each measured cell immediately, so a
+//! second instance over the same store directory sees this one's cells
+//! as they land.  `--trace` writes the canonical telemetry stream
+//! (cell spans + `RequestServed` events); `--metrics` prints
 //! request-latency percentiles, batch shape and cache hit rate to
 //! stderr at shutdown.
 
-use kc_core::{HistoryRecord, JsonLinesSink, RunHistory};
-use kc_experiments::{Campaign, CampaignEngine, Runner, SummaryOpts};
-use kc_prophesy::{history_sidecar, CellBackend, StoreFormat, StoreOptions, StoreSpec};
-use kc_serve::{Server, ServerConfig};
-use std::path::PathBuf;
+use kc_core::cli::{self, CliError, Flag};
+use kc_experiments::{CampaignArgs, ServeArgs, Session, StaticCost};
 use std::sync::Arc;
-
-/// Slow cells to keep in the `--metrics` / trace summary.
-const SUMMARY_TOP_N: usize = 10;
 
 /// Everything the command line configures.
 #[derive(Default)]
-struct Options {
+pub(crate) struct Options {
     listen: Option<String>,
-    store: Option<StoreSpec>,
-    store_format: Option<StoreFormat>,
-    compact_ratio: Option<f64>,
-    trace: Option<PathBuf>,
-    history: Option<PathBuf>,
-    metrics: bool,
-    noise_free: bool,
-    reps: Option<u32>,
-    jobs: Option<usize>,
-    max_inflight: Option<usize>,
-    max_batch: Option<usize>,
+    pub(crate) campaign: CampaignArgs,
+    pub(crate) serve: ServeArgs,
 }
 
-/// One command-line flag (same declarative table as `paper_tables`):
-/// name, value placeholder, help line, and how it lands in
-/// [`Options`].
-struct Flag {
-    name: &'static str,
-    metavar: Option<&'static str>,
-    help: &'static str,
-    apply: fn(&mut Options, &str) -> Result<(), String>,
-}
-
-fn parse_positive(name: &str, v: &str) -> Result<usize, String> {
-    let n: usize = v.parse().map_err(|_| format!("bad {name} value '{v}'"))?;
-    if n == 0 {
-        return Err(format!("{name} must be at least 1"));
+impl AsMut<CampaignArgs> for Options {
+    fn as_mut(&mut self) -> &mut CampaignArgs {
+        &mut self.campaign
     }
-    Ok(n)
 }
 
-const FLAGS: [Flag; 12] = [
-    Flag {
-        name: "--listen",
-        metavar: Some("ADDR"),
-        help: "serve TCP connections on ADDR (e.g. 127.0.0.1:7070) instead of stdin",
-        apply: |o, v| {
-            o.listen = Some(v.to_string());
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--store",
-        metavar: Some("SPEC"),
-        help: "load/save raw cell measurements in a kc-prophesy cell store; \
-               SPEC is PATH (format auto-detected) or 'sharded:PATH' / \
-               'json:PATH' to force a format for a fresh store",
-        apply: |o, v| {
-            o.store = Some(v.parse()?);
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--store-format",
-        metavar: Some("FORMAT"),
-        help: "deprecated alias for a 'FORMAT:PATH' --store spec ('json' or 'sharded')",
-        apply: |o, v| {
-            o.store_format = Some(v.parse()?);
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--compact-ratio",
-        metavar: Some("RATIO"),
-        help: "auto-compact a sharded-store shard once more than RATIO of its \
-               frames are superseded (0 < RATIO < 1; ignored by JSON stores)",
-        apply: |o, v| {
-            let ratio: f64 = v
-                .parse()
-                .map_err(|_| format!("bad --compact-ratio value '{v}'"))?;
-            if !(ratio > 0.0 && ratio < 1.0) {
-                return Err(format!(
-                    "--compact-ratio must be strictly between 0 and 1, got {v}"
-                ));
-            }
-            o.compact_ratio = Some(ratio);
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--noise-free",
-        metavar: None,
-        help: "disable the machine's timer noise",
-        apply: |o, _| {
-            o.noise_free = true;
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--reps",
-        metavar: Some("N"),
-        help: "timing repetitions per chain cell",
-        apply: |o, v| {
-            o.reps = Some(v.parse().map_err(|_| format!("bad --reps value '{v}'"))?);
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--jobs",
-        metavar: Some("N"),
-        help: "scheduler worker-pool size, >= 1 (default: available parallelism)",
-        apply: |o, v| {
-            o.jobs = Some(parse_positive("--jobs", v)?);
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--max-inflight",
-        metavar: Some("N"),
-        help: "max requests queued or resolving before overload responses (default 256)",
-        apply: |o, v| {
-            o.max_inflight = Some(parse_positive("--max-inflight", v)?);
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--max-batch",
-        metavar: Some("N"),
-        help: "max requests resolved per engine batch (default 64)",
-        apply: |o, v| {
-            o.max_batch = Some(parse_positive("--max-batch", v)?);
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--trace",
-        metavar: Some("FILE"),
-        help: "write the telemetry stream (cells + requests) as canonical JSON lines",
-        apply: |o, v| {
-            o.trace = Some(PathBuf::from(v));
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--metrics",
-        metavar: None,
-        help: "print serve + campaign aggregates to stderr at shutdown",
-        apply: |o, _| {
-            o.metrics = true;
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--history",
-        metavar: Some("FILE"),
-        help: "append this run's summary + cell durations to FILE \
-               (default: STORE.history.jsonl when --store is given)",
-        apply: |o, v| {
-            o.history = Some(PathBuf::from(v));
-            Ok(())
-        },
-    },
-];
-
-fn usage_text() -> String {
-    let mut flags = String::new();
-    for f in &FLAGS {
-        let head = match f.metavar {
-            Some(m) => format!("{} {m}", f.name),
-            None => f.name.to_string(),
-        };
-        flags.push_str(&format!("  {head:<22} {}\n", f.help));
+impl AsMut<ServeArgs> for Options {
+    fn as_mut(&mut self) -> &mut ServeArgs {
+        &mut self.serve
     }
-    format!(
-        "usage: kc_served [FLAG ...]\n\
-         reads line-delimited JSON prediction requests from stdin \
-         (one response line per request line, in order; EOF drains \
-         and exits) unless --listen is given\n{flags}"
-    )
 }
 
-fn die(msg: String) -> ! {
-    eprintln!("error: {msg}");
-    eprint!("{}", usage_text());
-    std::process::exit(2);
+fn flags() -> Vec<Flag<Options>> {
+    vec![
+        Flag::value(
+            "--listen",
+            "ADDR",
+            "serve TCP connections on ADDR (e.g. 127.0.0.1:7070) instead of stdin",
+            cli::text,
+            |o, addr| o.listen = Some(addr),
+        ),
+        CampaignArgs::store(),
+        CampaignArgs::compact_ratio(),
+        CampaignArgs::noise_free(),
+        CampaignArgs::reps(),
+        CampaignArgs::jobs(),
+        ServeArgs::max_inflight(),
+        ServeArgs::max_batch(),
+        CampaignArgs::trace()
+            .help("write the telemetry stream (cells + requests) as canonical JSON lines"),
+        CampaignArgs::metrics().help("print serve + campaign aggregates to stderr at shutdown"),
+        CampaignArgs::history(),
+    ]
 }
 
-fn parse_args(args: &[String]) -> Options {
-    let mut o = Options::default();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        if arg == "--help" || arg == "-h" {
-            print!("{}", usage_text());
-            std::process::exit(0);
-        }
-        let Some(flag) = FLAGS.iter().find(|f| f.name == arg) else {
-            die(format!("unknown argument '{arg}'"));
-        };
-        let value = match flag.metavar {
-            Some(_) => {
-                i += 1;
-                match args.get(i) {
-                    Some(v) => v.as_str(),
-                    None => die(format!("{arg} needs a value")),
-                }
-            }
-            None => "",
-        };
-        if let Err(e) = (flag.apply)(&mut o, value) {
-            die(e);
-        }
-        i += 1;
-    }
-    if let Some(format) = o.store_format.take() {
-        eprintln!("warning: --store-format is deprecated; spell the spec as --store {format}:PATH");
-        o.store = match o.store.take() {
-            Some(spec) => Some(spec.with_legacy_format(format).unwrap_or_else(|e| die(e))),
-            None => die("--store-format needs --store".to_string()),
-        };
-    }
-    o
+fn usage() -> String {
+    let header = "usage: kc_served [FLAG ...]\n\
+                  reads line-delimited JSON prediction requests from stdin \
+                  (one response line per request line, in order; EOF drains \
+                  and exits) unless --listen is given\n";
+    cli::usage(header, &flags(), 22)
+}
+
+pub(crate) fn parse_cli(args: &[String]) -> Result<Options, CliError> {
+    cli::parse(args, &flags(), cli::no_positional)
 }
 
 /// Point SIGTERM at the server's shutdown flag, so the TCP accept
@@ -288,77 +118,25 @@ fn install_sigterm(_flag: Arc<std::sync::atomic::AtomicBool>) {}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_args(&args);
-
-    let mut runner = Runner::default();
-    if opts.noise_free {
-        runner.machine = runner.machine.without_noise();
-    }
-    if let Some(reps) = opts.reps {
-        runner.reps = reps;
-    }
-
-    let store: Option<Arc<dyn CellBackend>> = opts.store.as_ref().map(|spec| {
-        let options = StoreOptions {
-            compact_ratio: opts.compact_ratio,
-        };
-        spec.open_with(options).unwrap_or_else(|e| {
-            eprintln!("error: cannot open cell store {}: {e}", spec.path.display());
-            std::process::exit(2);
-        })
-    });
-    let history_path: Option<PathBuf> = opts
-        .history
-        .clone()
-        .or_else(|| opts.store.as_ref().map(|spec| history_sidecar(&spec.path)));
-
-    let mut builder = Campaign::builder(runner);
-    if let Some(s) = &store {
-        builder = builder.backend(Box::new(Arc::clone(s)));
-    }
-    if let Some(jobs) = opts.jobs {
-        builder = builder.jobs(jobs);
-    }
-    let campaign = Arc::new(builder.build());
-    if let Some(s) = &store {
-        // store diagnostics (read errors answered as misses) land in
-        // the campaign's event stream instead of stderr
-        s.attach_sink(campaign.sink());
-    }
-    let trace_sink: Option<Arc<JsonLinesSink>> = opts.trace.as_ref().map(|p| {
-        let sink = Arc::new(JsonLinesSink::new(p.clone()));
-        campaign.attach_sink(sink.clone());
-        sink
-    });
-
-    let mut config = ServerConfig::default();
-    if let Some(n) = opts.max_inflight {
-        config.max_inflight = n;
-    }
-    if let Some(n) = opts.max_batch {
-        config.max_batch = n;
-    }
-    let engine = Arc::new(CampaignEngine::new(campaign.clone()));
-    let server = Server::new(engine, config);
-    if let Some(sink) = &trace_sink {
-        // request events land in the same trace as the cell spans
-        server.attach_sink(sink.clone() as Arc<dyn kc_core::TelemetrySink>);
-    }
+    let mut opts = cli::exit_on(parse_cli(&args), usage);
+    opts.campaign.default_history_to_sidecar();
+    let session =
+        Session::open(&opts.campaign, Arc::new(StaticCost)).unwrap_or_else(|e| cli::reject(e));
+    let config = opts.serve.config();
+    let server = session.server(config);
     install_sigterm(server.shutdown_flag());
 
     let served = match &opts.listen {
         Some(addr) => {
-            let listener = std::net::TcpListener::bind(addr).unwrap_or_else(|e| {
-                eprintln!("error: cannot listen on {addr}: {e}");
-                std::process::exit(2);
-            });
+            let listener = std::net::TcpListener::bind(addr)
+                .unwrap_or_else(|e| cli::reject(format!("cannot listen on {addr}: {e}")));
             eprintln!(
                 "[serve] listening on {} (jobs {}, max inflight {}, max batch {})",
                 listener
                     .local_addr()
                     .map(|a| a.to_string())
                     .unwrap_or_else(|_| addr.clone()),
-                campaign.jobs(),
+                session.campaign().jobs(),
                 config.max_inflight,
                 config.max_batch,
             );
@@ -370,72 +148,14 @@ fn main() {
         }
     };
     if let Err(e) = served {
-        eprintln!("error: serve loop failed: {e}");
-        std::process::exit(1);
+        cli::fail(format!("serve loop failed: {e}"));
     }
     // drain every admitted request, then stop the batcher
     server.shutdown();
 
     let report = server.metrics().report();
-    let cache = campaign.cache_stats();
-    eprintln!(
-        "[cache] {} requests, {} memory hits, {} backend hits, {} executed",
-        cache.requests, cache.hits, cache.backend_hits, cache.executed
-    );
-    let wants_summary = opts.metrics || trace_sink.is_some() || history_path.is_some();
-    let summary = wants_summary.then(|| {
-        let mut o = SummaryOpts::top(SUMMARY_TOP_N);
-        if trace_sink.is_some() {
-            o = o.recorded();
-        }
-        campaign.summary(o)
-    });
-    if opts.metrics {
-        eprint!("[metrics]\n{report}");
-        eprint!("{}", summary.as_ref().expect("summary computed"));
-    }
-    if let Some(sink) = &trace_sink {
-        campaign
-            .flush_sinks()
-            .expect("failed to write telemetry trace");
-        eprintln!(
-            "[trace] {} events written to {}",
-            sink.len(),
-            sink.path().display()
-        );
-    }
-    if let (Some(s), Some(spec)) = (&store, &opts.store) {
-        s.flush().expect("failed to save cell store");
-        let b = s.stats();
-        let errors = if b.read_errors > 0 {
-            format!(", {} read errors", b.read_errors)
-        } else {
-            String::new()
-        };
-        eprintln!(
-            "[store] {} cells saved to {} ({}, {} loads, {} hits, {} stores{errors})",
-            s.len(),
-            spec.path.display(),
-            s.format(),
-            b.loads,
-            b.load_hits,
-            b.stores
-        );
-    }
-    if let Some(p) = &history_path {
-        let summary = summary.expect("summary computed");
-        let mut record = HistoryRecord::from_events(summary, &campaign.telemetry_events())
-            .with_jobs(campaign.jobs() as u64);
-        if let Some(s) = &store {
-            record = record.with_backend(s.stats().into());
-        }
-        RunHistory::append(p, &record).expect("failed to append run history");
-        eprintln!(
-            "[history] run {} appended to {} ({} cell durations)",
-            RunHistory::load(p).map(|h| h.len()).unwrap_or(0),
-            p.display(),
-            record.cell_durations.len()
-        );
+    if let Err(e) = session.finish(&report.to_string()) {
+        cli::fail(e);
     }
     eprintln!(
         "[serve] {} request(s) answered (ok {}, error {}, overloaded {}); exiting 0",

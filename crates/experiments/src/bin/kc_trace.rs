@@ -20,26 +20,55 @@
 //! when omitted); a one-line summary of lanes and span counts goes
 //! to stderr.
 
+use kc_core::cli::{self, fail, CliError, Flag};
 use kc_core::{read_jsonl, TelemetryEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: kc_trace render TRACE.jsonl [-o OUT.svg]\n\
-         \n\
-         renders a campaign --trace file as a self-contained SVG span\n\
-         timeline: one lane per worker, CellExecuted spans packed in\n\
-         stream order (width = simulated duration), plus a serve lane\n\
-         for RequestServed events; writes to stdout unless -o is given"
-    );
-    std::process::exit(2);
+const USAGE_HEADER: &str = "usage: kc_trace render TRACE.jsonl [-o OUT.svg]\n\
+     \n\
+     renders a campaign --trace file as a self-contained SVG span\n\
+     timeline: one lane per worker, CellExecuted spans packed in\n\
+     stream order (width = simulated duration), plus a serve lane\n\
+     for RequestServed events\n\
+     \n";
+
+/// What `render`'s arguments configure.
+#[derive(Default)]
+pub(crate) struct Render {
+    pub(crate) trace: Option<PathBuf>,
+    pub(crate) out: Option<PathBuf>,
 }
 
-fn die(msg: String) -> ! {
-    eprintln!("error: {msg}");
-    usage();
+fn flags() -> [Flag<Render>; 1] {
+    [Flag::value(
+        "--out",
+        "OUT.svg",
+        "write the SVG here instead of stdout",
+        cli::path,
+        |o: &mut Render, file| o.out = Some(file),
+    )
+    .short("-o")]
+}
+
+pub(crate) fn parse_cli(args: &[String]) -> Result<Render, CliError> {
+    let (command, rest) = cli::subcommand(args)?;
+    if command != "render" {
+        return Err(CliError::Usage(format!("unknown subcommand '{command}'")));
+    }
+    let render = cli::parse(rest, &flags(), |o: &mut Render, arg| {
+        match o.trace.replace(PathBuf::from(arg)) {
+            None => Ok(()),
+            Some(_) => Err(format!("unexpected argument '{arg}'")),
+        }
+    })?;
+    if render.trace.is_none() {
+        return Err(CliError::Usage(
+            "render needs a TRACE.jsonl path".to_string(),
+        ));
+    }
+    Ok(render)
 }
 
 /// One rendered span: a placed interval on a named lane.
@@ -216,13 +245,13 @@ fn render_svg(spans: &[Span], source: &Path) -> String {
 
 fn render(trace: &Path, out: Option<&Path>) {
     let events =
-        read_jsonl(trace).unwrap_or_else(|e| die(format!("cannot read {}: {e}", trace.display())));
+        read_jsonl(trace).unwrap_or_else(|e| fail(format!("cannot read {}: {e}", trace.display())));
     let spans = layout(&events);
     let lanes: std::collections::BTreeSet<&str> = spans.iter().map(|s| s.lane.as_str()).collect();
     let svg = render_svg(&spans, trace);
     match out {
         Some(path) => std::fs::write(path, &svg)
-            .unwrap_or_else(|e| die(format!("cannot write {}: {e}", path.display()))),
+            .unwrap_or_else(|e| fail(format!("cannot write {}: {e}", path.display()))),
         None => print!("{svg}"),
     }
     eprintln!(
@@ -237,33 +266,7 @@ fn render(trace: &Path, out: Option<&Path>) {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("render") => {
-            let mut trace: Option<PathBuf> = None;
-            let mut out: Option<PathBuf> = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--help" | "-h" => usage(),
-                    "-o" | "--out" => {
-                        i += 1;
-                        let Some(v) = args.get(i) else {
-                            die("-o needs a path".into());
-                        };
-                        out = Some(PathBuf::from(v));
-                    }
-                    flag if flag.starts_with('-') => die(format!("unknown flag '{flag}'")),
-                    path if trace.is_none() => trace = Some(PathBuf::from(path)),
-                    extra => die(format!("unexpected argument '{extra}'")),
-                }
-                i += 1;
-            }
-            let Some(trace) = trace else {
-                die("render needs a TRACE.jsonl path".into());
-            };
-            render(&trace, out.as_deref());
-        }
-        Some("--help") | Some("-h") | None => usage(),
-        Some(other) => die(format!("unknown subcommand '{other}'")),
-    }
+    let usage = || cli::usage(USAGE_HEADER, &flags(), 22);
+    let Render { trace, out } = cli::exit_on(parse_cli(&args), usage);
+    render(&trace.expect("parse_cli checked"), out.as_deref());
 }

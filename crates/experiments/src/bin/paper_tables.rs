@@ -33,9 +33,8 @@
 //! store).  SPEC is a bare PATH — the on-disk format is auto-detected
 //! (a JSON file or a sharded binary directory) and a fresh store is
 //! created as JSON — or `sharded:PATH` / `json:PATH` to force the
-//! format (`kc_prophesy::StoreSpec`; the old `--store-format` flag is
-//! a deprecated alias).  Table values are byte-identical whichever
-//! format backs the run.
+//! format (`kc_prophesy::StoreSpec`).  Table values are byte-identical
+//! whichever format backs the run.
 //!
 //! With `--cost-model measured`, the execute phase is scheduled by the
 //! real cell durations recorded in the history sidecar (or a prior
@@ -50,20 +49,16 @@
 //! per-benchmark cell counts, parallel efficiency, slowest cells) are
 //! printed to stderr.
 
-use kc_core::{HistoryRecord, JsonLinesSink, RunHistory};
+use kc_core::cli::{self, CliError, Flag};
 use kc_experiments::render::Artifact;
 use kc_experiments::{
     ablations, analytic, bt, granularity, lu, machines, reuse, sp, transitions, AnalysisSpec,
-    Campaign, CampaignStats, CostModel, MeasuredCost, Runner, StaticCost, SummaryOpts,
+    Campaign, CampaignArgs, CampaignStats, CostModel, MeasuredCost, Session, StaticCost,
 };
 use kc_machine::MachineConfig;
 use kc_npb::{Benchmark, Class};
-use kc_prophesy::{history_sidecar, CellBackend, StoreFormat, StoreOptions, StoreSpec};
 use std::path::PathBuf;
 use std::sync::Arc;
-
-/// Slow cells to keep in the `--metrics` / trace summary.
-const SUMMARY_TOP_N: usize = 10;
 
 const TRANSITION_CLASSES: [Class; 3] = [Class::S, Class::W, Class::A];
 const TRANSITION_PROCS: [usize; 4] = [4, 9, 16, 25];
@@ -94,225 +89,80 @@ const EXPERIMENTS: [&str; 16] = [
 
 /// Everything the command line configures.
 #[derive(Default)]
-struct Options {
-    experiments: Vec<String>,
+pub(crate) struct Options {
+    pub(crate) experiments: Vec<String>,
+    pub(crate) campaign: CampaignArgs,
     out: Option<PathBuf>,
-    store: Option<StoreSpec>,
-    store_format: Option<StoreFormat>,
-    compact_ratio: Option<f64>,
-    trace: Option<PathBuf>,
-    history: Option<PathBuf>,
     measured_cost: bool,
-    metrics: bool,
-    noise_free: bool,
-    reps: Option<u32>,
-    jobs: Option<usize>,
 }
 
-/// One command-line flag: its name, value placeholder (None for
-/// switches), help line, and how it lands in [`Options`].  `usage` and
-/// the parse loop are both generated from this one table, so adding a
-/// flag is one entry here.
-struct Flag {
-    name: &'static str,
-    metavar: Option<&'static str>,
-    help: &'static str,
-    apply: fn(&mut Options, &str) -> Result<(), String>,
-}
-
-const FLAGS: [Flag; 11] = [
-    Flag {
-        name: "--noise-free",
-        metavar: None,
-        help: "disable the machine's timer noise",
-        apply: |o, _| {
-            o.noise_free = true;
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--out",
-        metavar: Some("DIR"),
-        help: "write <id>.txt / <id>.json artifacts into DIR",
-        apply: |o, v| {
-            o.out = Some(PathBuf::from(v));
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--reps",
-        metavar: Some("N"),
-        help: "timing repetitions per chain cell",
-        apply: |o, v| {
-            o.reps = Some(v.parse().map_err(|_| format!("bad --reps value '{v}'"))?);
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--store",
-        metavar: Some("SPEC"),
-        help: "load/save raw cell measurements in a kc-prophesy cell store; \
-               SPEC is PATH (format auto-detected) or 'sharded:PATH' / \
-               'json:PATH' to force a format for a fresh store",
-        apply: |o, v| {
-            o.store = Some(v.parse()?);
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--store-format",
-        metavar: Some("FORMAT"),
-        help: "deprecated alias for a 'FORMAT:PATH' --store spec ('json' or 'sharded')",
-        apply: |o, v| {
-            o.store_format = Some(v.parse()?);
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--compact-ratio",
-        metavar: Some("RATIO"),
-        help: "auto-compact a sharded-store shard once more than RATIO of its \
-               frames are superseded (0 < RATIO < 1; ignored by JSON stores)",
-        apply: |o, v| {
-            let ratio: f64 = v
-                .parse()
-                .map_err(|_| format!("bad --compact-ratio value '{v}'"))?;
-            if !(ratio > 0.0 && ratio < 1.0) {
-                return Err(format!(
-                    "--compact-ratio must be strictly between 0 and 1, got {v}"
-                ));
-            }
-            o.compact_ratio = Some(ratio);
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--trace",
-        metavar: Some("FILE"),
-        help: "write the telemetry stream as canonical JSON lines",
-        apply: |o, v| {
-            o.trace = Some(PathBuf::from(v));
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--metrics",
-        metavar: None,
-        help: "print end-of-run aggregates to stderr",
-        apply: |o, _| {
-            o.metrics = true;
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--history",
-        metavar: Some("FILE"),
-        help: "append this run's summary + cell durations to FILE \
-               (default: STORE.history.jsonl when --store is given)",
-        apply: |o, v| {
-            o.history = Some(PathBuf::from(v));
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--jobs",
-        metavar: Some("N"),
-        help: "scheduler worker-pool size, >= 1 (default: available parallelism)",
-        apply: |o, v| {
-            let jobs: usize = v.parse().map_err(|_| format!("bad --jobs value '{v}'"))?;
-            if jobs == 0 {
-                return Err("--jobs must be at least 1".to_string());
-            }
-            o.jobs = Some(jobs);
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--cost-model",
-        metavar: Some("MODEL"),
-        help: "schedule execution by 'static' estimates or 'measured' history durations",
-        apply: |o, v| {
-            o.measured_cost = match v {
-                "static" => false,
-                "measured" => true,
-                other => return Err(format!("bad --cost-model value '{other}'")),
-            };
-            Ok(())
-        },
-    },
-];
-
-fn usage_text() -> String {
-    let mut flags = String::new();
-    for f in &FLAGS {
-        let head = match f.metavar {
-            Some(m) => format!("{} {m}", f.name),
-            None => f.name.to_string(),
-        };
-        flags.push_str(&format!("  {head:<20} {}\n", f.help));
+impl AsMut<CampaignArgs> for Options {
+    fn as_mut(&mut self) -> &mut CampaignArgs {
+        &mut self.campaign
     }
-    format!(
-        "usage: paper_tables [EXPERIMENT ...] [FLAG ...]\n\
-         experiments: {}  all\n{flags}",
+}
+
+fn flags() -> Vec<Flag<Options>> {
+    vec![
+        CampaignArgs::noise_free(),
+        Flag::value(
+            "--out",
+            "DIR",
+            "write <id>.txt / <id>.json artifacts into DIR",
+            cli::path,
+            |o, dir| o.out = Some(dir),
+        ),
+        CampaignArgs::reps(),
+        CampaignArgs::store(),
+        CampaignArgs::compact_ratio(),
+        CampaignArgs::trace(),
+        CampaignArgs::metrics(),
+        CampaignArgs::history(),
+        CampaignArgs::jobs(),
+        Flag::value(
+            "--cost-model",
+            "MODEL",
+            "schedule execution by 'static' estimates or 'measured' history durations",
+            |name, v| match v {
+                "static" => Ok(false),
+                "measured" => Ok(true),
+                other => Err(format!("bad {name} value '{other}'")),
+            },
+            |o, measured| o.measured_cost = measured,
+        ),
+    ]
+}
+
+fn usage() -> String {
+    let header = format!(
+        "usage: paper_tables [EXPERIMENT ...] [FLAG ...]\nexperiments: {}  all\n",
         EXPERIMENTS.join(" ")
-    )
+    );
+    cli::usage(&header, &flags(), 20)
 }
 
-fn die(msg: String) -> ! {
-    eprintln!("error: {msg}");
-    eprint!("{}", usage_text());
-    std::process::exit(2);
-}
-
-fn parse_args(args: &[String]) -> Options {
-    let mut o = Options::default();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        if arg == "--help" || arg == "-h" {
-            // asked-for help goes to stdout and succeeds
-            print!("{}", usage_text());
-            std::process::exit(0);
-        }
-        if let Some(flag) = FLAGS.iter().find(|f| f.name == arg) {
-            let value = match flag.metavar {
-                Some(_) => {
-                    i += 1;
-                    args.get(i)
-                        .unwrap_or_else(|| die(format!("{} needs a value", flag.name)))
-                        .as_str()
-                }
-                None => "",
-            };
-            if let Err(e) = (flag.apply)(&mut o, value) {
-                die(e);
-            }
-        } else if arg.starts_with('-') {
-            die(format!("unknown flag '{arg}'"));
-        } else if arg == "all" {
-            o.experiments = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
+/// Parse the command line: experiments are positional, `all` (or
+/// none) selects every one, and repeats are dropped keeping
+/// first-occurrence order — `paper_tables bt-s bt-s` must not spawn
+/// duplicate workers or print the table twice.
+pub(crate) fn parse_cli(args: &[String]) -> Result<Options, CliError> {
+    let every = || EXPERIMENTS.iter().map(|s| s.to_string()).collect();
+    let mut o = cli::parse(args, &flags(), |o: &mut Options, arg| {
+        if arg == "all" {
+            o.experiments = every();
         } else if EXPERIMENTS.contains(&arg) {
             o.experiments.push(arg.to_string());
         } else {
-            die(format!("unknown experiment '{arg}'"));
+            return Err(format!("unknown experiment '{arg}'"));
         }
-        i += 1;
-    }
+        Ok(())
+    })?;
     if o.experiments.is_empty() {
-        o.experiments = EXPERIMENTS.iter().map(|s| s.to_string()).collect();
+        o.experiments = every();
     }
-    // `paper_tables bt-s bt-s` must not spawn duplicate workers or
-    // print the table twice: drop repeats, keep first-occurrence order
     let mut seen = std::collections::BTreeSet::new();
     o.experiments.retain(|e| seen.insert(e.clone()));
-    if let Some(format) = o.store_format.take() {
-        eprintln!("warning: --store-format is deprecated; spell the spec as --store {format}:PATH");
-        o.store = match o.store.take() {
-            Some(spec) => Some(spec.with_legacy_format(format).unwrap_or_else(|e| die(e))),
-            None => die("--store-format needs --store".to_string()),
-        };
-    }
-    o
+    Ok(o)
 }
 
 fn classes_tables() -> String {
@@ -573,56 +423,18 @@ fn build_cost_model(
     Arc::new(model)
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_args(&args);
-
-    let mut runner = Runner::default();
-    if opts.noise_free {
-        runner.machine = runner.machine.without_noise();
-    }
-    if let Some(reps) = opts.reps {
-        runner.reps = reps;
-    }
-
-    let store: Option<Arc<dyn CellBackend>> = opts.store.as_ref().map(|spec| {
-        let options = StoreOptions {
-            compact_ratio: opts.compact_ratio,
-        };
-        spec.open_with(options).unwrap_or_else(|e| {
-            eprintln!("error: cannot open cell store {}: {e}", spec.path.display());
-            std::process::exit(2);
-        })
-    });
+/// Run the campaign and print the tables; an `Err` is a run-time
+/// failure (exit 1).
+fn run(mut opts: Options) -> Result<(), String> {
     // the sidecar rides along with --store unless --history overrides
-    let history_path: Option<PathBuf> = opts
-        .history
-        .clone()
-        .or_else(|| opts.store.as_ref().map(|spec| history_sidecar(&spec.path)));
+    opts.campaign.default_history_to_sidecar();
     let cost_model = build_cost_model(
         opts.measured_cost,
-        history_path.as_ref(),
-        opts.trace.as_ref(),
+        opts.campaign.history.as_ref(),
+        opts.campaign.trace.as_ref(),
     );
-
-    let mut builder = Campaign::builder(runner).cost_model(cost_model);
-    if let Some(s) = &store {
-        builder = builder.backend(Box::new(Arc::clone(s)));
-    }
-    if let Some(jobs) = opts.jobs {
-        builder = builder.jobs(jobs);
-    }
-    let campaign = builder.build();
-    if let Some(s) = &store {
-        // store diagnostics (read errors answered as misses) land in
-        // the campaign's event stream instead of stderr
-        s.attach_sink(campaign.sink());
-    }
-    let trace_sink: Option<Arc<JsonLinesSink>> = opts.trace.as_ref().map(|p| {
-        let sink = Arc::new(JsonLinesSink::new(p.clone()));
-        campaign.attach_sink(sink.clone());
-        sink
-    });
+    let session = Session::open(&opts.campaign, cost_model).unwrap_or_else(|e| cli::reject(e));
+    let campaign: &Campaign = session.campaign();
 
     // Pipelined campaign: one thread per experiment, all feeding the
     // campaign-global bounded scheduler.  Each experiment enqueues its
@@ -633,7 +445,6 @@ fn main() {
     // collapses cells two experiments race for.  Output is buffered
     // per experiment and printed in experiment order below.
     let outputs: Vec<(ExperimentOutput, CampaignStats, f64)> = std::thread::scope(|s| {
-        let campaign = &campaign;
         let handles: Vec<_> = opts
             .experiments
             .iter()
@@ -641,19 +452,18 @@ fn main() {
                 s.spawn(move || {
                     let started = std::time::Instant::now();
                     let requests = requests_for(exp, &campaign.runner().machine);
-                    let stats = campaign
-                        .prefetch(&requests)
-                        .expect("campaign measurement failed");
+                    let stats = campaign.prefetch(&requests)?;
                     let output = assemble(exp, campaign);
-                    (output, stats, started.elapsed().as_secs_f64())
+                    Ok((output, stats, started.elapsed().as_secs_f64()))
                 })
             })
             .collect();
         handles
             .into_iter()
             .map(|h| h.join().expect("experiment worker panicked"))
-            .collect()
-    });
+            .collect::<kc_core::KcResult<_>>()
+    })
+    .map_err(|e| format!("campaign measurement failed: {e}"))?;
 
     let mut merged = CampaignStats::default();
     for ((output, stats, secs), exp) in outputs.iter().zip(&opts.experiments) {
@@ -664,7 +474,8 @@ fn main() {
         if let Some(a) = &output.artifact {
             println!("{}", a.render_text());
             if let Some(dir) = &opts.out {
-                a.write_to(dir).expect("failed to write artifacts");
+                a.write_to(dir)
+                    .map_err(|e| format!("cannot write artifacts to {}: {e}", dir.display()))?;
             }
             eprintln!("[{exp}] done in {secs:.1}s");
         }
@@ -676,65 +487,13 @@ fn main() {
         campaign.cost_model_name(),
         campaign.jobs()
     );
+    session.finish("").map_err(|e| e.to_string())
+}
 
-    let cache = campaign.cache_stats();
-    eprintln!(
-        "[cache] {} requests, {} memory hits, {} backend hits, {} executed",
-        cache.requests, cache.hits, cache.backend_hits, cache.executed
-    );
-    let wants_summary = opts.metrics || trace_sink.is_some() || history_path.is_some();
-    let summary = wants_summary.then(|| {
-        let mut o = SummaryOpts::top(SUMMARY_TOP_N);
-        // traces end with a summary line, as before
-        if trace_sink.is_some() {
-            o = o.recorded();
-        }
-        campaign.summary(o)
-    });
-    if opts.metrics {
-        eprint!("[metrics]\n{}", summary.as_ref().expect("summary computed"));
-    }
-    if let Some(sink) = &trace_sink {
-        campaign
-            .flush_sinks()
-            .expect("failed to write telemetry trace");
-        eprintln!(
-            "[trace] {} events written to {}",
-            sink.len(),
-            sink.path().display()
-        );
-    }
-    if let (Some(s), Some(spec)) = (&store, &opts.store) {
-        s.flush().expect("failed to save cell store");
-        let b = s.stats();
-        let errors = if b.read_errors > 0 {
-            format!(", {} read errors", b.read_errors)
-        } else {
-            String::new()
-        };
-        eprintln!(
-            "[store] {} cells saved to {} ({}, {} loads, {} hits, {} stores{errors})",
-            s.len(),
-            spec.path.display(),
-            s.format(),
-            b.loads,
-            b.load_hits,
-            b.stores
-        );
-    }
-    if let Some(p) = &history_path {
-        let summary = summary.expect("summary computed");
-        let mut record = HistoryRecord::from_events(summary, &campaign.telemetry_events())
-            .with_jobs(campaign.jobs() as u64);
-        if let Some(s) = &store {
-            record = record.with_backend(s.stats().into());
-        }
-        RunHistory::append(p, &record).expect("failed to append run history");
-        eprintln!(
-            "[history] run {} appended to {} ({} cell durations)",
-            RunHistory::load(p).map(|h| h.len()).unwrap_or(0),
-            p.display(),
-            record.cell_durations.len()
-        );
+fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let opts = cli::exit_on(parse_cli(&args), usage);
+    if let Err(e) = run(opts) {
+        cli::fail(e);
     }
 }

@@ -40,6 +40,7 @@ pub mod reuse;
 pub mod runner;
 pub mod scheduler;
 pub mod serve;
+pub mod session;
 pub mod sp;
 pub mod transitions;
 
@@ -48,3 +49,4 @@ pub use cost::{CostModel, MeasuredCost, StaticCost};
 pub use runner::{Runner, TablePair};
 pub use scheduler::{CellScheduler, DrainStats};
 pub use serve::CampaignEngine;
+pub use session::{CampaignArgs, ServeArgs, Session};

@@ -1,10 +1,10 @@
 //! The campaign-global bounded cell scheduler.
 //!
 //! PR 3's pipelined `paper_tables` gave every experiment its own
-//! worker thread, and each worker's `prefetch` pushed its whole cell
-//! set through the shared rayon pool.  With sixteen experiments that
-//! is sixteen free-running `par_iter` drains competing for the same
-//! cores — total executor concurrency scaled with the number of
+//! worker thread, and each worker's `prefetch` executed its whole cell
+//! set in parallel on its own.  With sixteen experiments that is
+//! sixteen free-running drains competing for the same cores — total
+//! executor concurrency scaled with the number of
 //! *experiments selected*, not with the machine (the ROADMAP's
 //! oversubscription item).  Wichmann et al.'s overlapping-kernel model
 //! makes the same point analytically: coupled kernel measurements want

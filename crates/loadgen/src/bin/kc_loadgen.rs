@@ -38,28 +38,22 @@
 //! entry for `kc-bench diff`.
 
 use kc_bench::{trajectory_dir, BenchTrajectory};
-use kc_experiments::{Campaign, CampaignEngine, Runner};
+use kc_core::cli::{self, CliError, Flag};
+use kc_experiments::{CampaignArgs, ServeArgs, Session, StaticCost};
 use kc_loadgen::{
     drive_server, drive_tcp, exactly_once_violations, schedule, spawn_faults, unique_requests,
     DriveResult, FaultConfig, LoadReport, SloSpec, WorkloadConfig,
 };
-use kc_prophesy::{CellBackend, StoreFormat, StoreSpec};
-use kc_serve::{Server, ServerConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Everything the command line configures.
-struct Options {
-    workload: WorkloadConfig,
+pub(crate) struct Options {
+    pub(crate) workload: WorkloadConfig,
     faults: FaultConfig,
     connect: Option<String>,
-    store: Option<StoreSpec>,
-    store_format: Option<StoreFormat>,
-    noise_free: bool,
-    reps: Option<u32>,
-    jobs: Option<usize>,
-    max_inflight: Option<usize>,
-    max_batch: Option<usize>,
+    pub(crate) campaign: CampaignArgs,
+    serve: ServeArgs,
     warm: bool,
     slo: Option<SloSpec>,
     trajectory: Option<String>,
@@ -74,13 +68,8 @@ impl Default for Options {
                 ..FaultConfig::default()
             },
             connect: None,
-            store: None,
-            store_format: None,
-            noise_free: false,
-            reps: None,
-            jobs: None,
-            max_inflight: None,
-            max_batch: None,
+            campaign: CampaignArgs::default(),
+            serve: ServeArgs::default(),
             warm: false,
             slo: None,
             trajectory: None,
@@ -88,331 +77,185 @@ impl Default for Options {
     }
 }
 
-/// One command-line flag (the same declarative table as `kc_served`):
-/// name, value placeholder, help line, and how it lands in
-/// [`Options`].
-struct Flag {
-    name: &'static str,
-    metavar: Option<&'static str>,
-    help: &'static str,
-    apply: fn(&mut Options, &str) -> Result<(), String>,
-}
-
-fn parse_positive(name: &str, v: &str) -> Result<usize, String> {
-    let n: usize = v.parse().map_err(|_| format!("bad {name} value '{v}'"))?;
-    if n == 0 {
-        return Err(format!("{name} must be at least 1"));
+impl AsMut<CampaignArgs> for Options {
+    fn as_mut(&mut self) -> &mut CampaignArgs {
+        &mut self.campaign
     }
-    Ok(n)
 }
 
-fn parse_count(name: &str, v: &str) -> Result<usize, String> {
-    v.parse().map_err(|_| format!("bad {name} value '{v}'"))
-}
-
-fn parse_f64(name: &str, v: &str) -> Result<f64, String> {
-    let x: f64 = v.parse().map_err(|_| format!("bad {name} value '{v}'"))?;
-    if !x.is_finite() {
-        return Err(format!("{name} must be finite, got '{v}'"));
+impl AsMut<ServeArgs> for Options {
+    fn as_mut(&mut self) -> &mut ServeArgs {
+        &mut self.serve
     }
-    Ok(x)
 }
 
-const FLAGS: [Flag; 22] = [
-    Flag {
-        name: "--rps",
-        metavar: Some("F"),
-        help: "target arrival rate, requests/second (default 200)",
-        apply: |o, v| {
-            let rps = parse_f64("--rps", v)?;
-            if rps <= 0.0 {
-                return Err("--rps must be positive".to_string());
-            }
-            o.workload.rps = rps;
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--duration-ms",
-        metavar: Some("N"),
-        help: "paced window length, milliseconds (default 2000)",
-        apply: |o, v| {
-            o.workload.duration = Duration::from_millis(parse_positive("--duration-ms", v)? as u64);
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--seed",
-        metavar: Some("N"),
-        help: "workload seed: same seed, same request stream (default 42)",
-        apply: |o, v| {
-            o.workload.seed = v.parse().map_err(|_| format!("bad --seed value '{v}'"))?;
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--hot-fraction",
-        metavar: Some("F"),
-        help: "share of requests drawn from the hot key set, 0..=1 (default 0.9)",
-        apply: |o, v| {
-            let f = parse_f64("--hot-fraction", v)?;
-            if !(0.0..=1.0).contains(&f) {
-                return Err("--hot-fraction must be in 0..=1".to_string());
-            }
-            o.workload.hot_fraction = f;
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--deadline-ms",
-        metavar: Some("F"),
-        help: "attach this deadline to every request (default: none — \
-               a deadline-free, strictly FIFO-batched stream)",
-        apply: |o, v| {
-            let d = parse_f64("--deadline-ms", v)?;
-            if d <= 0.0 {
-                return Err("--deadline-ms must be positive".to_string());
-            }
-            o.workload.deadline_ms = Some(d);
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--burst",
-        metavar: Some("N"),
-        help: "extra back-to-back requests at each burst boundary (default 0)",
-        apply: |o, v| {
-            o.workload.burst_size = parse_count("--burst", v)?;
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--burst-every-ms",
-        metavar: Some("N"),
-        help: "burst period, milliseconds (default: bursts disabled)",
-        apply: |o, v| {
-            o.workload.burst_every = Some(Duration::from_millis(parse_positive(
-                "--burst-every-ms",
-                v,
-            )? as u64));
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--malformed-every",
-        metavar: Some("N"),
-        help: "replace every Nth frame with truncated JSON (default 0: off)",
-        apply: |o, v| {
-            o.workload.malformed_every = parse_count("--malformed-every", v)?;
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--fault-disconnects",
-        metavar: Some("N"),
-        help: "concurrent clients that send 1.5 requests then vanish (default 0)",
-        apply: |o, v| {
-            o.faults.disconnects = parse_count("--fault-disconnects", v)?;
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--fault-stalls",
-        metavar: Some("N"),
-        help: "concurrent clients that send half a line then go silent (default 0)",
-        apply: |o, v| {
-            o.faults.stalls = parse_count("--fault-stalls", v)?;
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--fault-stall-ms",
-        metavar: Some("N"),
-        help: "how long a stalling client squats, milliseconds (default 200)",
-        apply: |o, v| {
-            o.faults.stall = Duration::from_millis(parse_positive("--fault-stall-ms", v)? as u64);
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--connect",
-        metavar: Some("ADDR"),
-        help: "drive a remote kc_served --listen instance instead of an \
-               in-process server (executions report as 0)",
-        apply: |o, v| {
-            o.connect = Some(v.to_string());
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--store",
-        metavar: Some("SPEC"),
-        help: "back the in-process server with a kc-prophesy cell store; \
-               SPEC is PATH (format auto-detected) or 'sharded:PATH' / \
-               'json:PATH' to force a format for a fresh store",
-        apply: |o, v| {
-            o.store = Some(v.parse()?);
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--store-format",
-        metavar: Some("FORMAT"),
-        help: "deprecated alias for a 'FORMAT:PATH' --store spec ('json' or 'sharded')",
-        apply: |o, v| {
-            o.store_format = Some(v.parse()?);
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--noise-free",
-        metavar: None,
-        help: "disable the in-process machine's timer noise",
-        apply: |o, _| {
-            o.noise_free = true;
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--reps",
-        metavar: Some("N"),
-        help: "timing repetitions per chain cell (in-process server)",
-        apply: |o, v| {
-            o.reps = Some(v.parse().map_err(|_| format!("bad --reps value '{v}'"))?);
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--jobs",
-        metavar: Some("N"),
-        help: "in-process scheduler worker-pool size, >= 1",
-        apply: |o, v| {
-            o.jobs = Some(parse_positive("--jobs", v)?);
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--max-inflight",
-        metavar: Some("N"),
-        help: "in-process admission bound before overload responses (default 256)",
-        apply: |o, v| {
-            o.max_inflight = Some(parse_positive("--max-inflight", v)?);
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--max-batch",
-        metavar: Some("N"),
-        help: "in-process max requests per engine batch (default 64)",
-        apply: |o, v| {
-            o.max_batch = Some(parse_positive("--max-batch", v)?);
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--warm",
-        metavar: None,
-        help: "resolve every distinct spec once before the timed window, \
-               so the measured run is pure cache-hit serving",
-        apply: |o, _| {
-            o.warm = true;
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--slo",
-        metavar: Some("SPEC"),
-        help: "exit 1 unless every bound holds, e.g. \
-               'p99_ms<=50,overload_rate<=0.05,exactly_once_violations<=0'",
-        apply: |o, v| {
-            o.slo = Some(v.parse()?);
-            Ok(())
-        },
-    },
-    Flag {
-        name: "--trajectory",
-        metavar: Some("NAME"),
-        help: "with KC_BENCH_TRAJECTORY set, write the report's metrics \
-               as a BENCH_NAME.json entry for kc-bench diff",
-        apply: |o, v| {
-            o.trajectory = Some(v.to_string());
-            Ok(())
-        },
-    },
-];
+fn millis(name: &str, v: &str) -> Result<Duration, String> {
+    Ok(Duration::from_millis(cli::positive(name, v)? as u64))
+}
 
-fn usage_text() -> String {
-    let mut flags = String::new();
-    for f in &FLAGS {
-        let head = match f.metavar {
-            Some(m) => format!("{} {m}", f.name),
-            None => f.name.to_string(),
-        };
-        flags.push_str(&format!("  {head:<22} {}\n", f.help));
+fn positive_f64(name: &str, v: &str) -> Result<f64, String> {
+    match cli::finite(name, v)? {
+        x if x > 0.0 => Ok(x),
+        _ => Err(format!("{name} must be positive")),
     }
-    format!(
-        "usage: kc-loadgen [FLAG ...]\n\
-         paces a deterministic open-loop request schedule into an \
-         in-process campaign-backed server (default) or a remote \
-         kc_served --listen instance (--connect), prints the run's \
-         LoadReport as JSON on stdout, and exits 1 if an --slo bound \
-         is violated\n{flags}"
-    )
 }
 
-fn die(msg: String) -> ! {
-    eprintln!("error: {msg}");
-    eprint!("{}", usage_text());
-    std::process::exit(2);
+fn flags() -> Vec<Flag<Options>> {
+    vec![
+        Flag::value(
+            "--rps",
+            "F",
+            "target arrival rate, requests/second (default 200)",
+            positive_f64,
+            |o, rps| o.workload.rps = rps,
+        ),
+        Flag::value(
+            "--duration-ms",
+            "N",
+            "paced window length, milliseconds (default 2000)",
+            millis,
+            |o, window| o.workload.duration = window,
+        ),
+        Flag::value(
+            "--seed",
+            "N",
+            "workload seed: same seed, same request stream (default 42)",
+            cli::number,
+            |o, seed| o.workload.seed = seed,
+        ),
+        Flag::value(
+            "--hot-fraction",
+            "F",
+            "share of requests drawn from the hot key set, 0..=1 (default 0.9)",
+            |name, v| match cli::finite(name, v)? {
+                f if (0.0..=1.0).contains(&f) => Ok(f),
+                _ => Err(format!("{name} must be in 0..=1")),
+            },
+            |o, f| o.workload.hot_fraction = f,
+        ),
+        Flag::value(
+            "--deadline-ms",
+            "F",
+            "attach this deadline to every request (default: none — \
+             a deadline-free, strictly FIFO-batched stream)",
+            positive_f64,
+            |o, ms| o.workload.deadline_ms = Some(ms),
+        ),
+        Flag::value(
+            "--burst",
+            "N",
+            "extra back-to-back requests at each burst boundary (default 0)",
+            cli::number,
+            |o, n| o.workload.burst_size = n,
+        ),
+        Flag::value(
+            "--burst-every-ms",
+            "N",
+            "burst period, milliseconds (default: bursts disabled)",
+            millis,
+            |o, period| o.workload.burst_every = Some(period),
+        ),
+        Flag::value(
+            "--malformed-every",
+            "N",
+            "replace every Nth frame with truncated JSON (default 0: off)",
+            cli::number,
+            |o, n| o.workload.malformed_every = n,
+        ),
+        Flag::value(
+            "--fault-disconnects",
+            "N",
+            "concurrent clients that send 1.5 requests then vanish (default 0)",
+            cli::number,
+            |o, n| o.faults.disconnects = n,
+        ),
+        Flag::value(
+            "--fault-stalls",
+            "N",
+            "concurrent clients that send half a line then go silent (default 0)",
+            cli::number,
+            |o, n| o.faults.stalls = n,
+        ),
+        Flag::value(
+            "--fault-stall-ms",
+            "N",
+            "how long a stalling client squats, milliseconds (default 200)",
+            millis,
+            |o, squat| o.faults.stall = squat,
+        ),
+        Flag::value(
+            "--connect",
+            "ADDR",
+            "drive a remote kc_served --listen instance instead of an \
+             in-process server (executions report as 0)",
+            cli::text,
+            |o, addr| o.connect = Some(addr),
+        ),
+        CampaignArgs::store().help(
+            "back the in-process server with a kc-prophesy cell store; \
+             SPEC is PATH (format auto-detected) or 'sharded:PATH' / \
+             'json:PATH' to force a format for a fresh store",
+        ),
+        CampaignArgs::noise_free().help("disable the in-process machine's timer noise"),
+        CampaignArgs::reps().help("timing repetitions per chain cell (in-process server)"),
+        CampaignArgs::jobs().help("in-process scheduler worker-pool size, >= 1"),
+        ServeArgs::max_inflight()
+            .help("in-process admission bound before overload responses (default 256)"),
+        ServeArgs::max_batch().help("in-process max requests per engine batch (default 64)"),
+        Flag::switch(
+            "--warm",
+            "resolve every distinct spec once before the timed window, \
+             so the measured run is pure cache-hit serving",
+            |o| o.warm = true,
+        ),
+        Flag::value(
+            "--slo",
+            "SPEC",
+            "exit 1 unless every bound holds, e.g. \
+             'p99_ms<=50,overload_rate<=0.05,exactly_once_violations<=0'",
+            cli::spec,
+            |o, slo| o.slo = Some(slo),
+        ),
+        Flag::value(
+            "--trajectory",
+            "NAME",
+            "with KC_BENCH_TRAJECTORY set, write the report's metrics \
+             as a BENCH_NAME.json entry for kc-bench diff",
+            cli::text,
+            |o, name| o.trajectory = Some(name),
+        ),
+    ]
 }
 
-fn parse_args(args: &[String]) -> Options {
-    let mut o = Options::default();
-    let mut i = 0;
-    while i < args.len() {
-        let arg = args[i].as_str();
-        if arg == "--help" || arg == "-h" {
-            print!("{}", usage_text());
-            std::process::exit(0);
-        }
-        let Some(flag) = FLAGS.iter().find(|f| f.name == arg) else {
-            die(format!("unknown argument '{arg}'"));
-        };
-        let value = match flag.metavar {
-            Some(_) => {
-                i += 1;
-                match args.get(i) {
-                    Some(v) => v.as_str(),
-                    None => die(format!("{arg} needs a value")),
-                }
-            }
-            None => "",
-        };
-        if let Err(e) = (flag.apply)(&mut o, value) {
-            die(e);
-        }
-        i += 1;
-    }
+fn usage() -> String {
+    let header = "usage: kc-loadgen [FLAG ...]\n\
+                  paces a deterministic open-loop request schedule into an \
+                  in-process campaign-backed server (default) or a remote \
+                  kc_served --listen instance (--connect), prints the run's \
+                  LoadReport as JSON on stdout, and exits 1 if an --slo bound \
+                  is violated\n";
+    cli::usage(header, &flags(), 22)
+}
+
+pub(crate) fn parse_cli(args: &[String]) -> Result<Options, CliError> {
+    let o = cli::parse(args, &flags(), cli::no_positional)?;
     if o.connect.is_some() {
-        if o.store.is_some() {
-            die("--connect and --store are mutually exclusive (the store \
+        if o.campaign.store.is_some() {
+            return Err(CliError::Usage(
+                "--connect and --store are mutually exclusive (the store \
                  belongs to the remote server)"
-                .to_string());
+                    .to_string(),
+            ));
         }
         if o.faults.is_active() {
             // the fault clients would hit a server whose recovery we
             // cannot audit; keep fault injection to hosted runs
-            die("--fault-* needs the in-process server (drop --connect)".to_string());
+            return Err(CliError::Usage(
+                "--fault-* needs the in-process server (drop --connect)".to_string(),
+            ));
         }
     }
-    if let Some(format) = o.store_format.take() {
-        eprintln!("warning: --store-format is deprecated; spell the spec as --store {format}:PATH");
-        o.store = match o.store.take() {
-            Some(spec) => Some(spec.with_legacy_format(format).unwrap_or_else(|e| die(e))),
-            None => die("--store-format needs --store".to_string()),
-        };
-    }
-    o
+    Ok(o)
 }
 
 /// Drive the schedule against a remote server: plain TCP, no
@@ -428,12 +271,12 @@ fn run_remote(opts: &Options) -> DriveResult {
             })
             .collect();
         if let Err(e) = drive_tcp(addr, &warm_slots) {
-            die(format!("warmup against {addr} failed: {e}"));
+            cli::fail(format!("warmup against {addr} failed: {e}"));
         }
     }
     match drive_tcp(addr, &schedule(&opts.workload)) {
         Ok(result) => result,
-        Err(e) => die(format!("load run against {addr} failed: {e}")),
+        Err(e) => cli::fail(format!("load run against {addr} failed: {e}")),
     }
 }
 
@@ -441,41 +284,10 @@ fn run_remote(opts: &Options) -> DriveResult {
 /// at it; returns the drive plus `(executions, exactly-once
 /// violations)` audited from campaign telemetry.
 fn run_hosted(opts: &Options) -> (DriveResult, u64, u64) {
-    let mut runner = Runner::default();
-    if opts.noise_free {
-        runner.machine = runner.machine.without_noise();
-    }
-    if let Some(reps) = opts.reps {
-        runner.reps = reps;
-    }
-    let store: Option<Arc<dyn CellBackend>> = opts.store.as_ref().map(|spec| {
-        spec.open().unwrap_or_else(|e| {
-            eprintln!("error: cannot open cell store {}: {e}", spec.path.display());
-            std::process::exit(2);
-        })
-    });
-    let mut builder = Campaign::builder(runner);
-    if let Some(s) = &store {
-        builder = builder.backend(Box::new(Arc::clone(s)));
-    }
-    if let Some(jobs) = opts.jobs {
-        builder = builder.jobs(jobs);
-    }
-    let campaign = Arc::new(builder.build());
-    if let Some(s) = &store {
-        // store read errors surface through the campaign's telemetry
-        // instead of interleaving with the load report on stderr
-        s.attach_sink(campaign.sink());
-    }
-    let mut config = ServerConfig::default();
-    if let Some(n) = opts.max_inflight {
-        config.max_inflight = n;
-    }
-    if let Some(n) = opts.max_batch {
-        config.max_batch = n;
-    }
-    let engine = Arc::new(CampaignEngine::new(campaign.clone()));
-    let server = Arc::new(Server::new(engine, config));
+    let session =
+        Session::open(&opts.campaign, Arc::new(StaticCost)).unwrap_or_else(|e| cli::reject(e));
+    let campaign = session.campaign().clone();
+    let server = Arc::new(session.server(opts.serve.config()));
 
     let slots = schedule(&opts.workload);
     if opts.warm {
@@ -504,13 +316,12 @@ fn run_hosted(opts: &Options) -> (DriveResult, u64, u64) {
     let result = if opts.faults.is_active() {
         // fault clients need a wire to cut: host the server on an
         // ephemeral local port and drive the measured load over TCP
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap_or_else(|e| {
-            die(format!("cannot bind fault-injection listener: {e}"));
-        });
+        let listener = std::net::TcpListener::bind("127.0.0.1:0")
+            .unwrap_or_else(|e| cli::fail(format!("cannot bind fault-injection listener: {e}")));
         let addr = listener
             .local_addr()
             .map(|a| a.to_string())
-            .unwrap_or_else(|e| die(format!("cannot resolve listener address: {e}")));
+            .unwrap_or_else(|e| cli::fail(format!("cannot resolve listener address: {e}")));
         let acceptor = {
             let server = server.clone();
             std::thread::spawn(move || server.serve_tcp(listener))
@@ -518,7 +329,7 @@ fn run_hosted(opts: &Options) -> (DriveResult, u64, u64) {
         let fault_handles = spawn_faults(&addr, &opts.faults);
         let result = match drive_tcp(&addr, &slots) {
             Ok(r) => r,
-            Err(e) => die(format!("load run against {addr} failed: {e}")),
+            Err(e) => cli::fail(format!("load run against {addr} failed: {e}")),
         };
         for h in fault_handles {
             let _ = h.join();
@@ -534,18 +345,15 @@ fn run_hosted(opts: &Options) -> (DriveResult, u64, u64) {
     server.shutdown();
     let executions = campaign.cache_stats().executed - executed_before;
     let violations = exactly_once_violations(&campaign.telemetry_events());
-
-    if let Some(s) = &store {
-        if let Err(e) = s.flush() {
-            eprintln!("warning: cell store flush failed: {e}");
-        }
+    if let Err(e) = session.finish("") {
+        cli::fail(e);
     }
     (result, executions, violations)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_args(&args);
+    let opts = cli::exit_on(parse_cli(&args), usage);
 
     let (result, executions, violations) = match &opts.connect {
         Some(_) => (run_remote(&opts), 0, 0),
@@ -581,10 +389,7 @@ fn main() {
             .collect();
         match BenchTrajectory::from_cells(name, cells).write_to(&dir) {
             Ok(path) => eprintln!("[trajectory] load metrics written to {}", path.display()),
-            Err(e) => {
-                eprintln!("error: cannot write trajectory entry: {e}");
-                std::process::exit(1);
-            }
+            Err(e) => cli::fail(format!("cannot write trajectory entry: {e}")),
         }
     }
 

@@ -1,13 +1,12 @@
 //! The cluster runner: executes one program closure per simulated
-//! rank — on pooled worker threads by default (see [`crate::pool`]),
-//! or on freshly spawned scoped threads — and collects per-rank
-//! virtual times and results.
+//! rank on pooled worker threads (see [`crate::pool`]) and collects
+//! per-rank virtual times and results.
 
 use crate::comm::{CommEndpoint, CommEvent, CommStats, Message};
 use crate::config::MachineConfig;
 use crate::perf::PerfContext;
 use crate::pool::{self, RankPool};
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{Receiver, Sender};
 use kc_cachesim::{AccessCounts, RegionId};
 use parking_lot::Mutex;
 use std::sync::Barrier;
@@ -243,25 +242,18 @@ impl Cluster {
     /// Run `program` on `p` ranks and collect the per-rank outcomes.
     /// Panics in any rank propagate.
     ///
-    /// By default this is a thin wrapper over [`Cluster::run_on`] with
-    /// the calling thread's persistent [`RankPool`], so consecutive
-    /// cells executed by the same scheduler worker reuse the same `p`
-    /// parked rank threads instead of paying spawn + join per cell.
-    /// With pooling disabled (`KC_RANK_POOL=0` or
-    /// [`pool::set_rank_pooling`]) it falls back to
-    /// [`Cluster::run_spawned`].  The virtual timeline is a pure
-    /// function of the program and machine config either way, so the
-    /// two paths produce identical outcomes.
+    /// This is a thin wrapper over [`Cluster::run_on`] with the calling
+    /// thread's persistent [`RankPool`], so consecutive cells executed
+    /// by the same scheduler worker reuse the same `p` parked rank
+    /// threads instead of paying spawn + join per cell.  The virtual
+    /// timeline is a pure function of the program and machine config,
+    /// not of which threads carry the ranks.
     pub fn run<T, F>(&self, p: usize, program: F) -> RunOutcome<T>
     where
         T: Send,
         F: Fn(&mut RankCtx) -> T + Sync,
     {
-        if pool::rank_pooling_enabled() {
-            pool::with_local_pool(|local| self.run_on(local, p, &program))
-        } else {
-            self.run_spawned(p, program)
-        }
+        pool::with_local_pool(|local| self.run_on(local, p, &program))
     }
 
     /// Run `program` on `p` ranks drawn from `pool`'s parked workers
@@ -275,11 +267,11 @@ impl Cluster {
         pool::run_on(self, rank_pool, p, &program)
     }
 
-    /// Run `program` on `p` freshly spawned scoped threads (the cold
-    /// path: one spawn + join per rank per run).  Kept public as the
-    /// baseline the pooled path is benchmarked and byte-compared
-    /// against.
-    pub fn run_spawned<T, F>(&self, p: usize, program: F) -> RunOutcome<T>
+    /// Run `program` on `p` freshly spawned scoped threads: the
+    /// reference `pooled_run_matches_spawned_run` compares the pooled
+    /// path against.
+    #[cfg(test)]
+    pub(crate) fn run_spawned<T, F>(&self, p: usize, program: F) -> RunOutcome<T>
     where
         T: Send,
         F: Fn(&mut RankCtx) -> T + Sync,
@@ -289,7 +281,7 @@ impl Cluster {
         let mut senders = Vec::with_capacity(p);
         let mut receivers = Vec::with_capacity(p);
         for _ in 0..p {
-            let (s, r) = unbounded::<Message>();
+            let (s, r) = crossbeam::channel::unbounded::<Message>();
             senders.push(s);
             receivers.push(r);
         }
@@ -324,8 +316,8 @@ impl Cluster {
 
 /// Execute one rank's program against fresh per-run contexts (perf
 /// clock, comm endpoint) over the given channels and collective state.
-/// Shared by the spawned and pooled paths so their virtual timelines
-/// are computed by literally the same code.
+/// Shared by the pooled path and its spawned test reference so their
+/// virtual timelines are computed by literally the same code.
 pub(crate) fn execute_rank<T, F>(
     config: &MachineConfig,
     p: usize,

@@ -57,5 +57,5 @@ pub use cluster::{Cluster, RankCtx, RunOutcome};
 pub use comm::{CommEvent, Message};
 pub use config::{CpuModel, MachineConfig, MemTiming, NetModel, NodeModel, TimerModel};
 pub use perf::PerfContext;
-pub use pool::{rank_pooling_enabled, set_rank_pooling, RankPool};
+pub use pool::RankPool;
 pub use timer::NoisyTimer;

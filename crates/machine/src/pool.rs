@@ -19,9 +19,10 @@
 //! Everything whose content is per-run (the perf clock, the comm
 //! endpoint with its pending list, NIC serialization horizon, stats
 //! and trace buffer) is rebuilt each run by the same
-//! `cluster::execute_rank` the spawned path uses, so the two paths
-//! produce byte-identical virtual timelines — only *where* the
-//! closures execute changes, and the timeline never depended on that.
+//! `cluster::execute_rank` a freshly spawned set of rank threads would
+//! run (the test reference), so reuse never changes a virtual timeline
+//! — only *where* the closures execute, and the timeline never
+//! depended on that.
 //!
 //! `run_on` checks a rig *out* of the pool for the duration of one
 //! run, so concurrent runs at the same rank count get distinct rigs
@@ -33,7 +34,7 @@
 //! its channels may hold partial frames and its barrier may be out of
 //! step.  The rig is dropped — disconnecting the job channels lets
 //! idle workers exit on their own — and the caller observes the same
-//! `"rank thread panicked"` panic the spawned path raises.  The next
+//! `"rank thread panicked"` panic a scoped spawn would raise.  The next
 //! run at that rank count builds a fresh rig; a poisoned pool is
 //! rebuilt, never deadlocked.
 
@@ -42,8 +43,7 @@ use crate::comm::Message;
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Type-erased body of one run, called once per rank on that rank's
 /// parked worker.
@@ -251,35 +251,6 @@ pub(crate) fn with_local_pool<R>(f: impl FnOnce(&RankPool) -> R) -> R {
     LOCAL_POOL.with(f)
 }
 
-/// Process-wide pooling override: 0 = follow `KC_RANK_POOL` (default
-/// on), 1 = forced off, 2 = forced on.
-static POOLING_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Whether [`Cluster::run`] routes through the thread's persistent
-/// pool (default) or spawns fresh rank threads per run.
-pub fn rank_pooling_enabled() -> bool {
-    match POOLING_OVERRIDE.load(Ordering::Relaxed) {
-        1 => false,
-        2 => true,
-        _ => {
-            static ENV: OnceLock<bool> = OnceLock::new();
-            *ENV.get_or_init(|| {
-                !matches!(
-                    std::env::var("KC_RANK_POOL").as_deref(),
-                    Ok("0") | Ok("off") | Ok("false")
-                )
-            })
-        }
-    }
-}
-
-/// Force pooling on or off process-wide, overriding `KC_RANK_POOL`.
-/// Outcomes are identical either way; this exists for byte-identity
-/// gates and benches that compare the two paths.
-pub fn set_rank_pooling(enabled: bool) {
-    POOLING_OVERRIDE.store(if enabled { 2 } else { 1 }, Ordering::Relaxed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,31 +329,5 @@ mod tests {
             rebuilt_ids.iter().all(|id| !healthy_ids.contains(id)),
             "a poisoned rig must be dropped and rebuilt with fresh workers"
         );
-    }
-
-    #[test]
-    fn run_respects_the_pooling_toggle() {
-        // both paths compute the same timeline; this only proves the
-        // toggle routes without breaking either path
-        let reference = cluster().run_spawned(2, |ctx: &mut RankCtx| {
-            ctx.flops(1_000_000);
-            ctx.barrier();
-            ctx.now()
-        });
-        set_rank_pooling(false);
-        let cold = cluster().run(2, |ctx| {
-            ctx.flops(1_000_000);
-            ctx.barrier();
-            ctx.now()
-        });
-        set_rank_pooling(true);
-        let pooled = cluster().run(2, |ctx| {
-            ctx.flops(1_000_000);
-            ctx.barrier();
-            ctx.now()
-        });
-        POOLING_OVERRIDE.store(0, Ordering::Relaxed);
-        assert_eq!(cold.results, reference.results);
-        assert_eq!(pooled.results, reference.results);
     }
 }

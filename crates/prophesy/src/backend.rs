@@ -157,10 +157,6 @@ impl MeasurementBackend for dyn CellBackend {
 ///   created as JSON, the pre-sharding default);
 /// * `sharded:PATH` — force the sharded binary format;
 /// * `json:PATH` — force the single-file JSON format.
-///
-/// The old two-flag spelling (`--store PATH --store-format FMT`) is
-/// a deprecated alias: binaries fold the flag in through
-/// [`StoreSpec::with_legacy_format`] and warn.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StoreSpec {
     /// Store location.
@@ -186,22 +182,6 @@ impl StoreSpec {
     /// [`StoreSpec::open`] with explicit backend tunables.
     pub fn open_with(&self, options: StoreOptions) -> io::Result<Arc<dyn CellBackend>> {
         open_store_with(&self.path, self.format, options)
-    }
-
-    /// Fold in a deprecated `--store-format` flag.  The flag only
-    /// fills an unforced spec; clashing with a `FMT:PATH` prefix is an
-    /// error rather than a silent override.
-    pub fn with_legacy_format(mut self, format: StoreFormat) -> Result<Self, String> {
-        match self.format {
-            None => {
-                self.format = Some(format);
-                Ok(self)
-            }
-            Some(forced) if forced == format => Ok(self),
-            Some(forced) => Err(format!(
-                "--store spec forces '{forced}' but --store-format says '{format}'"
-            )),
-        }
     }
 }
 
@@ -299,7 +279,7 @@ pub fn open_store_with(
             if let Some(req) = requested {
                 if req != found {
                     return Err(invalid(format!(
-                        "store at {} is {found}, but --store-format {req} was requested",
+                        "store at {} is {found}, but the spec forces {req}",
                         path.display()
                     )));
                 }
@@ -381,26 +361,6 @@ mod tests {
         // an unknown prefix is just a path with a colon in it
         let odd = StoreSpec::from_str("weird:path").unwrap();
         assert_eq!(odd.path, std::path::PathBuf::from("weird:path"));
-    }
-
-    #[test]
-    fn store_spec_legacy_format_fills_but_never_overrides() {
-        use std::str::FromStr;
-        let filled = StoreSpec::new("x")
-            .with_legacy_format(StoreFormat::Sharded)
-            .unwrap();
-        assert_eq!(filled.format, Some(StoreFormat::Sharded));
-
-        let agreeing = StoreSpec::from_str("sharded:x")
-            .unwrap()
-            .with_legacy_format(StoreFormat::Sharded)
-            .unwrap();
-        assert_eq!(agreeing.format, Some(StoreFormat::Sharded));
-
-        assert!(StoreSpec::from_str("json:x")
-            .unwrap()
-            .with_legacy_format(StoreFormat::Sharded)
-            .is_err());
     }
 
     #[test]

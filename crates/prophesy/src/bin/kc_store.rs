@@ -1,7 +1,7 @@
 //! `kc_store` — cell-store maintenance from the command line.
 //!
 //! ```text
-//! kc_store convert SRC DST [--format {json,sharded}] [--shards N]
+//! kc_store convert SRC DST [--shards N]
 //! kc_store inspect SPEC
 //! kc_store stat PATH
 //! kc_store compact PATH
@@ -11,9 +11,8 @@
 //! (format auto-detected) or `sharded:PATH` / `json:PATH` to force
 //! one.  `convert` copies every cell from one store into a freshly
 //! created one (refusing to overwrite an existing DST).  The target
-//! format is taken from DST's spec prefix or `--format` (a deprecated
-//! alias for the prefix), or inferred as the opposite of SRC's —
-//! converting is almost always a json↔sharded move.  Samples travel
+//! format is taken from DST's spec prefix, or inferred as the opposite
+//! of SRC's — converting is almost always a json↔sharded move.  Samples travel
 //! as raw `f64` values through both formats, so convert is lossless:
 //! `json → sharded → json` reproduces the original file byte for
 //! byte.
@@ -25,18 +24,17 @@
 //! `compact` rewrites a sharded store's segments with one record per
 //! live cell, dropping superseded appends.
 
+use kc_core::cli::{self, fail, CliError, Flag};
 use kc_prophesy::{detect_format, open_store, CellBackend, ShardedStore, StoreFormat, StoreSpec};
 use std::path::Path;
 use std::sync::Arc;
 
-fn usage_text() -> String {
-    "usage: kc_store COMMAND ...\n\
+const USAGE: &str = "usage: kc_store COMMAND ...\n\
      commands:\n\
-     \x20 convert SRC DST [--format FORMAT] [--shards N]\n\
+     \x20 convert SRC DST [--shards N]\n\
      \x20     copy every cell of the store at SRC into a new store at DST;\n\
-     \x20     SRC/DST are PATH or 'sharded:PATH' / 'json:PATH' specs;\n\
-     \x20     --format is a deprecated alias for DST's spec prefix\n\
-     \x20     (default: the opposite of SRC's format),\n\
+     \x20     SRC/DST are PATH or 'sharded:PATH' / 'json:PATH' specs\n\
+     \x20     (default DST format: the opposite of SRC's),\n\
      \x20     --shards N sets the segment count of a sharded DST\n\
      \x20 inspect SPEC\n\
      \x20     print format, cell/sample counts and shard layout\n\
@@ -44,20 +42,7 @@ fn usage_text() -> String {
      \x20     print a sharded store's per-shard frame counts, superseded\n\
      \x20     ratios and index-sidecar freshness\n\
      \x20 compact PATH\n\
-     \x20     drop superseded records from a sharded store's segments\n"
-        .to_string()
-}
-
-fn die(msg: String) -> ! {
-    eprintln!("error: {msg}");
-    eprint!("{}", usage_text());
-    std::process::exit(2);
-}
-
-fn fail(msg: String) -> ! {
-    eprintln!("error: {msg}");
-    std::process::exit(1);
-}
+     \x20     drop superseded records from a sharded store's segments\n";
 
 /// Open an existing store or bail out (never creates).  A spec that
 /// forces a format acts as an assertion against what is on disk.
@@ -69,45 +54,45 @@ fn open_existing(spec: &StoreSpec) -> Arc<dyn CellBackend> {
         .unwrap_or_else(|e| fail(format!("cannot open {}: {e}", spec.path.display())))
 }
 
-fn convert(args: &[String]) {
-    let mut positional: Vec<&String> = Vec::new();
-    let mut format: Option<StoreFormat> = None;
-    let mut shards: u32 = ShardedStore::DEFAULT_SHARDS;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--format" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .unwrap_or_else(|| die("--format needs a value".into()));
-                format = Some(v.parse().unwrap_or_else(|e: String| die(e)));
-            }
-            "--shards" => {
-                i += 1;
-                let v = args
-                    .get(i)
-                    .unwrap_or_else(|| die("--shards needs a value".into()));
-                shards = v
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| die(format!("bad --shards value '{v}'")));
-            }
-            flag if flag.starts_with('-') => die(format!("unknown flag '{flag}'")),
-            _ => positional.push(&args[i]),
+/// What `convert`'s arguments configure.
+#[derive(Debug, PartialEq)]
+pub(crate) struct Convert {
+    pub(crate) stores: Vec<StoreSpec>,
+    pub(crate) shards: u32,
+}
+
+impl Default for Convert {
+    fn default() -> Self {
+        Self {
+            stores: Vec::new(),
+            shards: ShardedStore::DEFAULT_SHARDS,
         }
-        i += 1;
     }
-    let [src, dst] = positional[..] else {
-        die("convert needs SRC and DST".into());
-    };
-    let src: StoreSpec = src.parse().unwrap_or_else(|e: String| die(e));
-    let mut dst: StoreSpec = dst.parse().unwrap_or_else(|e: String| die(e));
-    if let Some(f) = format {
-        eprintln!("warning: --format is deprecated; spell the spec as {f}:PATH");
-        dst = dst.with_legacy_format(f).unwrap_or_else(|e| die(e));
+}
+
+pub(crate) fn parse_convert(args: &[String]) -> Result<Convert, CliError> {
+    let flags = [Flag::value(
+        "--shards",
+        "N",
+        "segment count of a sharded DST",
+        |name, v| match cli::number(name, v)? {
+            0 => Err(format!("bad {name} value '{v}'")),
+            n => Ok(n),
+        },
+        |o: &mut Convert, n| o.shards = n,
+    )];
+    let convert = cli::parse(args, &flags, |o, arg| {
+        o.stores.push(arg.parse()?);
+        Ok(())
+    })?;
+    if convert.stores.len() != 2 {
+        return Err(CliError::Usage("convert needs SRC and DST".to_string()));
     }
+    Ok(convert)
+}
+
+fn convert(Convert { stores, shards }: Convert) {
+    let [src, dst] = <[StoreSpec; 2]>::try_from(stores).expect("parse_convert checked the count");
     if detect_format(&dst.path).is_some() {
         fail(format!(
             "{} already holds a store; convert refuses to overwrite",
@@ -247,24 +232,30 @@ fn compact(path: &Path) {
     );
 }
 
+/// The one operand of `inspect` / `stat` / `compact`.
+fn operand<'a>(rest: &'a [String], what: &str) -> Result<&'a str, CliError> {
+    match rest {
+        [one] => Ok(one),
+        _ => Err(CliError::Usage(what.to_string())),
+    }
+}
+
+fn run(args: &[String]) -> Result<(), CliError> {
+    let (command, rest) = cli::subcommand(args)?;
+    match command {
+        "convert" => convert(parse_convert(rest)?),
+        "inspect" => {
+            let spec = operand(rest, "inspect needs exactly one store spec")?;
+            inspect(&spec.parse().map_err(CliError::Usage)?)
+        }
+        "stat" | "index" => stat(Path::new(operand(rest, "stat needs exactly one PATH")?)),
+        "compact" => compact(Path::new(operand(rest, "compact needs exactly one PATH")?)),
+        other => return Err(CliError::Usage(format!("unknown command '{other}'"))),
+    }
+    Ok(())
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match args.first().map(String::as_str) {
-        Some("--help") | Some("-h") => print!("{}", usage_text()),
-        Some("convert") => convert(&args[1..]),
-        Some("inspect") => match &args[1..] {
-            [spec] => inspect(&spec.parse().unwrap_or_else(|e: String| die(e))),
-            _ => die("inspect needs exactly one store spec".into()),
-        },
-        Some("stat") | Some("index") => match &args[1..] {
-            [path] => stat(Path::new(path)),
-            _ => die("stat needs exactly one PATH".into()),
-        },
-        Some("compact") => match &args[1..] {
-            [path] => compact(Path::new(path)),
-            _ => die("compact needs exactly one PATH".into()),
-        },
-        Some(other) => die(format!("unknown command '{other}'")),
-        None => die("a command is required".into()),
-    }
+    cli::exit_on(run(&args), || USAGE.to_string());
 }

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! kc_regime sweep --spec FILE [--store SPEC] [--jobs N] [--reps N]
-//!                 [--json FILE] [--compact-ratio F]
+//!                 [--json FILE] [--compact-ratio RATIO]
 //! ```
 //!
 //! Runs the sweep a [`SweepSpec`] describes as one measurement
@@ -17,148 +17,88 @@
 //! Stdout is byte-identical across `--jobs` settings and repeat runs;
 //! campaign statistics go to stderr.
 
-use kc_experiments::{Campaign, Runner};
-use kc_prophesy::{CellBackend, StoreOptions, StoreSpec};
+use kc_core::cli::{self, CliError, Flag};
+use kc_experiments::{CampaignArgs, Session, StaticCost};
 use kc_regime::{build_map, run_sweep, sweep_requests, DetectParams, SweepSpec};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-const USAGE: &str = "usage: kc_regime sweep --spec FILE [--store SPEC] [--jobs N] [--reps N] \
-                     [--json FILE] [--compact-ratio F]
-
-  --spec FILE        sweep spec (JSON: name, benchmark, classes, procs,
-                     chain_len, machines, noise_free)
-  --store SPEC       cell store ([json:|sharded:]PATH), shared with paper_tables
-  --jobs N           scheduler worker pool size (default: available parallelism)
-  --reps N           repetitions per measurement (default 5)
-  --json FILE        also write the regime map as canonical JSON
-  --compact-ratio F  auto-compact sharded store shards past this superseded ratio";
-
-struct Options {
+#[derive(Default)]
+pub(crate) struct Options {
     spec: PathBuf,
-    store: Option<StoreSpec>,
-    jobs: Option<usize>,
-    reps: Option<u32>,
+    pub(crate) campaign: CampaignArgs,
     json: Option<PathBuf>,
-    compact_ratio: Option<f64>,
 }
 
-fn usage_error(msg: &str) -> ! {
-    eprintln!("error: {msg}\n{USAGE}");
-    std::process::exit(2);
+impl AsMut<CampaignArgs> for Options {
+    fn as_mut(&mut self) -> &mut CampaignArgs {
+        &mut self.campaign
+    }
 }
 
-fn parse_args(args: &[String]) -> Options {
-    if args.first().map(String::as_str) != Some("sweep") {
-        usage_error("expected the 'sweep' subcommand");
+fn flags() -> Vec<Flag<Options>> {
+    vec![
+        Flag::value(
+            "--spec",
+            "FILE",
+            "sweep spec (JSON: name, benchmark, classes, procs, chain_len, machines, noise_free)",
+            cli::path,
+            |o, file| o.spec = file,
+        ),
+        CampaignArgs::store(),
+        CampaignArgs::jobs(),
+        CampaignArgs::reps(),
+        Flag::value(
+            "--json",
+            "FILE",
+            "also write the regime map as canonical JSON",
+            cli::path,
+            |o, file| o.json = Some(file),
+        ),
+        CampaignArgs::compact_ratio(),
+    ]
+}
+
+fn usage() -> String {
+    cli::usage(
+        "usage: kc_regime sweep --spec FILE [FLAG ...]\n",
+        &flags(),
+        22,
+    )
+}
+
+pub(crate) fn parse_cli(args: &[String]) -> Result<Options, CliError> {
+    let (command, rest) = cli::subcommand(args)?;
+    if command != "sweep" {
+        return Err(CliError::Usage(
+            "expected the 'sweep' subcommand".to_string(),
+        ));
     }
-    let mut opts = Options {
-        spec: PathBuf::new(),
-        store: None,
-        jobs: None,
-        reps: None,
-        json: None,
-        compact_ratio: None,
-    };
-    let mut it = args[1..].iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> &String {
-            it.next()
-                .unwrap_or_else(|| usage_error(&format!("{name} needs a value")))
-        };
-        match flag.as_str() {
-            "--spec" => opts.spec = PathBuf::from(value("--spec")),
-            "--store" => {
-                let v = value("--store");
-                let spec = v.parse().unwrap_or_else(|e: String| usage_error(&e));
-                opts.store = Some(spec);
-            }
-            "--jobs" => {
-                opts.jobs = Some(
-                    value("--jobs")
-                        .parse()
-                        .unwrap_or_else(|_| usage_error("--jobs needs an integer")),
-                )
-            }
-            "--reps" => {
-                opts.reps = Some(
-                    value("--reps")
-                        .parse()
-                        .unwrap_or_else(|_| usage_error("--reps needs an integer")),
-                )
-            }
-            "--json" => opts.json = Some(PathBuf::from(value("--json"))),
-            "--compact-ratio" => {
-                opts.compact_ratio = Some(
-                    value("--compact-ratio")
-                        .parse()
-                        .unwrap_or_else(|_| usage_error("--compact-ratio needs a number")),
-                )
-            }
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => usage_error(&format!("unknown flag '{other}'")),
-        }
-    }
+    let opts = cli::parse(rest, &flags(), cli::no_positional)?;
     if opts.spec.as_os_str().is_empty() {
-        usage_error("--spec is required");
+        return Err(CliError::Usage("--spec is required".to_string()));
     }
-    opts
+    Ok(opts)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = parse_args(&args);
+    let mut opts = cli::exit_on(parse_cli(&args), usage);
 
-    let spec = SweepSpec::load(&opts.spec).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
+    // a spec that does not load or expand is a spec error, like a
+    // store that does not open
+    let spec = SweepSpec::load(&opts.spec).unwrap_or_else(|e| cli::reject(e));
+    let requests = sweep_requests(&spec).unwrap_or_else(|e| cli::reject(e));
+    opts.campaign.noise_free = spec.noise_free;
+    let session =
+        Session::open(&opts.campaign, Arc::new(StaticCost)).unwrap_or_else(|e| cli::reject(e));
+    let campaign = session.campaign().clone();
 
-    let mut runner = Runner::default();
-    if spec.noise_free {
-        runner.machine = runner.machine.without_noise();
-    }
-    if let Some(reps) = opts.reps {
-        runner.reps = reps;
-    }
-
-    let store: Option<Arc<dyn CellBackend>> = opts.store.as_ref().map(|s| {
-        let options = StoreOptions {
-            compact_ratio: opts.compact_ratio,
-        };
-        s.open_with(options).unwrap_or_else(|e| {
-            eprintln!("error: cannot open cell store {}: {e}", s.path.display());
-            std::process::exit(1);
-        })
-    });
-
-    let mut builder = Campaign::builder(runner);
-    if let Some(s) = &store {
-        builder = builder.backend(Box::new(Arc::clone(s)));
-    }
-    if let Some(jobs) = opts.jobs {
-        builder = builder.jobs(jobs);
-    }
-    let campaign = builder.build();
-    if let Some(s) = &store {
-        s.attach_sink(campaign.sink());
-    }
-
-    let requests = sweep_requests(&spec).unwrap_or_else(|e| {
-        eprintln!("error: {e}");
-        std::process::exit(1);
-    });
-    let stats = campaign.prefetch(&requests).unwrap_or_else(|e| {
-        eprintln!("error: sweep measurement failed: {e}");
-        std::process::exit(1);
-    });
-    let curves = run_sweep(&campaign, &spec).unwrap_or_else(|e| {
-        eprintln!("error: curve assembly failed: {e}");
-        std::process::exit(1);
-    });
+    let stats = campaign
+        .prefetch(&requests)
+        .unwrap_or_else(|e| cli::fail(format!("sweep measurement failed: {e}")));
+    let curves = run_sweep(&campaign, &spec)
+        .unwrap_or_else(|e| cli::fail(format!("curve assembly failed: {e}")));
     let map = build_map(
         &spec.name,
         &spec.benchmark,
@@ -166,23 +106,14 @@ fn main() {
         &curves,
         &DetectParams::default(),
     );
-
-    if let Err(e) = campaign.flush_sinks() {
-        eprintln!("error: telemetry flush failed: {e}");
-        std::process::exit(1);
-    }
-    if let Some(s) = &store {
-        if let Err(e) = s.flush() {
-            eprintln!("error: cell store flush failed: {e}");
-            std::process::exit(1);
-        }
+    if let Err(e) = session.finish("") {
+        cli::fail(e);
     }
 
     print!("{}", map.render());
     if let Some(path) = &opts.json {
         if let Err(e) = std::fs::write(path, map.to_json_pretty()) {
-            eprintln!("error: cannot write {}: {e}", path.display());
-            std::process::exit(1);
+            cli::fail(format!("cannot write {}: {e}", path.display()));
         }
     }
     eprintln!(

@@ -22,9 +22,25 @@ cargo test -q --release --test scheduler --test cache_concurrency \
     --test store_backend --test loadgen_slo --test serve_faults \
     --test regime_map
 
+# every scratch file below lives in this one directory
+smoke=$(mktemp -d)
+trap 'rm -rf "$smoke"' EXIT
+
+echo "== cli: --help exits 0 on stdout, an unknown flag exits 2 with error: on stderr =="
+for bin in paper_tables kc_served kc-loadgen kc_regime kc_store kc_trace kc-bench; do
+    rc=0
+    ./target/release/$bin --help > "$smoke/help.out" 2> "$smoke/help.err" || rc=$?
+    [ "$rc" -eq 0 ] && grep -q "^usage: $bin" "$smoke/help.out" && [ ! -s "$smoke/help.err" ] || {
+        echo "verify: $bin --help exited $rc or did not print its usage on stdout"; exit 1; }
+    rc=0
+    ./target/release/$bin --no-such-flag > "$smoke/bad.out" 2> "$smoke/bad.err" < /dev/null || rc=$?
+    [ "$rc" -eq 2 ] && grep -q "^error:" "$smoke/bad.err" && [ ! -s "$smoke/bad.out" ] || {
+        echo "verify: $bin --no-such-flag exited $rc or printed no error: on stderr"; exit 1; }
+done
+echo "all seven binaries share the help and usage-error conventions"
+
 echo "== byte-identity: full tables under --jobs 1 vs --jobs 8 =="
-j1=$(mktemp) && j8=$(mktemp) && smoke=$(mktemp -d)
-trap 'rm -f "$j1" "$j8"; rm -rf "$smoke"' EXIT
+j1="$smoke/j1.txt" && j8="$smoke/j8.txt"
 ./target/release/paper_tables all --noise-free --jobs 1 > "$j1" 2>/dev/null
 ./target/release/paper_tables all --noise-free --jobs 8 > "$j8" 2>/dev/null
 if ! cmp -s "$j1" "$j8"; then
@@ -34,20 +50,8 @@ if ! cmp -s "$j1" "$j8"; then
 fi
 echo "tables byte-identical across scheduler pool sizes"
 
-echo "== byte-identity: full tables with the rank pool on vs off =="
-pc=$(mktemp)
-trap 'rm -f "$j1" "$j8" "$pc"; rm -rf "$smoke"' EXIT
-KC_RANK_POOL=0 ./target/release/paper_tables all --noise-free --jobs 8 > "$pc" 2>/dev/null
-if ! cmp -s "$j8" "$pc"; then
-    echo "verify: tables differ between pooled and spawned rank execution"
-    diff "$j8" "$pc" | head -20
-    exit 1
-fi
-echo "tables byte-identical with rank pooling disabled (KC_RANK_POOL=0)"
-
 echo "== byte-identity: tables under the json vs sharded store backend =="
-bj=$(mktemp) && bs=$(mktemp)
-trap 'rm -f "$j1" "$j8" "$pc" "$bj" "$bs"; rm -rf "$smoke"' EXIT
+bj="$smoke/bj.txt" && bs="$smoke/bs.txt"
 ./target/release/paper_tables bt-s transitions --noise-free \
     --store "json:$smoke/cells.json" > "$bj" 2>/dev/null
 ./target/release/paper_tables bt-s transitions --noise-free \
@@ -64,8 +68,7 @@ ls "$smoke"/cells.kcs/shard-*.idx > /dev/null 2>&1 || {
 echo "tables byte-identical across store backends"
 
 echo "== byte-identity: warm sharded re-runs with sidecars present, then deleted =="
-bw=$(mktemp) && bn=$(mktemp)
-trap 'rm -f "$j1" "$j8" "$pc" "$bj" "$bs" "$bw" "$bn"; rm -rf "$smoke"' EXIT
+bw="$smoke/bw.txt" && bn="$smoke/bn.txt"
 # warm re-run: indexes come from the sidecars written by the first run
 ./target/release/paper_tables bt-s transitions --noise-free \
     --store "sharded:$smoke/cells.kcs" > "$bw" 2>/dev/null
@@ -122,16 +125,6 @@ jq -e '[.chains[] | select(.machine=="multicore-smp") | .boundaries | length] | 
     echo "verify: no multicore-smp chain detected >=2 regime boundaries"; exit 1; }
 echo "regime maps byte-identical across --jobs, match golden, shared-LLC regimes detected"
 
-echo "== deprecated --store-format alias still works and warns =="
-alias_log=$(mktemp)
-trap 'rm -f "$j1" "$j8" "$pc" "$bj" "$bs" "$alias_log"; rm -rf "$smoke"' EXIT
-./target/release/paper_tables bt-s --noise-free \
-    --store "$smoke/alias.json" --store-format json > /dev/null 2> "$alias_log"
-grep -q "store-format is deprecated" "$alias_log" || {
-    echo "verify: deprecated --store-format did not warn"; cat "$alias_log"; exit 1; }
-[ -f "$smoke/alias.json" ] || { echo "verify: alias store not written"; exit 1; }
-echo "--store-format alias accepted with a deprecation warning"
-
 echo "== kc_store: json -> sharded -> json round-trips the golden store =="
 ./target/release/kc_store convert artifacts/golden/cells_extended.json \
     "sharded:$smoke/golden.kcs" > /dev/null
@@ -167,21 +160,13 @@ awk -v i="$indexed" -v f="$fullscan" 'BEGIN { exit !(i > 0 && i < f) }' || {
 }
 echo "store-read trajectory recorded; indexed miss ${indexed}s < full scan ${fullscan}s"
 
-echo "== kc-bench: cell_exec trajectory — pooled dispatch beats thread spawn =="
+echo "== kc-bench: cell_exec trajectory is recorded and diffable =="
 KC_BENCH_TRAJECTORY="$smoke/traj" cargo bench -q -p kc-bench \
     --bench cell_exec -- --test > /dev/null 2>&1
 [ -f "$smoke/traj/BENCH_cell_exec.json" ] || {
     echo "verify: cell_exec bench left no trajectory"; exit 1; }
 ./target/release/kc-bench diff "$smoke/traj" "$smoke/traj" > /dev/null
-cold=$(jq -r '.cells[] | select(.key=="dispatch|p8|cold") | .duration_secs' \
-    "$smoke/traj/BENCH_cell_exec.json")
-pooled=$(jq -r '.cells[] | select(.key=="dispatch|p8|pooled") | .duration_secs' \
-    "$smoke/traj/BENCH_cell_exec.json")
-awk -v c="$cold" -v p="$pooled" 'BEGIN { exit !(p > 0 && p < c) }' || {
-    echo "verify: pooled dispatch (${pooled}s) not faster than cold spawn (${cold}s)"
-    exit 1
-}
-echo "cell_exec trajectory recorded; pooled dispatch ${pooled}s < cold ${cold}s"
+echo "cell_exec trajectory recorded"
 
 echo "== serve: scripted batch vs golden transcript (pipe mode) =="
 ./target/release/kc_served --noise-free --store "$smoke/cells.json" \

@@ -17,33 +17,6 @@ fn repeated_table_builds_are_bit_identical() {
 }
 
 #[test]
-fn pooled_and_spawned_executors_build_bit_identical_tables() {
-    // the persistent rank pool is a pure transport optimisation: the
-    // same golden table must come out byte for byte whether ranks run
-    // on parked pool workers or freshly spawned threads
-    use kernel_couplings::experiments::render::Artifact;
-    use kernel_couplings::machine::set_rank_pooling;
-
-    let build = || {
-        let pair = bt::table2(&Campaign::builder(Runner::noise_free()).build()).unwrap();
-        let artifact = Artifact::from_pair("table2_bt_s", &pair);
-        (artifact.render_text(), artifact.render_json())
-    };
-    set_rank_pooling(false);
-    let spawned = build();
-    set_rank_pooling(true);
-    let pooled = build();
-    assert_eq!(
-        spawned.0, pooled.0,
-        "text tables must not depend on the rank transport"
-    );
-    assert_eq!(
-        spawned.1, pooled.1,
-        "json tables must not depend on the rank transport"
-    );
-}
-
-#[test]
 fn noisy_campaigns_replay_for_a_fixed_seed() {
     let run = |seed: u64| {
         let machine = MachineConfig::ibm_sp_p2sc().with_seed(seed);
