@@ -4,21 +4,19 @@
 //! Four shapes matter: a cold open followed by a first sweep (every
 //! `get` falls through the hot tier to the shard's frame index), a
 //! warm sweep over a populated hot tier (every `get` is a
-//! single-probe cache hit), a pinned-cold sweep comparing the indexed
-//! miss path against the pre-index full-segment-scan baseline
-//! (`full_scan_lookup`), and an absent-key sweep (answered by the
-//! existence filter with zero segment I/O).  With
+//! single-probe cache hit), a pinned-cold sweep over the indexed miss
+//! path (one positioned read per `get`), and an absent-key sweep
+//! (answered by the existence filter with zero segment I/O).  With
 //! `KC_BENCH_TRAJECTORY=<dir>` the bench also leaves a
 //! `BENCH_store_read.json` breakdown behind with each key's measured
-//! read latency plus `miss|indexed|sweep` / `miss|fullscan|sweep` /
-//! `absent|indexed|sweep` summary cells, so `kc-bench diff` covers
-//! the store read path cell by cell and verify.sh can assert the
-//! indexed miss beats the full scan.
+//! read latency plus `miss|indexed|sweep` / `absent|indexed|sweep`
+//! summary cells, so `kc-bench diff` covers the store read path cell
+//! by cell.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use kc_bench::{trajectory_dir, BenchTrajectory};
 use kc_core::SlowCell;
-use kc_prophesy::{CellBackend, ShardedStore};
+use kc_prophesy::{CellBackend, ShardOpenOptions, ShardedStore};
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -32,6 +30,16 @@ const CELLS: usize = 256;
 fn key(i: usize) -> String {
     let benchmark = ["BT", "SP", "LU"][i % 3];
     format!("{benchmark}|S|p4|c{i}|r2|w1t2mpb1ci|00ff00ff00ff00ff")
+}
+
+/// Open with a one-slot hot tier, which makes every distinct key a
+/// tier miss: each `get` is one indexed positioned read.
+fn open_cold_tier(dir: &Path) -> ShardedStore {
+    let options = ShardOpenOptions {
+        hot_slots: 1,
+        ..Default::default()
+    };
+    ShardedStore::open_with(dir, options).expect("open")
 }
 
 /// Create and fill a scratch sharded store, returning its directory.
@@ -78,23 +86,12 @@ fn bench_store_read(c: &mut Criterion) {
         })
     });
 
-    // pinned cold-miss path: a one-slot hot tier makes every distinct
-    // key a tier miss, so each get is one indexed positioned read
-    let cold = ShardedStore::open_with_hot_slots(&dir, 1).expect("open");
+    // pinned cold-miss path
+    let cold = open_cold_tier(&dir);
     g.bench_function("sharded_miss_indexed_sweep", |bench| {
         bench.iter(|| {
             for i in 0..CELLS {
                 black_box(cold.get_raw(&key(i)));
-            }
-        })
-    });
-
-    // the pre-index baseline: every get re-reads and re-scans the
-    // key's whole segment
-    g.bench_function("sharded_miss_fullscan_sweep", |bench| {
-        bench.iter(|| {
-            for i in 0..CELLS {
-                black_box(cold.full_scan_lookup(&key(i)).expect("scan"));
             }
         })
     });
@@ -138,14 +135,11 @@ fn emit_trajectory(store_dir: &Path) {
         });
     }
     // Miss-path summary cells: one cold-tier sweep per read path,
-    // best of a few rounds.  A one-slot hot tier pins every get to a
-    // tier miss, so `miss|indexed` times the positioned-read path and
-    // `miss|fullscan` times the pre-index whole-segment rescan over
-    // the same keys; `absent|indexed` sweeps keys the store does not
-    // hold (answered by the existence filter with no segment I/O).
-    let cold = ShardedStore::open_with_hot_slots(store_dir, 1).expect("open");
+    // best of a few rounds.  `miss|indexed` times the positioned-read
+    // path; `absent|indexed` sweeps keys the store does not hold
+    // (answered by the existence filter with no segment I/O).
+    let cold = open_cold_tier(store_dir);
     let mut indexed = f64::INFINITY;
-    let mut fullscan = f64::INFINITY;
     let mut absent = f64::INFINITY;
     for _ in 0..ROUNDS {
         let start = Instant::now();
@@ -156,19 +150,12 @@ fn emit_trajectory(store_dir: &Path) {
 
         let start = Instant::now();
         for i in 0..CELLS {
-            black_box(cold.full_scan_lookup(&key(i)).expect("scan"));
-        }
-        fullscan = fullscan.min(start.elapsed().as_secs_f64());
-
-        let start = Instant::now();
-        for i in 0..CELLS {
             black_box(cold.get_raw(&format!("QQ|absent|{i}")));
         }
         absent = absent.min(start.elapsed().as_secs_f64());
     }
     for (k, duration_secs) in [
         ("miss|indexed|sweep", indexed),
-        ("miss|fullscan|sweep", fullscan),
         ("absent|indexed|sweep", absent),
     ] {
         cells.push(SlowCell {

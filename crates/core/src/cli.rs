@@ -230,12 +230,3 @@ pub fn finite(name: &str, v: &str) -> Result<f64, String> {
     }
     Ok(x)
 }
-
-/// Parse a ratio flag value strictly inside `(0, 1)`.
-pub fn open_unit(name: &str, v: &str) -> Result<f64, String> {
-    let ratio: f64 = number(name, v)?;
-    if !(ratio > 0.0 && ratio < 1.0) {
-        return Err(format!("{name} must be strictly between 0 and 1, got {v}"));
-    }
-    Ok(ratio)
-}

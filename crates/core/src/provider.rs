@@ -342,6 +342,14 @@ impl<P: MeasurementProvider> CachedProvider<P> {
                     }
                     continue;
                 }
+                // a leader may have finished between the cache check
+                // above and this lock; it fills the cache before it
+                // unregisters, so no entry here means its result (if
+                // any) is already cached
+                if let Some(m) = self.cache.lock().get(key) {
+                    self.stats.lock().hits += 1;
+                    return Ok((m.clone(), Disposition::Hit));
+                }
                 // leader: lock the slot while it is still unpublished
                 let guard = slot.lock();
                 inflight.insert(key.clone(), slot.clone());

@@ -64,7 +64,6 @@ fn flags() -> Vec<Flag<Options>> {
             |o, addr| o.listen = Some(addr),
         ),
         CampaignArgs::store(),
-        CampaignArgs::compact_ratio(),
         CampaignArgs::noise_free(),
         CampaignArgs::reps(),
         CampaignArgs::jobs(),

@@ -114,7 +114,6 @@ fn flags() -> Vec<Flag<Options>> {
         ),
         CampaignArgs::reps(),
         CampaignArgs::store(),
-        CampaignArgs::compact_ratio(),
         CampaignArgs::trace(),
         CampaignArgs::metrics(),
         CampaignArgs::history(),

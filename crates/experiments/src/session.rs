@@ -4,10 +4,10 @@
 //! over one [`Campaign`] and one cell store.  What they share lives
 //! here, written once:
 //!
-//! * [`CampaignArgs`] — the `--store` / `--compact-ratio` / `--jobs` /
-//!   `--reps` / `--noise-free` / `--trace` / `--metrics` / `--history`
-//!   group.  Each flag is defined by one associated function; a binary
-//!   lists the ones it exposes in its own `kc_core::cli` table.
+//! * [`CampaignArgs`] — the `--store` / `--jobs` / `--reps` /
+//!   `--noise-free` / `--trace` / `--metrics` / `--history` group.
+//!   Each flag is defined by one associated function; a binary lists
+//!   the ones it exposes in its own `kc_core::cli` table.
 //! * [`ServeArgs`] — `--max-inflight` / `--max-batch`.
 //! * [`Session`] — the prologue ([`Session::open`]: runner, store,
 //!   campaign, sinks) and the epilogue ([`Session::finish`]: the
@@ -17,7 +17,7 @@
 use crate::{Campaign, CampaignEngine, CostModel, Runner, SummaryOpts};
 use kc_core::cli::{self, Flag};
 use kc_core::{HistoryRecord, JsonLinesSink, RunHistory, TelemetrySink};
-use kc_prophesy::{history_sidecar, CellBackend, StoreOptions, StoreSpec};
+use kc_prophesy::{history_sidecar, CellBackend, StoreSpec};
 use kc_serve::{Server, ServerConfig};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -36,8 +36,6 @@ fn cannot<'a>(verb: &'a str, path: &'a Path) -> impl FnOnce(io::Error) -> io::Er
 pub struct CampaignArgs {
     /// `--store SPEC`: the persistent cell store.
     pub store: Option<StoreSpec>,
-    /// `--compact-ratio RATIO`, strictly inside `(0, 1)`.
-    pub compact_ratio: Option<f64>,
     /// `--jobs N`, at least 1.
     pub jobs: Option<usize>,
     /// `--reps N`.
@@ -63,18 +61,6 @@ impl CampaignArgs {
              'json:PATH' to force a format for a fresh store",
             cli::spec,
             |o, spec| o.as_mut().store = Some(spec),
-        )
-    }
-
-    /// `--compact-ratio RATIO`.
-    pub fn compact_ratio<O: AsMut<Self> + 'static>() -> Flag<O> {
-        Flag::value(
-            "--compact-ratio",
-            "RATIO",
-            "auto-compact a sharded-store shard once more than RATIO of its \
-             frames are superseded (0 < RATIO < 1; ignored by JSON stores)",
-            cli::open_unit,
-            |o, ratio| o.as_mut().compact_ratio = Some(ratio),
         )
     }
 
@@ -211,11 +197,8 @@ impl Session {
         let mut builder = Campaign::builder(runner).cost_model(cost_model);
         let mut store = None;
         if let Some(spec) = &args.store {
-            let options = StoreOptions {
-                compact_ratio: args.compact_ratio,
-            };
             let backend = spec
-                .open_with(options)
+                .open()
                 .map_err(|e| format!("cannot open cell store {}: {e}", spec.path.display()))?;
             builder = builder.backend(Box::new(Arc::clone(&backend)));
             store = Some((backend, spec.path.clone()));

@@ -18,7 +18,7 @@
 //!   Append-only writes, torn-tail-tolerant loads, cheap enough to
 //!   share between concurrent `kc_served` instances.
 //!
-//! [`open_store`] is the one entry point binaries use: it
+//! [`StoreSpec::open`] is the one entry point binaries use: it
 //! auto-detects which format lives at a path (file ⇒ JSON, directory
 //! with a manifest ⇒ sharded) and creates missing stores in the
 //! requested format.  The formats hold bit-identical samples — JSON
@@ -27,7 +27,7 @@
 //! whichever backend produced them.
 
 use crate::cells::BackendStats;
-use crate::sharded::{ShardOpenOptions, ShardedStore};
+use crate::sharded::ShardedStore;
 use crate::CellStore;
 use kc_core::{Measurement, MeasurementBackend, MeasurementKey, TelemetrySink};
 use std::io;
@@ -43,33 +43,13 @@ pub enum StoreFormat {
     Sharded,
 }
 
-impl StoreFormat {
-    /// The CLI spelling of this format.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            StoreFormat::Json => "json",
-            StoreFormat::Sharded => "sharded",
-        }
-    }
-}
-
+/// The spelling used in `--store` specs and reports.
 impl std::fmt::Display for StoreFormat {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
-
-impl std::str::FromStr for StoreFormat {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "json" => Ok(StoreFormat::Json),
-            "sharded" => Ok(StoreFormat::Sharded),
-            other => Err(format!(
-                "unknown store format '{other}' (expected 'json' or 'sharded')"
-            )),
-        }
+        f.write_str(match self {
+            StoreFormat::Json => "json",
+            StoreFormat::Sharded => "sharded",
+        })
     }
 }
 
@@ -161,7 +141,7 @@ impl MeasurementBackend for dyn CellBackend {
 pub struct StoreSpec {
     /// Store location.
     pub path: std::path::PathBuf,
-    /// Forced format; `None` auto-detects (see [`open_store`]).
+    /// Forced format; `None` auto-detects (see [`StoreSpec::open`]).
     pub format: Option<StoreFormat>,
 }
 
@@ -174,14 +154,16 @@ impl StoreSpec {
         }
     }
 
-    /// Open (or create) the store this spec names.
+    /// Open the store this spec names, creating it if absent.
+    ///
+    /// * existing store → auto-detect its format; if the spec forces a
+    ///   format that disagrees with what is on disk, fail loudly
+    ///   rather than shadowing or clobbering data;
+    /// * missing path → create a fresh store in the forced format
+    ///   (default [`StoreFormat::Json`], matching the pre-sharding
+    ///   behaviour of the binaries).
     pub fn open(&self) -> io::Result<Arc<dyn CellBackend>> {
         open_store(&self.path, self.format)
-    }
-
-    /// [`StoreSpec::open`] with explicit backend tunables.
-    pub fn open_with(&self, options: StoreOptions) -> io::Result<Arc<dyn CellBackend>> {
-        open_store_with(&self.path, self.format, options)
     }
 }
 
@@ -235,45 +217,9 @@ pub fn detect_format(path: &Path) -> Option<StoreFormat> {
     }
 }
 
-/// Backend tunables a binary can thread through [`open_store_with`].
-/// Formats ignore what does not apply to them (the JSON store has no
-/// compaction).
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct StoreOptions {
-    /// Superseded-frame ratio past which a sharded store compacts a
-    /// shard automatically (`--compact-ratio`); `None` keeps
-    /// compaction manual.
-    pub compact_ratio: Option<f64>,
-}
-
-/// Open the cell store at `path`, creating it if absent.
-///
-/// * existing store → auto-detect its format; if `requested` is given
-///   and disagrees with what is on disk, fail loudly rather than
-///   shadowing or clobbering data;
-/// * missing path → create a fresh store in the `requested` format
-///   (default [`StoreFormat::Json`], matching the pre-sharding
-///   behaviour of the binaries).
-pub fn open_store(path: &Path, requested: Option<StoreFormat>) -> io::Result<Arc<dyn CellBackend>> {
-    open_store_with(path, requested, StoreOptions::default())
-}
-
-/// [`open_store`] with explicit backend tunables.
-pub fn open_store_with(
-    path: &Path,
-    requested: Option<StoreFormat>,
-    options: StoreOptions,
-) -> io::Result<Arc<dyn CellBackend>> {
+/// The body of [`StoreSpec::open`].
+fn open_store(path: &Path, requested: Option<StoreFormat>) -> io::Result<Arc<dyn CellBackend>> {
     let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
-    let open_sharded = |path: &Path| -> io::Result<ShardedStore> {
-        ShardedStore::open_with(
-            path,
-            ShardOpenOptions {
-                compact_ratio: options.compact_ratio,
-                ..Default::default()
-            },
-        )
-    };
     match detect_format(path) {
         Some(found) => {
             if let Some(req) = requested {
@@ -286,7 +232,7 @@ pub fn open_store_with(
             }
             match found {
                 StoreFormat::Json => Ok(Arc::new(CellStore::open(path)?)),
-                StoreFormat::Sharded => Ok(Arc::new(open_sharded(path)?)),
+                StoreFormat::Sharded => Ok(Arc::new(ShardedStore::open(path)?)),
             }
         }
         None if path.is_dir() => Err(invalid(format!(
@@ -295,12 +241,10 @@ pub fn open_store_with(
         ))),
         None => match requested.unwrap_or(StoreFormat::Json) {
             StoreFormat::Json => Ok(Arc::new(CellStore::open(path)?)),
-            StoreFormat::Sharded => {
-                // create() leaves a fresh (empty) store behind; reopen
-                // it with the requested tunables
-                drop(ShardedStore::create(path, ShardedStore::DEFAULT_SHARDS)?);
-                Ok(Arc::new(open_sharded(path)?))
-            }
+            StoreFormat::Sharded => Ok(Arc::new(ShardedStore::create(
+                path,
+                ShardedStore::DEFAULT_SHARDS,
+            )?)),
         },
     }
 }
@@ -327,18 +271,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&p);
         let _ = std::fs::remove_file(&p);
         p
-    }
-
-    #[test]
-    fn store_format_parses_and_prints() {
-        assert_eq!("json".parse::<StoreFormat>().unwrap(), StoreFormat::Json);
-        assert_eq!(
-            "sharded".parse::<StoreFormat>().unwrap(),
-            StoreFormat::Sharded
-        );
-        assert!("csv".parse::<StoreFormat>().is_err());
-        assert_eq!(StoreFormat::Json.to_string(), "json");
-        assert_eq!(StoreFormat::Sharded.to_string(), "sharded");
     }
 
     #[test]

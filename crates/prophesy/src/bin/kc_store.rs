@@ -25,7 +25,8 @@
 //! live cell, dropping superseded appends.
 
 use kc_core::cli::{self, fail, CliError, Flag};
-use kc_prophesy::{detect_format, open_store, CellBackend, ShardedStore, StoreFormat, StoreSpec};
+use kc_prophesy::{detect_format, CellBackend, ShardedStore, StoreFormat, StoreSpec};
+use std::fmt::Write as _;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -110,8 +111,12 @@ fn convert(Convert { stores, shards }: Convert) {
             ShardedStore::create(&dst, shards)
                 .unwrap_or_else(|e| fail(format!("cannot create {}: {e}", dst.display()))),
         ),
-        StoreFormat::Json => open_store(&dst, Some(StoreFormat::Json))
-            .unwrap_or_else(|e| fail(format!("cannot create {}: {e}", dst.display()))),
+        StoreFormat::Json => StoreSpec {
+            path: dst.clone(),
+            format: Some(StoreFormat::Json),
+        }
+        .open()
+        .unwrap_or_else(|e| fail(format!("cannot create {}: {e}", dst.display()))),
     };
     let entries = source.entries();
     let cells = entries.len();
@@ -131,34 +136,42 @@ fn convert(Convert { stores, shards }: Convert) {
     );
 }
 
-fn inspect(spec: &StoreSpec) {
-    let store = open_existing(spec);
-    let path = spec.path.as_path();
+/// The lines every format's `inspect` report starts with.
+fn summary(path: &Path, store: &dyn CellBackend) -> String {
     let entries = store.entries();
     let samples: usize = entries.iter().map(|(_, s)| s.len()).sum();
-    println!("path:    {}", path.display());
-    println!("format:  {}", store.format());
-    println!("cells:   {}", entries.len());
-    println!("samples: {samples}");
-    if store.format() == StoreFormat::Sharded {
-        let sharded = ShardedStore::open(path)
-            .unwrap_or_else(|e| fail(format!("cannot open {}: {e}", path.display())));
-        println!("shards:  {}", sharded.shards());
-        if sharded.repaired_bytes() > 0 {
-            println!(
-                "repaired: {} torn-tail bytes truncated",
-                sharded.repaired_bytes()
-            );
-        }
-        let mut per_shard = vec![0usize; sharded.shards() as usize];
-        for (key, _) in &entries {
-            let digest = kc_prophesy::sharded::fnv1a_digest(key);
-            per_shard[(digest % sharded.shards() as u64) as usize] += 1;
-        }
-        for (i, n) in per_shard.iter().enumerate() {
-            println!("  shard {i:3}: {n} cells");
-        }
+    format!(
+        "path:    {}\nformat:  {}\ncells:   {}\nsamples: {samples}\n",
+        path.display(),
+        store.format(),
+        entries.len()
+    )
+}
+
+/// `inspect`'s report.  A sharded store is opened once, through its
+/// own type: the handle whose open truncated a torn tail is the one
+/// that reports it.
+pub(crate) fn inspect(spec: &StoreSpec) -> String {
+    let path = spec.path.as_path();
+    if detect_format(path) != Some(StoreFormat::Sharded) || spec.format == Some(StoreFormat::Json) {
+        // a JSON store — or no store, or a format clash for open to name
+        return summary(path, &*open_existing(spec));
     }
+    let store = ShardedStore::open(path)
+        .unwrap_or_else(|e| fail(format!("cannot open {}: {e}", path.display())));
+    let mut out = summary(path, &store);
+    let _ = writeln!(out, "shards:  {}", store.shards());
+    if store.repaired_bytes() > 0 {
+        let _ = writeln!(
+            out,
+            "repaired: {} torn-tail bytes truncated",
+            store.repaired_bytes()
+        );
+    }
+    for stat in store.segment_stats() {
+        let _ = writeln!(out, "  shard {:3}: {} cells", stat.shard, stat.live);
+    }
+    out
 }
 
 fn stat(path: &Path) {
@@ -246,7 +259,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "convert" => convert(parse_convert(rest)?),
         "inspect" => {
             let spec = operand(rest, "inspect needs exactly one store spec")?;
-            inspect(&spec.parse().map_err(CliError::Usage)?)
+            print!("{}", inspect(&spec.parse().map_err(CliError::Usage)?))
         }
         "stat" | "index" => stat(Path::new(operand(rest, "stat needs exactly one PATH")?)),
         "compact" => compact(Path::new(operand(rest, "compact needs exactly one PATH")?)),

@@ -1,27 +1,27 @@
-//! The cell store: persistent raw-measurement storage at *cell*
+//! The JSON cell store: persistent raw-measurement storage at *cell*
 //! granularity, pluggable under `kc_core::CachedProvider`.
 //!
-//! [`crate::store::CampaignStore`] persists whole campaign records —
-//! one analysis per (machine, benchmark, class, procs, chain length).
-//! The cell store sits a level below: it keeps the raw samples of
-//! individual measurement cells, keyed by the canonical text of
-//! `kc_core::MeasurementKey`.  Because cell keys carry no chain
-//! length, one saved cell serves every campaign that needs it — the
-//! planner's sharing argument (isolated kernels, overhead and ground
-//! truth are chain-length-independent) falls out of key equality
-//! instead of bespoke bookkeeping.
+//! A cell store keeps the raw samples of individual measurement
+//! cells, keyed by the canonical text of `kc_core::MeasurementKey`.
+//! Because cell keys carry no chain length, one saved cell serves
+//! every campaign that needs it — isolated kernels, the serial
+//! overhead and the ground truth are chain-length-independent, so
+//! extending a campaign to a new chain length costs only its window
+//! runs, and that sharing falls out of key equality instead of
+//! bespoke bookkeeping.
 //!
 //! Persistence is a single JSON object mapping canonical keys to
-//! sample arrays.  The workspace's JSON writer prints floats in
-//! shortest-roundtrip form, so samples survive a save/load cycle
-//! bit-exactly and a store-backed campaign reproduces an in-memory
-//! one to the last bit.
+//! sample arrays, replaced atomically on every save.  The workspace's
+//! JSON writer prints floats in shortest-roundtrip form, so samples
+//! survive a save/load cycle bit-exactly and a store-backed campaign
+//! reproduces an in-memory one to the last bit.
 
 use crate::backend::{CellBackend, StoreFormat};
 use kc_core::{Measurement, MeasurementBackend, MeasurementKey};
 use parking_lot::Mutex;
 use serde::Value;
 use std::collections::BTreeMap;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Traffic counters of one [`CellStore`]'s backend interface: how
@@ -91,7 +91,7 @@ impl CellStore {
     }
 
     /// The path `CellBackend::flush` saves to, if one is bound.
-    pub fn bound_path(&self) -> Option<PathBuf> {
+    fn bound_path(&self) -> Option<PathBuf> {
         self.path.lock().clone()
     }
 
@@ -126,6 +126,8 @@ impl CellStore {
     }
 
     /// Save as a single JSON object `{canonical key: [samples...]}`.
+    /// The file is replaced atomically (`PATH.tmp`, fsync, rename): a
+    /// crash or a failed write leaves the previous file as it was.
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         let fields: Vec<(String, Value)> = self
             .cells
@@ -141,7 +143,19 @@ impl CellStore {
         }
         let json =
             serde_json::to_string_pretty(&Value::Object(fields)).expect("cell store serializes");
-        std::fs::write(path, json)
+        let mut tmp = path.as_os_str().to_os_string();
+        tmp.push(".tmp");
+        let tmp = PathBuf::from(tmp);
+        let written = std::fs::File::create(&tmp)
+            .and_then(|mut f| {
+                f.write_all(json.as_bytes())?;
+                f.sync_all()
+            })
+            .and_then(|()| std::fs::rename(&tmp, path));
+        if written.is_err() {
+            let _ = std::fs::remove_file(&tmp);
+        }
+        written
     }
 
     /// Load a store written by [`CellStore::save`].

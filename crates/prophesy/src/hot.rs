@@ -29,7 +29,8 @@ struct HotEntry {
     samples: Vec<f64>,
 }
 
-/// Traffic counters of a [`HotTier`], all monotonic.
+/// Traffic counters of a [`crate::ShardedStore`]'s hot tier, all
+/// monotonic.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct HotTierStats {
     /// Probes answered from a resident entry.
@@ -50,7 +51,7 @@ pub struct HotTierStats {
 /// never contend, and a probe of a slot being overwritten sees either
 /// the old or the new entry, both of which are valid cells.
 #[derive(Debug)]
-pub struct HotTier {
+pub(crate) struct HotTier {
     slots: Vec<Mutex<Option<HotEntry>>>,
     mask: usize,
     hits: AtomicU64,
@@ -62,7 +63,7 @@ pub struct HotTier {
 impl HotTier {
     /// A tier with at least `capacity` slots (rounded up to a power
     /// of two, minimum 1).
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         let cap = capacity.max(1).next_power_of_two();
         Self {
             slots: (0..cap).map(|_| Mutex::new(None)).collect(),
@@ -75,19 +76,21 @@ impl HotTier {
     }
 
     /// Number of slots.
-    pub fn capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
         self.slots.len()
     }
 
     /// Number of resident entries (counts locked slots one by one; a
     /// diagnostic, not a hot-path call).
-    pub fn resident(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn resident(&self) -> usize {
         self.slots.iter().filter(|s| s.lock().is_some()).count()
     }
 
     /// The resident samples for `key`, if its slot holds exactly this
     /// key.
-    pub fn get(&self, digest: u64, key: &str) -> Option<Vec<f64>> {
+    pub(crate) fn get(&self, digest: u64, key: &str) -> Option<Vec<f64>> {
         let slot = self.slots[digest as usize & self.mask].lock();
         match slot.as_ref() {
             Some(e) if e.digest == digest && e.key == key => {
@@ -102,7 +105,7 @@ impl HotTier {
     }
 
     /// Make `key` resident, overwriting whatever held its slot.
-    pub fn insert(&self, digest: u64, key: &str, samples: &[f64]) {
+    pub(crate) fn insert(&self, digest: u64, key: &str, samples: &[f64]) {
         let mut slot = self.slots[digest as usize & self.mask].lock();
         if matches!(slot.as_ref(), Some(e) if e.key != key) {
             self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -116,14 +119,15 @@ impl HotTier {
     }
 
     /// Drop every resident entry (counters are kept).
-    pub fn clear(&self) {
+    #[cfg(test)]
+    pub(crate) fn clear(&self) {
         for slot in &self.slots {
             *slot.lock() = None;
         }
     }
 
     /// A snapshot of the traffic counters.
-    pub fn stats(&self) -> HotTierStats {
+    pub(crate) fn stats(&self) -> HotTierStats {
         HotTierStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),

@@ -1,75 +1,57 @@
 //! # kc-prophesy
 //!
-//! A Prophesy-style measurement database for coupling campaigns.
+//! The cell store: the shared base of kernel and kernel-chain
+//! measurements every campaign reads and writes.
 //!
 //! The kernel-coupling paper grew out of the authors' **Prophesy**
 //! project ("Prophesy: Automating the Modeling Process", cited as
 //! \[TG01\]): an infrastructure that records performance measurements in
-//! a database and builds models from them automatically (reference \[TG01\]).  This crate
-//! is that layer for the coupling methodology:
+//! a database and builds models from them automatically.  This crate
+//! is that database for the coupling methodology, at *cell*
+//! granularity — the raw samples of one measurement, keyed by the
+//! canonical text of `kc_core::MeasurementKey`:
 //!
-//! * [`record`] — serializable campaign records round-tripping to and
-//!   from `kc_core::CouplingAnalysis` with full sample fidelity;
-//! * [`store`] — a JSON-file-backed store with key/filter queries;
-//! * [`cells`] — raw per-cell sample storage implementing
-//!   `kc_core::MeasurementBackend`, so a `CachedProvider` can persist
-//!   individual measurements across processes and campaigns;
 //! * [`backend`] — the [`CellBackend`] trait over cell stores, plus
-//!   format auto-detection ([`open_store`]) so binaries accept either
-//!   on-disk representation;
+//!   [`StoreSpec`], the parsed `--store` argument whose
+//!   [`StoreSpec::open`] auto-detects the on-disk format and is the
+//!   one way binaries open (or create) a store;
+//! * [`cells`] — [`CellStore`], the single-file pretty-JSON format,
+//!   also a `kc_core::MeasurementBackend`, so a `CachedProvider` can
+//!   persist individual measurements across processes and campaigns;
 //! * [`sharded`] — the binary [`ShardedStore`]: digest-sharded
-//!   append-only segments with checksummed frames and torn-tail
-//!   recovery, fronted by the lossy [`hot`] cache;
-//! * [`planner`] — incremental measurement planning: given what the
-//!   store already holds, which cluster runs does a new campaign
-//!   actually need?  (Isolated kernel times, the serial overhead and
-//!   the ground truth are shared across chain lengths, so extending a
-//!   campaign to a new chain length costs only `N` window runs.)
-//! * [`advisor`] — operationalizes the paper's §6 future work: given a
-//!   target configuration, decide whether a stored campaign's
-//!   coefficients can be *reused* (same regime) or fresh measurements
-//!   are warranted, and produce the transferred prediction.
+//!   append-only segments with checksummed frames, torn-tail
+//!   recovery, per-shard frame indexes and background compaction,
+//!   fronted by a lossy hot cache.
 //!
 //! ```
-//! use kc_core::{ChainExecutor, CouplingAnalysis, SyntheticExecutor};
-//! use kc_prophesy::{CampaignKey, CampaignRecord, CampaignStore};
+//! use kc_prophesy::{CellBackend, CellStore, StoreFormat, StoreSpec};
 //!
-//! let mut app = SyntheticExecutor::builder()
-//!     .kernel("a", 1.0)
-//!     .kernel("b", 2.0)
-//!     .interaction("a", "b", -0.2)
-//!     .loop_iterations(100)
-//!     .build();
-//! let analysis = CouplingAnalysis::collect(&mut app, 2, 3).unwrap();
+//! let dir = std::env::temp_dir().join(format!("kc_prophesy_doc_{}", std::process::id()));
+//! let spec: StoreSpec = format!("sharded:{}", dir.display()).parse().unwrap();
+//! let store = spec.open().unwrap(); // created on first use
+//! store.append_raw("BT|S|p4|application", &[1.5, 1.25]).unwrap();
+//! store.flush().unwrap();
 //!
-//! let key = CampaignKey::new("test-machine", "synthetic", "S", 1, 2);
-//! let mut store = CampaignStore::new();
-//! store.insert(CampaignRecord::from_analysis(key.clone(), &analysis));
-//!
-//! // later (or in another process): rebuild the analysis and predict
-//! let restored = store.get(&key).unwrap().to_analysis().unwrap();
-//! assert_eq!(restored.couplings().unwrap(), analysis.couplings().unwrap());
+//! // later (or in another process): a bare path auto-detects the format
+//! let again = StoreSpec::new(&dir).open().unwrap();
+//! assert_eq!(again.format(), StoreFormat::Sharded);
+//! // both formats hold the same cells
+//! let json = CellStore::new();
+//! for (key, samples) in again.entries() {
+//!     json.append_raw(&key, &samples).unwrap();
+//! }
+//! assert_eq!(json.get_raw("BT|S|p4|application"), Some(vec![1.5, 1.25]));
+//! # let _ = std::fs::remove_dir_all(&dir);
 //! ```
 
-pub mod advisor;
 pub mod backend;
 pub mod cells;
-pub mod hot;
-pub mod planner;
-pub mod record;
+mod hot;
 pub mod sharded;
-pub mod store;
 
-pub use advisor::{advise, transfer_predict, Advice};
-pub use backend::{
-    detect_format, open_store, open_store_with, CellBackend, StoreFormat, StoreOptions, StoreSpec,
-};
+pub use backend::{detect_format, CellBackend, StoreFormat, StoreSpec};
 pub use cells::{history_sidecar, BackendStats, CellStore};
-pub use hot::{HotTier, HotTierStats};
-pub use planner::{campaign_runs, MeasurementPlan};
-pub use record::{CampaignKey, CampaignRecord};
+pub use hot::HotTierStats;
 pub use sharded::{
-    fnv1a_digest, CompactionReport, ReadPathStats, SegmentStat, ShardOpenOptions, ShardedStore,
-    SidecarState,
+    CompactionReport, ReadPathStats, SegmentStat, ShardOpenOptions, ShardedStore, SidecarState,
 };
-pub use store::CampaignStore;

@@ -1,5 +1,5 @@
 //! The sharded binary cell store: append-only segment files sharded
-//! by key digest, fronted by the lossy [`HotTier`] and indexed by an
+//! by key digest, fronted by a lossy hot tier and indexed by an
 //! in-memory per-shard frame map.
 //!
 //! # Layout
@@ -71,18 +71,21 @@
 //!
 //! Re-appends leave superseded frames behind; [`ShardedStore::compact`]
 //! rewrites each segment with one frame per live cell (tmp + fsync +
-//! rename).  With [`ShardedStore::set_compact_ratio`] the store also
-//! compacts a shard automatically once an append leaves more than the
-//! given fraction of its frames superseded.  Automatic compactions
-//! run on a **background worker thread** (one per store, bounded
-//! queue): the appending thread only checks the ratio under the shard
-//! lock and enqueues the shard id, so the append path never pays the
-//! rewrite.  The worker re-checks the ratio under the shard lock
-//! before compacting (a racing manual compaction or a concurrent
-//! trigger may have emptied the backlog), failed background
-//! compactions poison the store exactly like failed appends, and
-//! [`ShardedStore::flush`] (and drop) drain the worker first — after
-//! a flush returns, every triggered compaction has landed.
+//! rename).  The store also compacts a shard automatically once an
+//! append leaves more than [`ShardedStore::AUTO_COMPACT_RATIO`] of its
+//! (at least [`ShardedStore::AUTO_COMPACT_MIN_FRAMES`]) frames
+//! superseded — so only a handle that re-appends keys it already
+//! holds ever pays for it; a campaign appends each cell once.
+//! Automatic compactions run on a **background worker thread** (one
+//! per store, bounded queue): the appending thread only checks the
+//! ratio under the shard lock and enqueues the shard id, so the
+//! append path never pays the rewrite.  The worker re-checks the
+//! ratio under the shard lock before compacting (a racing manual
+//! compaction or a concurrent trigger may have emptied the backlog),
+//! failed background compactions poison the store exactly like failed
+//! appends, and [`ShardedStore::flush`] (and drop) drain the worker
+//! first — after a flush returns, every triggered compaction has
+//! landed.
 //!
 //! Long append-heavy sessions also refresh each shard's `.idx`
 //! sidecar inline: after [`ShardOpenOptions::sidecar_refresh_bytes`]
@@ -139,13 +142,6 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x100_0000_01b3);
     }
     h
-}
-
-/// The key digest used for shard placement — public so tools (e.g.
-/// `kc_store inspect`) can map canonical key text to shards without
-/// reconstructing a `MeasurementKey`.
-pub fn fnv1a_digest(key: &str) -> u64 {
-    fnv1a(key.as_bytes())
 }
 
 /// What one [`ShardedStore::compact`] pass did.
@@ -289,10 +285,6 @@ pub struct ShardOpenOptions {
     /// is how tests force the segment read path; a size of 1 makes
     /// every distinct key evict the previous one.
     pub hot_slots: usize,
-    /// Superseded-frame ratio past which a shard compacts itself
-    /// after an append (on the store's background compaction worker);
-    /// `None` keeps compaction manual.
-    pub compact_ratio: Option<f64>,
     /// Appended bytes per shard after which the next append refreshes
     /// the `.idx` sidecar inline, so long append-heavy sessions stay
     /// cheap to reopen without an explicit flush.  `u64::MAX`
@@ -304,7 +296,6 @@ impl Default for ShardOpenOptions {
     fn default() -> Self {
         Self {
             hot_slots: ShardedStore::DEFAULT_HOT_SLOTS,
-            compact_ratio: None,
             sidecar_refresh_bytes: ShardedStore::DEFAULT_SIDECAR_REFRESH_BYTES,
         }
     }
@@ -336,6 +327,59 @@ struct Shard {
     appended_since_sidecar: u64,
 }
 
+impl Shard {
+    /// Re-derive this shard's state from its segment bytes — the
+    /// correctness path; the in-memory index and any sidecar are pure
+    /// accelerators over it.  A torn or corrupt tail is truncated, so
+    /// future appends stay visible instead of landing behind garbage.
+    /// Returns the scanned frames and the number of bytes truncated.
+    fn rescan(
+        &mut self,
+        path: &Path,
+        shard: u32,
+        counters: &ReadPathCounters,
+    ) -> io::Result<(Vec<ScannedFrame>, u64)> {
+        let segment = read_segment(path, shard)?;
+        let torn = segment.file_len - segment.valid_len;
+        if torn > 0 {
+            self.appender.set_len(segment.valid_len)?;
+        }
+        let frames = segment.frames.len() as u64;
+        if (segment.valid_len, frames) != (self.len, self.frames)
+            && self.sidecar == SidecarState::Fresh
+        {
+            self.sidecar = SidecarState::Stale;
+        }
+        self.index = index_of(&segment.frames);
+        self.frames = frames;
+        self.len = segment.valid_len;
+        ReadPathCounters::bump(&counters.index_rebuilds);
+        Ok((segment.frames, torn))
+    }
+
+    /// Rewrite the index sidecar to describe the shard as it is now.
+    /// Best-effort: a sidecar that could not be written is detected
+    /// as stale and rebuilt at the next open, never believed, and the
+    /// next threshold's worth of appends (or flush) tries again.
+    fn refresh_sidecar(&mut self, path: &Path, shard: u32) {
+        match write_sidecar(path, shard, self.len, self.frames, &self.index) {
+            Ok(()) => self.sidecar = SidecarState::Fresh,
+            Err(_) if self.sidecar == SidecarState::Fresh => self.sidecar = SidecarState::Stale,
+            Err(_) => {}
+        }
+        self.appended_since_sidecar = 0;
+    }
+
+    /// Whether ratio-triggered compaction is due.  Called under the
+    /// shard lock — by the appending thread to decide whether to
+    /// enqueue, and by the worker to re-check before doing the work.
+    fn compaction_due(&self) -> bool {
+        let superseded = self.frames.saturating_sub(self.index.len() as u64);
+        self.frames >= ShardedStore::AUTO_COMPACT_MIN_FRAMES
+            && (superseded as f64) > ShardedStore::AUTO_COMPACT_RATIO * (self.frames as f64)
+    }
+}
+
 /// The store state shared between the front-end handle and its
 /// background compaction worker: everything an automatic compaction
 /// needs to run off the appending thread.
@@ -348,8 +392,6 @@ struct StoreCore {
     /// First deferred append error, surfaced by **every** `flush`
     /// until [`ShardedStore::clear_write_error`] acknowledges it.
     write_error: Mutex<Option<(io::ErrorKind, String)>>,
-    /// Ratio-triggered compaction threshold.
-    compact_ratio: Mutex<Option<f64>>,
     /// Inline sidecar refresh threshold (bytes appended per shard).
     sidecar_refresh_bytes: u64,
     read_path: ReadPathCounters,
@@ -382,27 +424,12 @@ impl StoreCore {
         }
     }
 
-    /// Whether ratio-triggered compaction is due for a shard in this
-    /// state.  Called under the shard lock — by the appending thread
-    /// to decide whether to enqueue, and by the worker to re-check
-    /// before doing the work.
-    fn compaction_due(&self, s: &Shard) -> bool {
-        let Some(ratio) = *self.compact_ratio.lock() else {
-            return false;
-        };
-        if s.frames < ShardedStore::AUTO_COMPACT_MIN_FRAMES {
-            return false;
-        }
-        let superseded = s.frames.saturating_sub(s.index.len() as u64);
-        (superseded as f64) > ratio * (s.frames as f64)
-    }
-
-    /// Compact `shard` if ratio-triggered compaction is enabled and
-    /// the shard (still) crosses the threshold.  A failed automatic
-    /// compaction poisons the store (the segment itself is intact —
-    /// replacement is by rename — but the shard handles may not be).
+    /// Compact `shard` if it (still) crosses the superseded ratio.  A
+    /// failed automatic compaction poisons the store (the segment
+    /// itself is intact — replacement is by rename — but the shard
+    /// handles may not be).
     fn maybe_compact_locked(&self, shard: u32, s: &mut Shard) {
-        if !self.compaction_due(s) {
+        if !s.compaction_due() {
             return;
         }
         match self.compact_shard_locked(shard, s) {
@@ -416,16 +443,14 @@ impl StoreCore {
     /// the sidecar.
     fn compact_shard_locked(&self, shard: u32, s: &mut Shard) -> io::Result<CompactionReport> {
         let path = self.segment_path(shard);
-        let bytes = std::fs::read(&path)?;
-        let (scanned, _) = scan_segment(&bytes, shard)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let segment = read_segment(&path, shard)?;
         let mut report = CompactionReport {
-            records_before: scanned.len() as u64,
-            bytes_before: bytes.len() as u64,
+            records_before: segment.frames.len() as u64,
+            bytes_before: segment.file_len,
             ..Default::default()
         };
         let mut live = BTreeMap::new();
-        for f in scanned {
+        for f in segment.frames {
             live.insert(f.key, f.samples);
         }
         report.records_after = live.len() as u64;
@@ -433,9 +458,7 @@ impl StoreCore {
         let tmp = path.with_extension("seg.tmp");
         let mut index = HashMap::with_capacity(live.len());
         {
-            let mut f = File::create(&tmp)?;
-            f.write_all(SEGMENT_MAGIC)?;
-            f.write_all(&shard.to_le_bytes())?;
+            let mut f = create_segment(&tmp, shard)?;
             let mut offset = SEGMENT_HEADER_LEN as u64;
             for (key, samples) in &live {
                 let frame = encode_frame(key, samples);
@@ -458,14 +481,8 @@ impl StoreCore {
         s.index = index;
         s.frames = report.records_after;
         s.len = report.bytes_after;
-        // the old sidecar describes the pre-compaction segment;
-        // refresh it now (best-effort: a stale sidecar is detected
-        // and rebuilt, never believed)
-        s.sidecar = match write_sidecar(&self.index_path(shard), shard, s.len, s.frames, &s.index) {
-            Ok(()) => SidecarState::Fresh,
-            Err(_) => SidecarState::Stale,
-        };
-        s.appended_since_sidecar = 0;
+        // the old sidecar describes the pre-compaction segment
+        s.refresh_sidecar(&self.index_path(shard), shard);
         Ok(report)
     }
 }
@@ -537,9 +554,16 @@ impl ShardedStore {
     /// segment for its first superseded frame would thrash).
     pub const AUTO_COMPACT_MIN_FRAMES: u64 = 16;
 
+    /// Share of a shard's frames that must be superseded before an
+    /// append queues the shard for automatic compaction.  Only
+    /// re-appending keys a shard already holds produces superseded
+    /// frames, so a store that is appended to once per cell never
+    /// compacts itself.
+    pub const AUTO_COMPACT_RATIO: f64 = 0.5;
+
     /// The manifest path inside a store directory (also the format
     /// marker auto-detection looks for).
-    pub fn manifest_path(dir: &Path) -> PathBuf {
+    pub(crate) fn manifest_path(dir: &Path) -> PathBuf {
         dir.join("kcstore.json")
     }
 
@@ -579,11 +603,7 @@ impl ShardedStore {
             Self::manifest_path(dir),
             serde_json::to_string_pretty(&manifest).expect("manifest serializes"),
         )?;
-        for shard in 0..shards {
-            let mut f = File::create(Self::segment_path(dir, shard))?;
-            f.write_all(SEGMENT_MAGIC)?;
-            f.write_all(&shard.to_le_bytes())?;
-        }
+        // open creates the (missing) segments
         Self::open(dir)
     }
 
@@ -593,17 +613,6 @@ impl ShardedStore {
     /// behind the garbage).
     pub fn open(dir: &Path) -> io::Result<Self> {
         Self::open_with(dir, ShardOpenOptions::default())
-    }
-
-    /// [`ShardedStore::open`] with an explicit hot-tier size.
-    pub fn open_with_hot_slots(dir: &Path, hot_slots: usize) -> io::Result<Self> {
-        Self::open_with(
-            dir,
-            ShardOpenOptions {
-                hot_slots,
-                ..Default::default()
-            },
-        )
     }
 
     /// [`ShardedStore::open`] with explicit tunables.
@@ -640,71 +649,48 @@ impl ShardedStore {
             as u32;
 
         let mut repaired_bytes = 0u64;
-        let mut sidecar_loads = 0u64;
-        let mut index_rebuilds = 0u64;
+        let read_path = ReadPathCounters::default();
         let mut state = Vec::with_capacity(shards as usize);
         for shard in 0..shards {
             let path = Self::segment_path(dir, shard);
             if !path.exists() {
-                // a missing segment is an empty shard; recreate it so
-                // appends have somewhere to land
-                let mut f = File::create(&path)?;
-                f.write_all(SEGMENT_MAGIC)?;
-                f.write_all(&shard.to_le_bytes())?;
+                // a missing segment is an empty shard; (re)create it
+                // so appends have somewhere to land
+                create_segment(&path, shard)?;
             }
-            let file_len = std::fs::metadata(&path)?.len();
-            let (index, frames, len, sidecar) =
-                match load_sidecar(&Self::index_path(dir, shard), shard, file_len) {
-                    Some((index, frames)) => {
-                        sidecar_loads += 1;
-                        (index, frames, file_len, SidecarState::Fresh)
-                    }
-                    None => {
-                        let bytes = std::fs::read(&path)?;
-                        let (scanned, valid_len) = scan_segment(&bytes, shard)
-                            .map_err(|e| bad(format!("{}: {e}", path.display())))?;
-                        if valid_len < bytes.len() {
-                            repaired_bytes += (bytes.len() - valid_len) as u64;
-                            let f = OpenOptions::new().write(true).open(&path)?;
-                            f.set_len(valid_len as u64)?;
-                        }
-                        index_rebuilds += 1;
-                        let sidecar = if Self::index_path(dir, shard).exists() {
-                            SidecarState::Stale
-                        } else {
-                            SidecarState::Missing
-                        };
-                        (
-                            index_of(&scanned),
-                            scanned.len() as u64,
-                            valid_len as u64,
-                            sidecar,
-                        )
-                    }
-                };
-            state.push(Mutex::new(Shard {
+            let index_path = Self::index_path(dir, shard);
+            let mut s = Shard {
                 appender: OpenOptions::new().append(true).open(&path)?,
                 reader: File::open(&path)?,
-                index,
-                frames,
-                len,
-                sidecar,
+                index: HashMap::new(),
+                frames: 0,
+                len: 0,
+                sidecar: SidecarState::Missing,
                 appended_since_sidecar: 0,
-            }));
+            };
+            let file_len = s.appender.metadata()?.len();
+            match load_sidecar(&index_path, shard, file_len) {
+                Some((index, frames)) => {
+                    ReadPathCounters::bump(&read_path.sidecar_loads);
+                    s.index = index;
+                    s.frames = frames;
+                    s.len = file_len;
+                    s.sidecar = SidecarState::Fresh;
+                }
+                None => {
+                    if index_path.exists() {
+                        s.sidecar = SidecarState::Stale;
+                    }
+                    repaired_bytes += s.rescan(&path, shard, &read_path)?.1;
+                }
+            }
+            state.push(Mutex::new(s));
         }
-        let read_path = ReadPathCounters::default();
-        read_path
-            .sidecar_loads
-            .store(sidecar_loads, Ordering::Relaxed);
-        read_path
-            .index_rebuilds
-            .store(index_rebuilds, Ordering::Relaxed);
         let core = Arc::new(StoreCore {
             dir: dir.to_path_buf(),
             shards,
             state,
             write_error: Mutex::new(None),
-            compact_ratio: Mutex::new(options.compact_ratio),
             sidecar_refresh_bytes: options.sidecar_refresh_bytes.max(1),
             read_path,
         });
@@ -722,11 +708,6 @@ impl ShardedStore {
             compact_tx: Some(compact_tx),
             compact_worker: Mutex::new(Some(worker)),
         })
-    }
-
-    /// The store directory.
-    pub fn dir(&self) -> &Path {
-        &self.core.dir
     }
 
     /// Number of shards.
@@ -749,40 +730,15 @@ impl ShardedStore {
         self.core.read_path.snapshot()
     }
 
-    /// The ratio-triggered compaction threshold, if enabled.
-    pub fn compact_ratio(&self) -> Option<f64> {
-        *self.core.compact_ratio.lock()
-    }
-
-    /// Enable (or disable) ratio-triggered compaction: after an
-    /// append leaves a shard of at least
-    /// [`ShardedStore::AUTO_COMPACT_MIN_FRAMES`] frames with more
-    /// than `ratio` of them superseded, the shard is queued for the
-    /// store's background compaction worker.  Values outside `(0, 1)`
-    /// effectively disable (`>= 1`) or constantly re-trigger (`<= 0`)
-    /// the check; CLI callers validate the range.
-    pub fn set_compact_ratio(&self, ratio: Option<f64>) {
-        *self.core.compact_ratio.lock() = ratio;
-    }
-
     /// Block until the background compaction worker has processed
-    /// every trigger enqueued so far.  [`CellBackend::flush`] calls
-    /// this before syncing, so callers only need it when asserting on
-    /// compaction effects without flushing.
-    pub fn drain_compactions(&self) {
+    /// every trigger enqueued so far.
+    fn drain_compactions(&self) {
         if let Some(tx) = &self.compact_tx {
             let (ack_tx, ack_rx) = std::sync::mpsc::sync_channel(1);
             if tx.send(CompactMsg::Drain(ack_tx)).is_ok() {
                 let _ = ack_rx.recv();
             }
         }
-    }
-
-    /// Attach a telemetry sink; subsequent read errors are recorded
-    /// as [`TelemetryEvent::StoreReadError`] instead of logged to
-    /// stderr.
-    pub fn attach_sink(&self, sink: Arc<dyn TelemetrySink>) {
-        *self.sink.lock() = Some(sink);
     }
 
     /// Per-shard frame/byte/sidecar statistics (the `kc_store stat`
@@ -815,11 +771,6 @@ impl ShardedStore {
             .map(|(kind, msg)| io::Error::new(kind, msg))
     }
 
-    /// The shard a key lives in.
-    fn shard_of(&self, key: &str) -> u32 {
-        (fnv1a(key.as_bytes()) % self.core.shards as u64) as u32
-    }
-
     /// Count a shard read error and surface it: through the attached
     /// telemetry sink as a [`TelemetryEvent::StoreReadError`] when one
     /// is attached, to stderr otherwise.
@@ -833,24 +784,6 @@ impl ShardedStore {
             }),
             None => eprintln!("[store] shard read for '{key}' failed: {e}"),
         }
-    }
-
-    /// Look `key` up by scanning its whole segment, bypassing the hot
-    /// tier and the index.  This is the pre-index read path, kept as
-    /// the benchmark baseline (`benches/store_read.rs` measures it
-    /// against indexed misses) and as a correctness oracle in tests;
-    /// real reads go through [`CellBackend::get_raw`].
-    pub fn full_scan_lookup(&self, key: &str) -> io::Result<Option<Vec<f64>>> {
-        let shard = self.shard_of(key);
-        let _guard = self.core.state[shard as usize].lock();
-        let bytes = std::fs::read(self.core.segment_path(shard))?;
-        let (frames, _) = scan_segment(&bytes, shard)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        Ok(frames
-            .into_iter()
-            .rev()
-            .find(|f| f.key == key)
-            .map(|f| f.samples))
     }
 
     /// The samples stored under a canonical key, if any: hot-tier
@@ -907,32 +840,8 @@ impl ShardedStore {
             // ours if the shard holds it
         }
         ReadPathCounters::bump(&self.core.read_path.fallback_scans);
-        self.rescan_locked(shard, s, key)
-    }
-
-    /// Re-derive one shard's state from its segment bytes — the
-    /// correctness path; the in-memory index and any sidecar are pure
-    /// accelerators over it.  Returns the samples stored under `key`,
-    /// if any.
-    fn rescan_locked(&self, shard: u32, s: &mut Shard, key: &str) -> io::Result<Option<Vec<f64>>> {
         let path = self.core.segment_path(shard);
-        let bytes = std::fs::read(&path)?;
-        let (scanned, valid_len) = scan_segment(&bytes, shard)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        if valid_len < bytes.len() {
-            // mid-segment corruption: drop the invalid tail exactly
-            // like open does, so future appends stay visible
-            s.appender.set_len(valid_len as u64)?;
-        }
-        if (valid_len as u64, scanned.len() as u64) != (s.len, s.frames)
-            && s.sidecar == SidecarState::Fresh
-        {
-            s.sidecar = SidecarState::Stale;
-        }
-        s.index = index_of(&scanned);
-        s.frames = scanned.len() as u64;
-        s.len = valid_len as u64;
-        ReadPathCounters::bump(&self.core.read_path.index_rebuilds);
+        let (scanned, _) = s.rescan(&path, shard, &self.core.read_path)?;
         Ok(scanned
             .into_iter()
             .rev()
@@ -942,9 +851,10 @@ impl ShardedStore {
 
     /// Append one frame for `key`, update the shard index and refresh
     /// the hot tier; then hand the shard to the background compaction
-    /// worker if the superseded ratio crossed the configured
-    /// threshold, and rewrite the index sidecar inline if enough
-    /// bytes accumulated since it last matched disk.
+    /// worker if the superseded ratio crossed
+    /// [`ShardedStore::AUTO_COMPACT_RATIO`], and rewrite the index
+    /// sidecar inline if enough bytes accumulated since it last
+    /// matched disk.
     fn write(&self, key: &str, samples: &[f64]) -> io::Result<()> {
         let digest = fnv1a(key.as_bytes());
         let frame = encode_frame(key, samples);
@@ -980,22 +890,9 @@ impl ShardedStore {
             if s.appended_since_sidecar >= self.core.sidecar_refresh_bytes {
                 // long append session without a flush: refresh the
                 // sidecar so a reopen skips the segment scan anyway
-                // (best-effort — on failure just try again after the
-                // next threshold's worth of appends)
-                if write_sidecar(
-                    &self.core.index_path(shard),
-                    shard,
-                    s.len,
-                    s.frames,
-                    &s.index,
-                )
-                .is_ok()
-                {
-                    s.sidecar = SidecarState::Fresh;
-                }
-                s.appended_since_sidecar = 0;
+                s.refresh_sidecar(&self.core.index_path(shard), shard);
             }
-            self.core.compaction_due(&s)
+            s.compaction_due()
         };
         if compaction_due {
             // off-thread: enqueue after releasing the shard lock.  A
@@ -1016,10 +913,7 @@ impl ShardedStore {
     fn scan_all(&self) -> io::Result<BTreeMap<String, Vec<f64>>> {
         let mut cells = BTreeMap::new();
         for shard in 0..self.core.shards {
-            let bytes = std::fs::read(self.core.segment_path(shard))?;
-            let (frames, _) = scan_segment(&bytes, shard)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-            for f in frames {
+            for f in read_segment(&self.core.segment_path(shard), shard)?.frames {
                 cells.insert(f.key, f.samples);
             }
         }
@@ -1093,6 +987,12 @@ impl CellBackend for ShardedStore {
         }
     }
 
+    /// The per-shard index sizes summed (the `live` count of
+    /// [`ShardedStore::segment_stats`]): no segment is read.
+    fn len(&self) -> usize {
+        self.core.state.iter().map(|s| s.lock().index.len()).sum()
+    }
+
     fn stats(&self) -> BackendStats {
         *self.stats.lock()
     }
@@ -1110,18 +1010,8 @@ impl CellBackend for ShardedStore {
         for (shard, state) in self.core.state.iter().enumerate() {
             let mut s = state.lock();
             s.appender.sync_all()?;
-            if s.sidecar != SidecarState::Fresh
-                && write_sidecar(
-                    &self.core.index_path(shard as u32),
-                    shard as u32,
-                    s.len,
-                    s.frames,
-                    &s.index,
-                )
-                .is_ok()
-            {
-                s.sidecar = SidecarState::Fresh;
-                s.appended_since_sidecar = 0;
+            if s.sidecar != SidecarState::Fresh {
+                s.refresh_sidecar(&self.core.index_path(shard as u32), shard as u32);
             }
         }
         Ok(())
@@ -1131,8 +1021,10 @@ impl CellBackend for ShardedStore {
         StoreFormat::Sharded
     }
 
+    /// Subsequent read errors are recorded as
+    /// [`TelemetryEvent::StoreReadError`] instead of logged to stderr.
     fn attach_sink(&self, sink: Arc<dyn TelemetrySink>) {
-        ShardedStore::attach_sink(self, sink);
+        *self.sink.lock() = Some(sink);
     }
 }
 
@@ -1152,6 +1044,15 @@ fn encode_frame(key: &str, samples: &[f64]) -> Vec<u8> {
     frame
 }
 
+/// Create (or truncate) a segment file holding only the 12-byte
+/// header: magic plus the shard index.
+fn create_segment(path: &Path, shard: u32) -> io::Result<File> {
+    let mut f = File::create(path)?;
+    f.write_all(SEGMENT_MAGIC)?;
+    f.write_all(&shard.to_le_bytes())?;
+    Ok(f)
+}
+
 /// One validated frame, as located by a segment scan.
 struct ScannedFrame {
     key: String,
@@ -1162,9 +1063,34 @@ struct ScannedFrame {
     len: u32,
 }
 
-/// The frames of one segment in file order, plus the byte length of
-/// the validated prefix.
-type ScannedSegment = (Vec<ScannedFrame>, usize);
+/// One segment file as read and validated by [`read_segment`].
+struct ScannedSegment {
+    /// The intact frames in file order (callers apply last-wins).
+    frames: Vec<ScannedFrame>,
+    /// Byte length of the validated prefix.
+    valid_len: u64,
+    /// Byte length of the file; anything past `valid_len` is a torn
+    /// or corrupt tail.
+    file_len: u64,
+}
+
+/// Read one shard's whole segment and decode its intact frames — the
+/// only place segment bytes are scanned.  `InvalidData` (naming the
+/// file) means it is not this shard's segment at all.
+fn read_segment(path: &Path, shard: u32) -> io::Result<ScannedSegment> {
+    let bytes = std::fs::read(path)?;
+    let (frames, valid_len) = scan_segment(&bytes, shard).map_err(|e| {
+        io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("{}: {e}", path.display()),
+        )
+    })?;
+    Ok(ScannedSegment {
+        frames,
+        valid_len: valid_len as u64,
+        file_len: bytes.len() as u64,
+    })
+}
 
 /// The last-wins index over a scan's frames.
 fn index_of(scanned: &[ScannedFrame]) -> HashMap<u64, FrameLoc> {
@@ -1189,7 +1115,7 @@ fn index_of(scanned: &[ScannedFrame]) -> HashMap<u64, FrameLoc> {
 /// payload — ends the scan rather than failing it; only a bad
 /// *header* makes the whole file invalid (it is not a segment at
 /// all).
-fn scan_segment(bytes: &[u8], shard: u32) -> Result<ScannedSegment, String> {
+fn scan_segment(bytes: &[u8], shard: u32) -> Result<(Vec<ScannedFrame>, usize), String> {
     if bytes.len() < SEGMENT_HEADER_LEN
         || &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC
         || bytes[SEGMENT_MAGIC.len()..SEGMENT_HEADER_LEN] != shard.to_le_bytes()
@@ -1679,16 +1605,7 @@ mod tests {
     #[test]
     fn ratio_triggered_compaction_bounds_segment_growth() {
         let dir = tmp("autocompact");
-        drop(ShardedStore::create(&dir, 1).unwrap());
-        let store = ShardedStore::open_with(
-            &dir,
-            ShardOpenOptions {
-                compact_ratio: Some(0.5),
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(store.compact_ratio(), Some(0.5));
+        let store = ShardedStore::create(&dir, 1).unwrap();
         store.append_raw("stable", &[0.5]).unwrap();
         for round in 0..50 {
             store.append_raw("churner", &[round as f64]).unwrap();
@@ -1795,9 +1712,16 @@ mod tests {
     fn read_errors_are_counted_and_reported_to_the_sink() {
         let dir = tmp("readerr");
         drop(ShardedStore::create(&dir, 1).unwrap());
-        let store = ShardedStore::open_with_hot_slots(&dir, 1).unwrap();
+        let store = ShardedStore::open_with(
+            &dir,
+            ShardOpenOptions {
+                hot_slots: 1,
+                ..Default::default()
+            },
+        )
+        .unwrap();
         let sink = Arc::new(kc_core::MemorySink::new());
-        ShardedStore::attach_sink(&store, sink.clone());
+        store.attach_sink(sink.clone());
         store.append_raw("key", &[1.0]).unwrap();
         store.hot.clear();
         // break the read path: replace the segment with a directory

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! kc_regime sweep --spec FILE [--store SPEC] [--jobs N] [--reps N]
-//!                 [--json FILE] [--compact-ratio RATIO]
+//!                 [--json FILE]
 //! ```
 //!
 //! Runs the sweep a [`SweepSpec`] describes as one measurement
@@ -55,7 +55,6 @@ fn flags() -> Vec<Flag<Options>> {
             cli::path,
             |o, file| o.json = Some(file),
         ),
-        CampaignArgs::compact_ratio(),
     ]
 }
 

@@ -86,15 +86,7 @@ if ! cmp -s "$bj" "$bn"; then
     diff "$bj" "$bn" | head -20
     exit 1
 fi
-# ratio-triggered auto-compaction enabled: still byte-identical
-./target/release/paper_tables bt-s transitions --noise-free --compact-ratio 0.5 \
-    --store "sharded:$smoke/cells_ratio.kcs" > "$bn" 2>/dev/null
-if ! cmp -s "$bj" "$bn"; then
-    echo "verify: tables drifted with --compact-ratio 0.5"
-    diff "$bj" "$bn" | head -20
-    exit 1
-fi
-echo "tables byte-identical with sidecars loaded, deleted, and auto-compaction on"
+echo "tables byte-identical with sidecars loaded and deleted"
 
 echo "== kc_regime: sweep determinism across --jobs + golden regime map =="
 ./target/release/kc_regime sweep --spec scripts/regime_small.json \
@@ -146,19 +138,7 @@ KC_BENCH_TRAJECTORY="$smoke/traj" cargo bench -q -p kc-bench \
 [ -f "$smoke/traj/BENCH_store_read.json" ] || {
     echo "verify: store_read bench left no trajectory"; exit 1; }
 ./target/release/kc-bench diff "$smoke/traj" "$smoke/traj"
-indexed=$(jq -r '.cells[] | select(.key=="miss|indexed|sweep") | .duration_secs' \
-    "$smoke/traj/BENCH_store_read.json")
-fullscan=$(jq -r '.cells[] | select(.key=="miss|fullscan|sweep") | .duration_secs' \
-    "$smoke/traj/BENCH_store_read.json")
-absent=$(jq -r '.cells[] | select(.key=="absent|indexed|sweep") | .duration_secs' \
-    "$smoke/traj/BENCH_store_read.json")
-[ -n "$indexed" ] && [ -n "$fullscan" ] && [ -n "$absent" ] || {
-    echo "verify: store_read trajectory is missing a miss-path cell"; exit 1; }
-awk -v i="$indexed" -v f="$fullscan" 'BEGIN { exit !(i > 0 && i < f) }' || {
-    echo "verify: indexed miss (${indexed}s) not faster than full scan (${fullscan}s)"
-    exit 1
-}
-echo "store-read trajectory recorded; indexed miss ${indexed}s < full scan ${fullscan}s"
+echo "store-read trajectory recorded"
 
 echo "== kc-bench: cell_exec trajectory is recorded and diffable =="
 KC_BENCH_TRAJECTORY="$smoke/traj" cargo bench -q -p kc-bench \

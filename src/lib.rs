@@ -17,7 +17,7 @@
 //! | [`cachesim`] | `kc-cachesim` | multi-level set-associative cache simulator |
 //! | [`grid`] | `kc-grid` | arrays, decompositions, process topologies |
 //! | [`experiments`] | `kc-experiments` | regenerators for every paper table |
-//! | [`prophesy`] | `kc-prophesy` | measurement database, planner, reuse advisor |
+//! | [`prophesy`] | `kc-prophesy` | the cell store: `CellBackend`, `StoreSpec`, JSON and sharded formats |
 //! | [`regime`] | `kc-regime` | sweep campaigns, change-point detection, regime maps |
 //! | [`serve`] | `kc-serve` | online batched prediction service (wire protocol, server, metrics) |
 //! | [`loadgen`] | `kc-loadgen` | open-loop load generator and fault-injecting SLO harness |
@@ -75,7 +75,7 @@ pub mod experiments {
     pub use kc_experiments::*;
 }
 
-/// Prophesy-style measurement database (re-export of `kc-prophesy`).
+/// The cell store of raw measurements (re-export of `kc-prophesy`).
 pub mod prophesy {
     pub use kc_prophesy::*;
 }

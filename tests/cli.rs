@@ -33,7 +33,7 @@ use kernel_couplings::coupling::cli::CliError;
 use kernel_couplings::coupling::RunHistory;
 use kernel_couplings::experiments::{AnalysisSpec, CampaignArgs, Session, StaticCost};
 use kernel_couplings::npb::{Benchmark, Class};
-use kernel_couplings::prophesy::{StoreFormat, StoreSpec};
+use kernel_couplings::prophesy::{CellBackend, ShardedStore, StoreFormat, StoreSpec};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -164,14 +164,12 @@ fn shared_flags_are_range_checked_in_every_binary_that_lists_them() {
             run(bin, &["--jobs", "3", "--reps", "2", "--store", "sharded:c"]),
             Ok(())
         );
-    }
-    // kc-loadgen has no --compact-ratio; the other three check the range
-    for bin in campaign_bins().filter(|b| b.name != "kc-loadgen") {
-        for bad in ["0", "1", "NaN", "-1", "2", "inf"] {
-            assert_usage(bin, &["--compact-ratio", bad], "strictly between 0 and 1");
-        }
-        assert_usage(bin, &["--compact-ratio", "half"], "bad --compact-ratio");
-        assert_eq!(run(bin, &["--compact-ratio", "0.5"]), Ok(()));
+        // compaction is not a knob: its ratio is a constant of the store
+        assert_usage(
+            bin,
+            &["--compact-ratio", "0.5"],
+            "unknown flag '--compact-ratio'",
+        );
     }
     for bin in BINS
         .iter()
@@ -253,6 +251,41 @@ fn kc_store_convert_takes_exactly_src_and_dst() {
         kc_store_bin::parse_convert(&argv(&["only-src"])),
         Err(CliError::Usage("convert needs SRC and DST".to_string()))
     );
+}
+
+/// `inspect` opens a sharded store once, so the torn tail that open
+/// truncated is the one it reports — and only that once.
+#[test]
+fn kc_store_inspect_reports_the_torn_tail_its_open_repaired() {
+    let dir = temp_dir("inspect").join("cells.kcs");
+    let store = ShardedStore::create(&dir, 1).unwrap();
+    store.append_raw("BT|whole", &[1.0, 2.0]).unwrap();
+    store.append_raw("BT|torn", &[3.0]).unwrap();
+    store.flush().unwrap();
+    drop(store);
+    let segment = std::fs::OpenOptions::new()
+        .write(true)
+        .open(dir.join("shard-000.seg"))
+        .unwrap();
+    let len = segment.metadata().unwrap().len();
+    segment.set_len(len - 3).unwrap();
+
+    let spec = StoreSpec::new(&dir);
+    let report = kc_store_bin::inspect(&spec);
+    for line in [
+        "format:  sharded\n",
+        "cells:   1\n",
+        "shards:  1\n",
+        "repaired: 32 torn-tail bytes truncated\n",
+        "  shard   0: 1 cells\n",
+    ] {
+        assert!(report.contains(line), "no {line:?} in\n{report}");
+    }
+    assert!(
+        !kc_store_bin::inspect(&spec).contains("repaired:"),
+        "nothing left to repair on the second look"
+    );
+    let _ = std::fs::remove_dir_all(dir.parent().unwrap());
 }
 
 #[test]

@@ -127,62 +127,3 @@ fn comm_tracing_composes_with_the_benchmarks() {
         "expected per-plane events, got {total_events}"
     );
 }
-
-#[test]
-fn prophesy_store_roundtrips_npb_campaigns() {
-    use kernel_couplings::prophesy::{CampaignKey, CampaignRecord, CampaignStore};
-    let a = analysis(Benchmark::Lu, Class::S, 4, 3);
-    let key = CampaignKey::new("ibm-sp-p2sc", "lu", "S", 4, 3);
-    let mut store = CampaignStore::new();
-    store.insert(CampaignRecord::from_analysis(key.clone(), &a));
-    let path = std::env::temp_dir().join("kc_ext_store.json");
-    store.save(&path).unwrap();
-    let loaded = CampaignStore::load(&path).unwrap();
-    let restored = loaded.get(&key).unwrap().to_analysis().unwrap();
-    assert_eq!(restored.couplings().unwrap(), a.couplings().unwrap());
-    assert_eq!(
-        restored.predict(Predictor::coupling(3)).unwrap(),
-        a.predict(Predictor::coupling(3)).unwrap()
-    );
-    let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn prophesy_advisor_transfers_within_npb_regimes() {
-    use kernel_couplings::experiments::transitions::{cache_regime, working_set_bytes};
-    use kernel_couplings::prophesy::{
-        advise, transfer_predict, Advice, CampaignKey, CampaignRecord, CampaignStore,
-    };
-    let regime = |k: &CampaignKey| {
-        let machine = MachineConfig::ibm_sp_p2sc();
-        cache_regime(
-            &machine,
-            working_set_bytes(Benchmark::Bt, Class::W, k.procs),
-        )
-    };
-    let mut store = CampaignStore::new();
-    let a9 = analysis(Benchmark::Bt, Class::W, 9, 3);
-    store.insert(CampaignRecord::from_analysis(
-        CampaignKey::new("ibm-sp-p2sc", "bt", "W", 9, 3),
-        &a9,
-    ));
-    let target_key = CampaignKey::new("ibm-sp-p2sc", "bt", "W", 16, 3);
-    match advise(&store, &target_key, 5, regime) {
-        Advice::Transfer { source, .. } => {
-            let t = analysis(Benchmark::Bt, Class::W, 16, 3);
-            let isolated: Vec<f64> = t.kernel_set().ids().map(|k| t.isolated(k).mean()).collect();
-            let pred = transfer_predict(
-                &store,
-                &source,
-                &isolated,
-                t.loop_iterations(),
-                t.overhead().mean(),
-            )
-            .unwrap();
-            let actual = t.actual().mean();
-            let err = (pred - actual).abs() / actual;
-            assert!(err < 0.05, "transfer error {err:.4}");
-        }
-        other => panic!("expected a transfer, got {other:?}"),
-    }
-}

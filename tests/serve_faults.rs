@@ -16,7 +16,7 @@
 
 use kernel_couplings::experiments::{Campaign, CampaignEngine, Runner};
 use kernel_couplings::loadgen::{drive_tcp, spawn_faults, FaultConfig, Frame, Slot};
-use kernel_couplings::prophesy::{open_store, StoreFormat};
+use kernel_couplings::prophesy::{StoreFormat, StoreSpec};
 use kernel_couplings::serve::{
     status, PredictRequest, PredictResponse, Server, ServerConfig, Status,
 };
@@ -27,8 +27,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Unique not-yet-existing store path per call (`open_store` treats a
-/// fresh path as a new store and an existing one as a store to load).
+/// Unique not-yet-existing store path per call (`StoreSpec::open`
+/// treats a fresh path as a new store and an existing one as a store
+/// to load).
 fn scratch(tag: &str) -> PathBuf {
     static COUNTER: AtomicUsize = AtomicUsize::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
@@ -61,7 +62,12 @@ fn tcp_stack(
     String,
     std::thread::JoinHandle<std::io::Result<()>>,
 ) {
-    let store = open_store(dir, Some(StoreFormat::Sharded)).unwrap();
+    let store = StoreSpec {
+        path: dir.to_path_buf(),
+        format: Some(StoreFormat::Sharded),
+    }
+    .open()
+    .unwrap();
     let campaign = Arc::new(
         Campaign::builder(Runner::noise_free())
             .backend(Box::new(Arc::clone(&store)))
@@ -84,7 +90,7 @@ fn tcp_stack(
 /// persistent store: zero executions proves the fault never corrupted
 /// or dropped a committed cell.
 fn assert_store_serves_warm(dir: &std::path::Path, specs: &[(usize, usize)]) {
-    let store = open_store(dir, None).unwrap();
+    let store = StoreSpec::new(dir).open().unwrap();
     assert!(store.len() > 0, "the store kept its cells");
     let campaign = Arc::new(
         Campaign::builder(Runner::noise_free())

@@ -2,15 +2,21 @@
 //! formats hold bit-identical samples (property-tested over random
 //! keys and awkward floats), concurrent readers and appenders over
 //! one sharded store still execute each unique cell exactly once, a
-//! torn segment tail recovers to its intact prefix, and the lossy hot
-//! tier may evict whatever it wants without ever changing an answer.
+//! torn segment tail recovers to its intact prefix, the lossy hot
+//! tier may evict whatever it wants without ever changing an answer,
+//! the indexed read path always agrees with the scan path and a
+//! last-wins model, and automatic compaction fires exactly when a
+//! handle re-appends more than half of a shard.
 
 use kernel_couplings::coupling::{CellKind, KernelId, MeasurementKey};
 use kernel_couplings::experiments::{Campaign, CampaignEngine, Runner};
-use kernel_couplings::prophesy::{open_store, CellBackend, CellStore, ShardedStore, StoreFormat};
+use kernel_couplings::prophesy::{
+    CellBackend, CellStore, ShardOpenOptions, ShardedStore, StoreFormat, StoreSpec,
+};
 use kernel_couplings::serve::{PredictRequest, Server, ServerConfig, Status};
 use proptest::prelude::*;
-use std::path::PathBuf;
+use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -23,6 +29,27 @@ fn scratch(tag: &str) -> PathBuf {
     let _ = std::fs::remove_dir_all(&p);
     std::fs::create_dir_all(&p).unwrap();
     p
+}
+
+/// The spec that forces (and on first use creates) a sharded store.
+fn sharded_spec(path: &Path) -> StoreSpec {
+    StoreSpec {
+        path: path.to_path_buf(),
+        format: Some(StoreFormat::Sharded),
+    }
+}
+
+/// Open with a one-slot hot tier: every distinct key evicts the
+/// previous one, which pins nearly every read to the segment path.
+fn open_cold_tier(dir: &Path) -> ShardedStore {
+    ShardedStore::open_with(
+        dir,
+        ShardOpenOptions {
+            hot_slots: 1,
+            ..Default::default()
+        },
+    )
+    .unwrap()
 }
 
 fn build_key(
@@ -145,6 +172,71 @@ proptest! {
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// The indexed read path against a last-wins model map and the
+    /// scan path: over a random append / supersede / compact / reopen
+    /// sequence on a store whose one-slot hot tier pushes reads to the
+    /// segments, `get_raw` answers every key exactly as the model
+    /// does, `entries()` (which rescans the segments) lists exactly
+    /// the model, and `len()` (which reads only the indexes) counts
+    /// it.  Long sequences also cross the automatic-compaction ratio.
+    #[test]
+    fn indexed_reads_match_the_scan_path_and_a_last_wins_model(
+        ops in prop::collection::vec(
+            (
+                0usize..12, // 0: compact, 1: reopen, else append
+                0usize..10, // key
+                prop::collection::vec(sample_strategy(), 0..4),
+            ),
+            1..80,
+        ),
+    ) {
+        let dir = scratch("model");
+        let store_dir = dir.join("cells.kcs");
+        drop(ShardedStore::create(&store_dir, 2).unwrap());
+        let mut store = open_cold_tier(&store_dir);
+        let mut model: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+        let bits = |s: &[f64]| s.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        for (op, key, samples) in &ops {
+            match op {
+                0 => {
+                    store.compact().unwrap();
+                }
+                1 => {
+                    // with and without a flush (sidecar) before the drop
+                    if key % 2 == 0 {
+                        store.flush().unwrap();
+                    }
+                    drop(store);
+                    store = open_cold_tier(&store_dir);
+                }
+                _ => {
+                    let key = format!("cell{key}");
+                    store.append_raw(&key, samples).unwrap();
+                    model.insert(key, samples.clone());
+                }
+            }
+            for key in 0..10 {
+                let key = format!("cell{key}");
+                prop_assert_eq!(
+                    store.get_raw(&key).map(|s| bits(&s)),
+                    model.get(&key).map(|s| bits(s)),
+                    "indexed read of {} after {:?}", key, (op, samples)
+                );
+            }
+            let scanned: Vec<(String, Vec<u64>)> = store
+                .entries()
+                .into_iter()
+                .map(|(k, s)| (k, bits(&s)))
+                .collect();
+            let expected: Vec<(String, Vec<u64>)> =
+                model.iter().map(|(k, s)| (k.clone(), bits(s))).collect();
+            prop_assert_eq!(&scanned, &expected, "the scan path lists the model");
+            prop_assert_eq!(CellBackend::len(&store), model.len());
+        }
+        prop_assert_eq!(store.read_stats().fallback_scans, 0, "no index entry went bad");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 fn quick_runner() -> Runner {
@@ -174,7 +266,7 @@ fn request(id: u64, benchmark: &str, procs: usize) -> PredictRequest {
 fn sharded_warm_store_answers_concurrent_requests_with_zero_executions() {
     let dir = scratch("serve");
     let store_dir = dir.join("cells.kcs");
-    let store: Arc<dyn CellBackend> = open_store(&store_dir, Some(StoreFormat::Sharded)).unwrap();
+    let store = sharded_spec(&store_dir).open().unwrap();
 
     // phase 1: concurrent clients fill the store
     {
@@ -208,7 +300,7 @@ fn sharded_warm_store_answers_concurrent_requests_with_zero_executions() {
 
     // phase 2: a fresh process image (new store handle, cold hot
     // tier) over the same directory serves everything from disk
-    let store2: Arc<dyn CellBackend> = open_store(&store_dir, None).unwrap();
+    let store2 = StoreSpec::new(&store_dir).open().unwrap();
     assert_eq!(store2.format(), StoreFormat::Sharded);
     let campaign = Arc::new(
         Campaign::builder(quick_runner())
@@ -264,6 +356,11 @@ fn concurrent_appenders_and_readers_lose_nothing() {
         }
     });
     assert_eq!(CellBackend::len(&*store), writers * per_writer);
+    assert_eq!(
+        store.read_stats().auto_compactions,
+        0,
+        "appending each cell once (what campaigns do) never compacts"
+    );
     // a fresh open (no hot tier, pure disk) sees every frame intact
     let reopened = ShardedStore::open(&dir.join("cells.kcs")).unwrap();
     assert_eq!(reopened.repaired_bytes(), 0, "no torn frames were written");
@@ -431,8 +528,7 @@ fn readers_racing_compaction_always_see_consistent_answers() {
         }
         store.flush().unwrap();
     }
-    // a one-slot hot tier pins nearly every read to the segment path
-    let store = Arc::new(ShardedStore::open_with_hot_slots(&store_dir, 1).unwrap());
+    let store = Arc::new(open_cold_tier(&store_dir));
     std::thread::scope(|scope| {
         for _ in 0..4 {
             let store = Arc::clone(&store);
@@ -491,7 +587,7 @@ fn absent_keys_answer_without_touching_segments() {
         }
         store.flush().unwrap();
     }
-    let store = ShardedStore::open_with_hot_slots(&store_dir, 1).unwrap();
+    let store = open_cold_tier(&store_dir);
     // prime a baseline of real segment reads
     for i in 0..20 {
         assert!(store.get_raw(&format!("cell{i}")).is_some());
@@ -537,7 +633,7 @@ fn single_slot_hot_tier_still_answers_every_key_correctly() {
         }
         store.flush().unwrap();
     }
-    let store = ShardedStore::open_with_hot_slots(&store_dir, 1).unwrap();
+    let store = open_cold_tier(&store_dir);
     // interleaved repeats: every get collides with its predecessor
     for round in 0..3 {
         for i in 0..50 {
@@ -555,5 +651,87 @@ fn single_slot_hot_tier_still_answers_every_key_correctly() {
         hot.evictions
     );
     assert!(hot.misses >= hot.hits, "most probes collide away");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Automatic compaction is always on, at one constant ratio: a handle
+/// opened through plain `StoreSpec::open()` that re-appends more than
+/// half of a shard of at least `AUTO_COMPACT_MIN_FRAMES` frames has
+/// that shard rewritten by the time `flush()` returns, and every cell
+/// still reads back as its latest samples.
+#[test]
+fn reappending_more_than_half_a_shard_compacts_it_by_the_next_flush() {
+    let dir = scratch("autocompact");
+    let store_dir = dir.join("cells.kcs");
+    // 20 cells that all live in shard 0 of a default-sharded store
+    let keys: Vec<String> = (1..)
+        .map(|procs| build_key("BT", "S", procs, &[0, 1], 2))
+        .filter(|k| k.digest_u64() % ShardedStore::DEFAULT_SHARDS as u64 == 0)
+        .map(|k| k.to_string())
+        .take(20)
+        .collect();
+    assert!(keys.len() as u64 >= ShardedStore::AUTO_COMPACT_MIN_FRAMES);
+    let store = sharded_spec(&store_dir).open().unwrap();
+    for round in 0..2 {
+        for (i, key) in keys.iter().enumerate() {
+            store.append_raw(key, &[round as f64, i as f64]).unwrap();
+        }
+    }
+    // 20 of 40 frames superseded is not *more* than half; one further
+    // re-append crosses the ratio and queues the shard
+    store.append_raw(&keys[0], &[2.0, 0.0]).unwrap();
+    store.flush().unwrap();
+    let expected = |i: usize| vec![if i == 0 { 2.0 } else { 1.0 }, i as f64];
+    for (i, key) in keys.iter().enumerate() {
+        assert_eq!(store.get_raw(key), Some(expected(i)));
+    }
+    assert_eq!(store.len(), keys.len());
+    drop(store);
+
+    let reopened = ShardedStore::open(&store_dir).unwrap();
+    let shard0 = reopened.segment_stats()[0];
+    assert_eq!(shard0.live, 20);
+    assert_eq!(shard0.superseded(), 0, "the flush drained the compaction");
+    for (i, key) in keys.iter().enumerate() {
+        assert_eq!(reopened.get_raw(key), Some(expected(i)));
+    }
+    assert_eq!(CellBackend::len(&reopened), reopened.entries().len());
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// `CellStore::save` replaces the file atomically, through `PATH.tmp`
+/// and a rename: a save that cannot land leaves the previous file as
+/// it was, and no `.tmp` file is left behind either way.
+#[test]
+fn a_failed_json_save_keeps_the_previous_file() {
+    let dir = scratch("json_save");
+    let path = dir.join("cells.json");
+    let tmp = dir.join("cells.json.tmp");
+    let store = CellStore::new();
+    store.append_raw("BT|first", &[1.0]).unwrap();
+    store.save(&path).unwrap();
+    assert!(!tmp.exists());
+    let saved = std::fs::read(&path).unwrap();
+    store.append_raw("BT|second", &[2.0]).unwrap();
+
+    // the tmp name is taken: the save cannot start, the old file stands
+    std::fs::create_dir(&tmp).unwrap();
+    assert!(store.save(&path).is_err());
+    assert_eq!(std::fs::read(&path).unwrap(), saved);
+    assert_eq!(CellStore::load(&path).unwrap().len(), 1);
+    std::fs::remove_dir(&tmp).unwrap();
+
+    // the target turned into a directory: the rename cannot land
+    let taken = dir.join("taken.json");
+    std::fs::create_dir(&taken).unwrap();
+    assert!(store.save(&taken).is_err());
+    assert!(
+        !dir.join("taken.json.tmp").exists(),
+        "a failed save cleans up"
+    );
+
+    store.save(&path).unwrap();
+    assert_eq!(CellStore::load(&path).unwrap().len(), 2);
+    assert!(!tmp.exists());
     let _ = std::fs::remove_dir_all(&dir);
 }
