@@ -38,15 +38,14 @@ use crate::runner::Runner;
 use crate::scheduler::CellScheduler;
 use kc_core::telemetry::phases;
 use kc_core::{
-    analysis_cells, assemble_analysis, summarize, write_jsonl, CacheStats, CachedProvider,
-    CellContext, CouplingAnalysis, FanoutSink, KcResult, KernelSet, MeasurementBackend,
-    MeasurementKey, MeasurementProvider, MemorySink, RunSummary, TelemetryEvent, TelemetrySink,
+    analysis_cells, assemble_analysis, summarize, CacheStats, CachedProvider, CellContext,
+    CouplingAnalysis, FanoutSink, KcResult, KernelSet, MeasurementBackend, MeasurementKey,
+    MeasurementProvider, MemorySink, RunSummary, TelemetryEvent, TelemetrySink,
 };
 use kc_machine::MachineConfig;
 use kc_npb::{Benchmark, Class, NpbApp, NpbProvider};
 use std::collections::BTreeSet;
 use std::fmt;
-use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -253,8 +252,7 @@ impl CampaignBuilder {
         self
     }
 
-    /// Disable the machine's timer noise (for shape-focused tests and
-    /// benches).
+    /// Disable the machine's timer noise (for shape-focused tests).
     pub fn noise_free(mut self) -> Self {
         self.runner.machine = self.runner.machine.without_noise();
         self
@@ -397,7 +395,7 @@ impl Campaign {
     /// explicit lifecycle point for buffered sinks: call after the
     /// end-of-run summary (or on SIGTERM) so trace files on disk are
     /// complete before the process exits.
-    pub fn flush_sinks(&self) -> std::io::Result<()> {
+    pub(crate) fn flush_sinks(&self) -> std::io::Result<()> {
         self.fanout.flush()
     }
 
@@ -417,7 +415,7 @@ impl Campaign {
 
     /// The scheduling cost of one cell: the cost model's measured
     /// answer if it has one, otherwise the provider's static estimate.
-    pub fn cell_cost(&self, key: &MeasurementKey) -> f64 {
+    fn cell_cost(&self, key: &MeasurementKey) -> f64 {
         self.cost_model
             .measured_cost(key)
             .unwrap_or_else(|| self.provider.cost_estimate(key))
@@ -426,11 +424,6 @@ impl Campaign {
     /// The active cost model's name (`static`, `measured`, ...).
     pub fn cost_model_name(&self) -> &'static str {
         self.cost_model.name()
-    }
-
-    /// Write the canonical event stream as a JSON-lines trace.
-    pub fn write_trace(&self, path: &Path) -> std::io::Result<()> {
-        write_jsonl(path, &self.telemetry_events())
     }
 
     /// Run `f` bracketed by phase started/finished telemetry events.

@@ -32,8 +32,8 @@ impl Default for Runner {
 }
 
 impl Runner {
-    /// A runner with all timer noise disabled (for shape-focused tests
-    /// and benches).
+    /// A runner with all timer noise disabled (for shape-focused
+    /// tests).
     pub fn noise_free() -> Self {
         let mut r = Self::default();
         r.machine = r.machine.without_noise();

@@ -301,8 +301,7 @@ impl Session {
             }
             RunHistory::append(path, &record).map_err(cannot("append run history", path))?;
             eprintln!(
-                "[history] run {} appended to {} ({} cell durations)",
-                RunHistory::load(path).map(|h| h.len()).unwrap_or(0),
+                "[history] appended to {} ({} cell durations)",
                 path.display(),
                 record.cell_durations.len()
             );

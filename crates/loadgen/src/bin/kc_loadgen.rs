@@ -7,7 +7,7 @@
 //!            [--fault-stalls N] [--fault-stall-ms N]
 //!            [--connect ADDR | --store SPEC]
 //!            [--noise-free] [--reps N] [--jobs N] [--max-inflight N]
-//!            [--max-batch N] [--warm] [--slo SPEC] [--trajectory NAME]
+//!            [--max-batch N] [--warm] [--slo SPEC]
 //! ```
 //!
 //! Generates a deterministic open-loop request schedule (hot/cold mix,
@@ -33,11 +33,8 @@
 //! `metric>=value` bounds, e.g.
 //! `p99_ms<=50,overload_rate<=0.05,exactly_once_violations<=0` — the
 //! process exits 1 if any bound is violated, making a load run a CI
-//! gate.  With `--trajectory NAME` and `KC_BENCH_TRAJECTORY` set, the
-//! report's metrics are also written as a `BENCH_NAME.json` trajectory
-//! entry for `kc-bench diff`.
+//! gate.
 
-use kc_bench::{trajectory_dir, BenchTrajectory};
 use kc_core::cli::{self, CliError, Flag};
 use kc_experiments::{CampaignArgs, ServeArgs, Session, StaticCost};
 use kc_loadgen::{
@@ -56,7 +53,6 @@ pub(crate) struct Options {
     serve: ServeArgs,
     warm: bool,
     slo: Option<SloSpec>,
-    trajectory: Option<String>,
 }
 
 impl Default for Options {
@@ -72,7 +68,6 @@ impl Default for Options {
             serve: ServeArgs::default(),
             warm: false,
             slo: None,
-            trajectory: None,
         }
     }
 }
@@ -215,14 +210,6 @@ fn flags() -> Vec<Flag<Options>> {
              'p99_ms<=50,overload_rate<=0.05,exactly_once_violations<=0'",
             cli::spec,
             |o, slo| o.slo = Some(slo),
-        ),
-        Flag::value(
-            "--trajectory",
-            "NAME",
-            "with KC_BENCH_TRAJECTORY set, write the report's metrics \
-             as a BENCH_NAME.json entry for kc-bench diff",
-            cli::text,
-            |o, name| o.trajectory = Some(name),
         ),
     ]
 }
@@ -376,22 +363,6 @@ fn main() {
         "{}",
         serde_json::to_string_pretty(&report).expect("report serializes")
     );
-
-    if let (Some(name), Some(dir)) = (&opts.trajectory, trajectory_dir()) {
-        // each SLO metric rides as one pseudo-cell so kc-bench diff
-        // can compare load runs the same way it compares bench runs
-        let cells = LoadReport::METRICS
-            .iter()
-            .map(|m| kc_core::SlowCell {
-                key: format!("load|{m}"),
-                duration_secs: report.metric(m).expect("advertised metric resolves"),
-            })
-            .collect();
-        match BenchTrajectory::from_cells(name, cells).write_to(&dir) {
-            Ok(path) => eprintln!("[trajectory] load metrics written to {}", path.display()),
-            Err(e) => cli::fail(format!("cannot write trajectory entry: {e}")),
-        }
-    }
 
     if let Some(slo) = &opts.slo {
         let failures = slo.check(&report);

@@ -127,8 +127,7 @@ fn rank_of_current_thread() -> usize {
 /// A pool of parked rank-worker rigs, keyed by rank count.
 ///
 /// Every thread gets one implicitly through [`Cluster::run`]; hold one
-/// explicitly (e.g. in a bench) to control reuse with
-/// [`Cluster::run_on`].
+/// explicitly to control reuse with [`Cluster::run_on`].
 #[derive(Default)]
 pub struct RankPool {
     rigs: Mutex<HashMap<usize, Vec<Rig>>>,

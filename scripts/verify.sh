@@ -27,7 +27,7 @@ smoke=$(mktemp -d)
 trap 'rm -rf "$smoke"' EXIT
 
 echo "== cli: --help exits 0 on stdout, an unknown flag exits 2 with error: on stderr =="
-for bin in paper_tables kc_served kc-loadgen kc_regime kc_store kc_trace kc-bench; do
+for bin in paper_tables kc_served kc-loadgen kc_regime kc_store kc_trace; do
     rc=0
     ./target/release/$bin --help > "$smoke/help.out" 2> "$smoke/help.err" || rc=$?
     [ "$rc" -eq 0 ] && grep -q "^usage: $bin" "$smoke/help.out" && [ ! -s "$smoke/help.err" ] || {
@@ -37,7 +37,7 @@ for bin in paper_tables kc_served kc-loadgen kc_regime kc_store kc_trace kc-benc
     [ "$rc" -eq 2 ] && grep -q "^error:" "$smoke/bad.err" && [ ! -s "$smoke/bad.out" ] || {
         echo "verify: $bin --no-such-flag exited $rc or printed no error: on stderr"; exit 1; }
 done
-echo "all seven binaries share the help and usage-error conventions"
+echo "all six binaries share the help and usage-error conventions"
 
 echo "== byte-identity: full tables under --jobs 1 vs --jobs 8 =="
 j1="$smoke/j1.txt" && j8="$smoke/j8.txt"
@@ -132,22 +132,6 @@ fi
 ./target/release/kc_store inspect "$smoke/golden.kcs" > /dev/null
 echo "golden store round-trips losslessly through the sharded format"
 
-echo "== kc-bench: store-read trajectory diffs cleanly against itself =="
-KC_BENCH_TRAJECTORY="$smoke/traj" cargo bench -q -p kc-bench \
-    --bench store_read > /dev/null 2>&1
-[ -f "$smoke/traj/BENCH_store_read.json" ] || {
-    echo "verify: store_read bench left no trajectory"; exit 1; }
-./target/release/kc-bench diff "$smoke/traj" "$smoke/traj"
-echo "store-read trajectory recorded"
-
-echo "== kc-bench: cell_exec trajectory is recorded and diffable =="
-KC_BENCH_TRAJECTORY="$smoke/traj" cargo bench -q -p kc-bench \
-    --bench cell_exec -- --test > /dev/null 2>&1
-[ -f "$smoke/traj/BENCH_cell_exec.json" ] || {
-    echo "verify: cell_exec bench left no trajectory"; exit 1; }
-./target/release/kc-bench diff "$smoke/traj" "$smoke/traj" > /dev/null
-echo "cell_exec trajectory recorded"
-
 echo "== serve: scripted batch vs golden transcript (pipe mode) =="
 ./target/release/kc_served --noise-free --store "$smoke/cells.json" \
     --trace "$smoke/serve_trace.jsonl" \
@@ -183,26 +167,35 @@ grep -q ">serve<" "$smoke/serve_trace.svg" || {
     echo "verify: kc_trace SVG has no serve lane"; exit 1; }
 echo "kc_trace rendered the serve trace as an SVG timeline"
 
-echo "== loadgen: warm SLO gate, impossible-bound detection, load trajectory =="
+echo "== loadgen: warm SLO gate, impossible-bound detection =="
 # Deadline-free byte-identity is covered above: the jobs-1-vs-8 and
 # golden-transcript gates push deadline-free streams through the
 # deadline-aware scheduler and batcher and demand identical bytes.
-KC_BENCH_TRAJECTORY="$smoke/loadtraj" ./target/release/kc-loadgen \
+./target/release/kc-loadgen \
     --noise-free --store "$smoke/cells.json" --warm \
     --rps 400 --duration-ms 1500 --seed 7 --deadline-ms 5000 \
     --malformed-every 50 \
     --slo "p99_ms<=2000,overload_rate<=0.01,error_rate<=0.05,executions<=0,exactly_once_violations<=0" \
-    --trajectory load_smoke > "$smoke/load_report.json" 2> "$smoke/load.log" || {
+    > "$smoke/load_report.json" 2> "$smoke/load.log" || {
     echo "verify: loadgen SLO gate failed"; cat "$smoke/load.log"; exit 1; }
-[ -f "$smoke/loadtraj/BENCH_load_smoke.json" ] || {
-    echo "verify: loadgen left no trajectory entry"; exit 1; }
-./target/release/kc-bench diff "$smoke/loadtraj" "$smoke/loadtraj" > /dev/null
 if ./target/release/kc-loadgen --noise-free --store "$smoke/cells.json" --warm \
     --rps 200 --duration-ms 500 --seed 7 --slo "p99_ms<=0.00001" \
     > /dev/null 2> /dev/null; then
     echo "verify: an impossible SLO bound was not detected"; exit 1
 fi
-echo "loadgen: SLO pass on warm serving, impossible bound exits 1, trajectory diffable"
+echo "loadgen: SLO pass on warm serving, impossible bound exits 1"
+
+echo "== benchmark: harness tests, then one driver-mode run that must pass its gates =="
+# same target directory as run.sh, so the harness reuses the crates
+# the workspace tests just compiled
+CARGO_TARGET_DIR=target cargo test -q --offline --manifest-path benchmark/Cargo.toml
+benchmark/run.sh --workload tables_warm --seed 1 --seconds 2 --trace 0 \
+    2> "$smoke/benchmark.log" | tail -n 1 > "$smoke/benchmark.json" || {
+    echo "verify: benchmark/run.sh failed"; tail -20 "$smoke/benchmark.log"; exit 1; }
+jq -e .correct "$smoke/benchmark.json" > /dev/null || {
+    echo "verify: the tables_warm benchmark run failed its correctness gates"
+    cat "$smoke/benchmark.json"; exit 1; }
+echo "benchmark harness tests pass; tables_warm ran with every gate green"
 
 echo "== docs (no rustdoc warnings) =="
 doc_log=$(cargo doc --no-deps --workspace 2>&1) || { echo "$doc_log"; exit 1; }

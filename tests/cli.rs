@@ -1,5 +1,5 @@
 //! Integration: the one command-line front end and the one campaign
-//! session behind all seven binaries.
+//! session behind all six binaries.
 //!
 //! The binaries' own flag tables and parsers are compiled into this
 //! test (`#[path]`), so every row below runs the code the shipped
@@ -7,9 +7,6 @@
 //! its positional handling.  Exiting is `cli::exit_on`'s job and is
 //! gated per binary in `scripts/verify.sh`.
 
-#[allow(dead_code)]
-#[path = "../crates/bench/src/bin/kc_bench.rs"]
-mod kc_bench_bin;
 #[allow(dead_code)]
 #[path = "../crates/loadgen/src/bin/kc_loadgen.rs"]
 mod kc_loadgen_bin;
@@ -55,7 +52,7 @@ struct Bin {
     value_flag: &'static str,
 }
 
-const BINS: [Bin; 7] = [
+const BINS: [Bin; 6] = [
     Bin {
         name: "paper_tables",
         parse: |a| paper_tables_bin::parse_cli(a).map(drop),
@@ -91,12 +88,6 @@ const BINS: [Bin; 7] = [
         parse: |a| kc_trace_bin::parse_cli(a).map(drop),
         valid: &["render", "trace.jsonl"],
         value_flag: "-o",
-    },
-    Bin {
-        name: "kc-bench",
-        parse: |a| kc_bench_bin::parse_cli(a).map(drop),
-        valid: &["diff", "before", "after"],
-        value_flag: "--threshold",
     },
 ];
 
@@ -306,17 +297,18 @@ fn subcommand_binaries_check_their_command_and_operands() {
     assert!(matches!(trace(&argv(&["render"])), Err(CliError::Usage(m)) if m.contains("TRACE")));
     assert!(matches!(trace(&argv(&["draw"])), Err(CliError::Usage(m)) if m.contains("'draw'")));
 
-    let bench = kc_bench_bin::parse_cli;
-    let d = bench(&argv(&["diff", "a", "b", "--threshold", "25"])).unwrap();
-    assert_eq!((d.dirs.len(), d.threshold_pct), (2, 25.0));
-    assert_usage(&BINS[6], &["c"], "exactly two directories, got 3");
-
     let loadgen = kc_loadgen_bin::parse_cli;
     assert!(matches!(
         loadgen(&argv(&["--connect", "h:1", "--store", "c.json"])),
         Err(CliError::Usage(m)) if m.contains("mutually exclusive")
     ));
     assert_eq!(loadgen(&argv(&["--rps", "50"])).unwrap().workload.rps, 50.0);
+    // the bench-trajectory flag is gone, not silently accepted
+    assert_usage(
+        &BINS[2],
+        &["--trajectory", "x"],
+        "unknown flag '--trajectory'",
+    );
 }
 
 fn temp_dir(name: &str) -> PathBuf {

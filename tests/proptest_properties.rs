@@ -1,7 +1,7 @@
 //! Property-based tests of the core invariants, spanning the coupling
 //! algebra, the cache simulator and the grid decompositions.
 
-use kernel_couplings::cachesim::SetAssocCache;
+use kernel_couplings::cachesim::{ReuseDistance, SetAssocCache};
 use kernel_couplings::coupling::{ChainExecutor, CouplingAnalysis, Predictor, SyntheticExecutor};
 use kernel_couplings::grid::{Decomp1d, ProcGrid};
 use proptest::prelude::*;
@@ -141,6 +141,28 @@ proptest! {
             distinct.insert((a * 8) / line);
         }
         prop_assert_eq!(c.misses(), distinct.len() as u64);
+    }
+
+    /// The stack-distance oracle: a fully-associative LRU cache of C
+    /// lines misses exactly the accesses whose reuse distance is not
+    /// below C, on any line trace.
+    #[test]
+    fn fully_associative_misses_match_the_reuse_distance_oracle(
+        lines in prop::collection::vec(0u64..256, 1..400),
+        capacity_lines in 1u64..128,
+    ) {
+        let line = 64u64;
+        let mut oracle = ReuseDistance::new();
+        let mut cache =
+            SetAssocCache::fully_associative((capacity_lines * line) as usize, line as usize);
+        for &l in &lines {
+            oracle.access(l);
+            cache.access(l * line);
+        }
+        prop_assert_eq!(
+            cache.misses(),
+            oracle.total_accesses() - oracle.hits_under(capacity_lines)
+        );
     }
 
     /// 1-D decompositions cover the index space exactly, in order,
