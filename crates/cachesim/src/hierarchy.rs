@@ -33,6 +33,7 @@ pub struct CacheHierarchy {
     levels: Vec<SetAssocCache>,
     /// Line size used to chop spans into line requests (the L1 line).
     line: u64,
+    line_shift: u32,
     totals: AccessCounts,
 }
 
@@ -61,6 +62,7 @@ impl CacheHierarchy {
         Self {
             levels: configs.iter().map(CacheConfig::build).collect(),
             line,
+            line_shift: line.trailing_zeros(),
             totals: AccessCounts::zero(),
         }
     }
@@ -85,47 +87,32 @@ impl CacheHierarchy {
         self.totals
     }
 
-    /// Access one line by byte address, returning the level that served
-    /// it (`depth()` means main memory).
-    pub fn access_line(&mut self, addr: u64) -> usize {
-        let mut served = self.levels.len();
-        for (i, level) in self.levels.iter_mut().enumerate() {
-            if level.access(addr) {
-                served = i;
-                break;
-            }
-        }
-        if served < self.levels.len() {
-            self.totals.record_hit(served);
-        } else {
-            self.totals.record_memory();
-        }
-        served
+    /// Whether the line containing `addr` is resident at `level`
+    /// (changes no replacement state and no counter).
+    pub fn is_resident(&self, level: usize, addr: u64) -> bool {
+        self.levels[level].probe(addr)
     }
 
     /// Touch every line of `span`, returning where the lines were
     /// served.
+    ///
+    /// # Panics
+    /// If the span runs past the end of the 64-bit address space.
     pub fn touch(&mut self, span: Span) -> AccessCounts {
-        let mut counts = AccessCounts::zero();
         if span.bytes == 0 {
-            return counts;
+            return AccessCounts::zero();
         }
-        let first = span.addr / self.line;
-        let last = (span.addr + span.bytes - 1) / self.line;
-        for l in first..=last {
-            let served = self.access_line(l * self.line);
-            if served < self.levels.len() {
-                counts.record_hit(served);
-            } else {
-                counts.record_memory();
-            }
-        }
-        counts
+        let end = last_byte(span.addr, 0, 1, span.bytes);
+        let first = span.addr >> self.line_shift;
+        self.walk(first, 1, (end >> self.line_shift) - first + 1)
     }
 
     /// Touch a strided sequence: `count` elements of `elem` bytes
-    /// separated by `stride` bytes starting at `span.addr`.  Used for
+    /// separated by `stride` bytes starting at `start`.  Used for
     /// pencil accesses along non-contiguous dimensions.
+    ///
+    /// # Panics
+    /// If the sequence runs past the end of the 64-bit address space.
     pub fn touch_strided(
         &mut self,
         start: u64,
@@ -133,6 +120,15 @@ impl CacheHierarchy {
         elem: u64,
         count: u64,
     ) -> AccessCounts {
+        if elem == 0 || count == 0 {
+            return AccessCounts::zero();
+        }
+        last_byte(start, stride, count, elem);
+        let room_in_line = self.line - (start & (self.line - 1));
+        if stride & (self.line - 1) == 0 && elem <= room_in_line {
+            // every element is one line, a whole number of lines apart
+            return self.walk(start >> self.line_shift, stride >> self.line_shift, count);
+        }
         let mut counts = AccessCounts::zero();
         for n in 0..count {
             counts += self.touch(Span {
@@ -140,6 +136,43 @@ impl CacheHierarchy {
                 bytes: elem,
             });
         }
+        counts
+    }
+
+    /// Access `count` lines, `step` lines apart, starting at line
+    /// number `first`; a line that misses one level goes on to the
+    /// next.
+    ///
+    /// The span is walked in runs of up to 64 lines, one level at a
+    /// time: the first level takes the whole run
+    /// ([`SetAssocCache::access_lines`]) and hands the mask of its
+    /// misses to the level below, and so on.  A level sees exactly the
+    /// lines, in exactly the order, that a line-at-a-time loop through
+    /// the levels would show it — what one level does never depends on
+    /// what another holds — so every replacement decision is that
+    /// loop's.  The returned counts and the running totals are added
+    /// once, after the walk.
+    fn walk(&mut self, first: u64, step: u64, count: u64) -> AccessCounts {
+        let mut counts = AccessCounts::zero();
+        let (mut first, mut left) = (first, count);
+        while left > 0 {
+            let lines = left.min(64);
+            let mut wanted = u64::MAX >> (64 - lines);
+            let mut reached = lines;
+            for (level, level_hits) in self.levels.iter_mut().zip(&mut counts.hits) {
+                let (missed, hits) = level.access_lines(first, step, wanted);
+                *level_hits += hits;
+                reached -= hits;
+                wanted = missed;
+                if wanted == 0 {
+                    break;
+                }
+            }
+            counts.memory += reached;
+            left -= lines;
+            first = first.wrapping_add(step.wrapping_mul(lines));
+        }
+        self.totals += counts;
         counts
     }
 
@@ -157,6 +190,26 @@ impl CacheHierarchy {
         }
         self.totals = AccessCounts::zero();
     }
+}
+
+/// Address of the last byte of `count` elements of `bytes` bytes,
+/// `stride` apart, the first at `start` (`count` and `bytes` non-zero).
+///
+/// # Panics
+/// If that address does not fit 64 bits — in release builds too, where
+/// a wrapped end address would make the walk empty and the touch
+/// silently free.
+fn last_byte(start: u64, stride: u64, count: u64, bytes: u64) -> u64 {
+    (count - 1)
+        .checked_mul(stride)
+        .and_then(|offset| start.checked_add(offset))
+        .and_then(|addr| addr.checked_add(bytes - 1))
+        .unwrap_or_else(|| {
+            panic!(
+                "touch of {count} x {bytes} bytes, {stride} apart, from address {start:#x} \
+                 runs past the end of the address space"
+            )
+        })
 }
 
 #[cfg(test)]
@@ -232,6 +285,42 @@ mod tests {
         let mut h = two_level();
         let c = h.touch(Span { addr: 0, bytes: 0 });
         assert_eq!(c.total(), 0);
+        // wherever it is, and as a strided element too
+        let top = Span {
+            addr: u64::MAX,
+            bytes: 0,
+        };
+        assert_eq!(h.touch(top).total(), 0);
+        assert_eq!(h.touch_strided(u64::MAX, u64::MAX, 0, 9).total(), 0);
+        assert_eq!(h.totals().total(), 0);
+    }
+
+    #[test]
+    fn span_ending_on_the_last_byte_of_the_address_space_is_counted() {
+        let mut h = two_level();
+        let c = h.touch(Span {
+            addr: u64::MAX - 200,
+            bytes: 201,
+        });
+        assert_eq!(c.misses_to_memory(), 2);
+        assert!(h.is_resident(0, u64::MAX));
+    }
+
+    #[test]
+    #[should_panic(expected = "runs past the end of the address space")]
+    fn span_past_the_end_of_the_address_space_panics() {
+        // the end address wraps to a small number: without the check a
+        // release build walks nothing and charges nothing
+        two_level().touch(Span {
+            addr: u64::MAX - 200,
+            bytes: 202,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "runs past the end of the address space")]
+    fn strided_touch_past_the_end_of_the_address_space_panics() {
+        two_level().touch_strided(u64::MAX - 1024, 512, 8, 4);
     }
 
     #[test]

@@ -96,33 +96,91 @@ impl SetAssocCache {
     /// on a hit.  On a miss the line is installed, evicting the set's
     /// LRU line.
     pub fn access(&mut self, addr: u64) -> bool {
-        self.accesses += 1;
-        let tag = addr >> self.line_shift;
-        let set = (tag % self.sets as u64) as usize;
-        let base = set * self.ways;
-        let set_slots = &mut self.slots[base..base + self.ways];
-        match set_slots.iter().position(|&t| t == tag) {
-            Some(0) => true,
-            Some(pos) => {
-                // promote to MRU
-                set_slots[..=pos].rotate_right(1);
-                true
-            }
-            None => {
-                self.misses += 1;
-                set_slots.rotate_right(1);
-                set_slots[0] = tag;
-                false
-            }
+        let (missed, _) = self.access_lines(addr >> self.line_shift, 0, 1);
+        missed == 0
+    }
+
+    /// The set line number `tag` maps to: a mask when the set count is
+    /// a power of two, a divide otherwise (the 1365-set LLC a
+    /// three-way shared node yields).
+    fn set_of(&self, tag: u64) -> usize {
+        let sets = self.sets as u64;
+        if sets.is_power_of_two() {
+            (tag & (sets - 1)) as usize
+        } else {
+            (tag % sets) as usize
         }
+    }
+
+    /// Access, in order, the lines numbered `first + i * step` for
+    /// every bit `i` set in `wanted` — a run of up to 64 lines of a
+    /// span, less those a level above already served.  Returns the
+    /// mask of the lines that missed and the number that hit.
+    ///
+    /// This is the only path to the replacement routine: the set index
+    /// is derived once, for `first`, and carried from line to line by
+    /// `step` (mod the set count) with a compare-and-subtract; the
+    /// statistics are added once per run.
+    pub(crate) fn access_lines(&mut self, first: u64, step: u64, wanted: u64) -> (u64, u64) {
+        // the preset associativities get a lookup of constant length,
+        // which unrolls
+        match self.ways {
+            1 => self.access_lines_with(lru_access_fixed::<1>, first, step, wanted),
+            2 => self.access_lines_with(lru_access_fixed::<2>, first, step, wanted),
+            4 => self.access_lines_with(lru_access_fixed::<4>, first, step, wanted),
+            8 => self.access_lines_with(lru_access_fixed::<8>, first, step, wanted),
+            16 => self.access_lines_with(lru_access_fixed::<16>, first, step, wanted),
+            _ => self.access_lines_with(lru_access, first, step, wanted),
+        }
+    }
+
+    fn access_lines_with(
+        &mut self,
+        lookup: impl Fn(&mut [u64], u64) -> bool,
+        first: u64,
+        step: u64,
+        wanted: u64,
+    ) -> (u64, u64) {
+        let (sets, ways) = (self.sets, self.ways);
+        let mut set = self.set_of(first);
+        let advance = if step < sets as u64 {
+            step as usize
+        } else {
+            (step % sets as u64) as usize
+        };
+        let mut tag = first;
+        let (mut missed, mut hits, mut misses) = (0u64, 0u64, 0u64);
+        let (mut rest, mut bit) = (wanted, 1u64);
+        while rest != 0 {
+            if rest & 1 != 0 {
+                let base = set * ways;
+                if lookup(&mut self.slots[base..base + ways], tag) {
+                    hits += 1;
+                } else {
+                    misses += 1;
+                    missed |= bit;
+                }
+            }
+            rest >>= 1;
+            bit <<= 1;
+            set += advance;
+            if set >= sets {
+                set -= sets;
+            }
+            // (only the step past the last line can leave the address
+            // space)
+            tag = tag.wrapping_add(step);
+        }
+        self.accesses += hits + misses;
+        self.misses += misses;
+        (missed, hits)
     }
 
     /// Whether the line containing `addr` is currently resident
     /// (does not update LRU state or counters).
     pub fn probe(&self, addr: u64) -> bool {
         let tag = addr >> self.line_shift;
-        let set = (tag % self.sets as u64) as usize;
-        let base = set * self.ways;
+        let base = self.set_of(tag) * self.ways;
         self.slots[base..base + self.ways].contains(&tag)
     }
 
@@ -142,6 +200,32 @@ impl SetAssocCache {
     pub fn resident_lines(&self) -> usize {
         self.slots.iter().filter(|&&t| t != EMPTY).count()
     }
+}
+
+/// True-LRU lookup of `tag` in one set's slots (index 0 = most
+/// recently used), in one pass: `tag` goes in at the front and each
+/// displaced tag moves one slot back, until the slot that held `tag`
+/// absorbs the shift (a hit — at once if it was the most recent) or
+/// the last tag falls off the end (a miss).
+#[inline(always)]
+fn lru_access(set: &mut [u64], tag: u64) -> bool {
+    let mut incoming = tag;
+    for slot in set {
+        let displaced = std::mem::replace(slot, incoming);
+        if displaced == tag {
+            return true;
+        }
+        incoming = displaced;
+    }
+    false
+}
+
+/// [`lru_access`] for a set of exactly `WAYS` slots, so the pass
+/// unrolls.
+#[inline(always)]
+fn lru_access_fixed<const WAYS: usize>(set: &mut [u64], tag: u64) -> bool {
+    let set: &mut [u64; WAYS] = set.try_into().expect("set has WAYS slots");
+    lru_access(set, tag)
 }
 
 #[cfg(test)]

@@ -88,6 +88,9 @@ impl PerfContext {
 
     /// Charge a strided touch: `count` elements of `elem` bytes,
     /// `stride` bytes apart, starting at `offset` into region `id`.
+    ///
+    /// # Panics
+    /// If the last element overruns the registered region size.
     pub fn touch_strided(
         &mut self,
         id: RegionId,
@@ -96,7 +99,10 @@ impl PerfContext {
         elem: usize,
         count: usize,
     ) -> AccessCounts {
-        let base = self.regions.span(id, offset, elem).addr;
+        // the whole pencil, not just its first element, must lie in
+        // the region
+        let extent = count.saturating_sub(1) * stride + elem;
+        let base = self.regions.span(id, offset, extent).addr;
         let counts = self
             .hierarchy
             .touch_strided(base, stride as u64, elem as u64, count as u64);
@@ -105,10 +111,15 @@ impl PerfContext {
     }
 
     /// Stall seconds implied by a set of access counts.
+    ///
+    /// Only the levels this machine has are summed: a level it lacks
+    /// serves no line, and `0 × hit_time` added to a non-negative sum
+    /// changes no bit of it.
     pub fn stall_time(&self, counts: &AccessCounts) -> f64 {
         let mut t = counts.memory as f64 * self.cfg.mem.memory_time;
-        for (level, &hits) in counts.hits.iter().enumerate() {
-            t += hits as f64 * self.cfg.mem.hit_time[level];
+        let levels = counts.hits.iter().zip(&self.cfg.mem.hit_time);
+        for (&hits, &hit_time) in levels.take(self.hierarchy.depth()) {
+            t += hits as f64 * hit_time;
         }
         t
     }
@@ -200,5 +211,19 @@ mod tests {
         let r = c.register_region("a", 4096);
         let counts = c.touch_strided(r, 0, 256, 8, 4);
         assert_eq!(counts.total(), 4);
+        // no elements: nothing charged, however long the stride
+        let t = c.now();
+        assert_eq!(c.touch_strided(r, 0, 1 << 40, 8, 0).total(), 0);
+        assert_eq!(c.now(), t);
+    }
+
+    #[test]
+    #[should_panic(expected = "overruns region 'a'")]
+    fn strided_touch_past_the_region_end_panics() {
+        let mut c = ctx();
+        let r = c.register_region("a", 4096);
+        let _b = c.register_region("b", 4096);
+        // the first 16 elements fit; the 17th starts at byte 4096
+        c.touch_strided(r, 0, 256, 8, 17);
     }
 }

@@ -16,11 +16,11 @@ cargo build --release --workspace
 echo "== tests (workspace) =="
 cargo test -q --workspace
 
-echo "== tests (scheduler + concurrency + history sidecar + serve + stores + load/faults, release) =="
+echo "== tests (scheduler + concurrency + history sidecar + serve + stores + load/faults + simulator exactness, release) =="
 cargo test -q --release --test scheduler --test cache_concurrency \
     --test history_sidecar --test serve_concurrency --test golden_tables \
     --test store_backend --test loadgen_slo --test serve_faults \
-    --test regime_map
+    --test regime_map --test proptest_properties --test determinism
 
 # every scratch file below lives in this one directory
 smoke=$(mktemp -d)

@@ -1,10 +1,14 @@
 //! Property-based tests of the core invariants, spanning the coupling
 //! algebra, the cache simulator and the grid decompositions.
 
-use kernel_couplings::cachesim::{ReuseDistance, SetAssocCache};
+use kernel_couplings::cachesim::{
+    AccessCounts, CacheConfig, CacheHierarchy, ReuseDistance, SetAssocCache, Span,
+};
 use kernel_couplings::coupling::{ChainExecutor, CouplingAnalysis, Predictor, SyntheticExecutor};
 use kernel_couplings::grid::{Decomp1d, ProcGrid};
+use kernel_couplings::machine::MachineConfig;
 use proptest::prelude::*;
+use std::collections::{BTreeSet, VecDeque};
 
 /// Build a synthetic app from generated base times and interactions.
 fn synthetic(bases: &[f64], deltas: &[(usize, usize, f64)], iters: u32) -> SyntheticExecutor {
@@ -195,6 +199,282 @@ proptest! {
                 prop_assert_eq!(g.south(n), Some(r));
             }
             prop_assert!(g.neighbors(r).len() <= 4);
+        }
+    }
+}
+
+/// The cache hierarchy written the obvious way, sharing no code with
+/// `kc-cachesim`: per level one LRU queue of line numbers per set
+/// (front = most recent), `set = line % sets`, a deeper level
+/// consulted only when the one above missed.  The span walker is
+/// checked against this line by line.
+struct ModelHierarchy {
+    /// Per level: `(ways, one queue per set)`.
+    levels: Vec<(usize, Vec<VecDeque<u64>>)>,
+    line: u64,
+    totals: ModelCounts,
+}
+
+/// Lines served per level and by memory — the model's own tally, laid
+/// out like `AccessCounts` so the two compare field by field.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+struct ModelCounts {
+    hits: [u64; 4],
+    memory: u64,
+}
+
+impl ModelCounts {
+    fn add(&mut self, other: ModelCounts) {
+        for (mine, theirs) in self.hits.iter_mut().zip(other.hits) {
+            *mine += theirs;
+        }
+        self.memory += other.memory;
+    }
+}
+
+impl PartialEq<ModelCounts> for AccessCounts {
+    fn eq(&self, model: &ModelCounts) -> bool {
+        (self.hits, self.memory) == (model.hits, model.memory)
+    }
+}
+
+impl ModelHierarchy {
+    fn new(configs: &[CacheConfig]) -> Self {
+        let levels = configs
+            .iter()
+            .map(|c| (c.ways, vec![VecDeque::new(); c.capacity / c.line / c.ways]))
+            .collect();
+        Self {
+            levels,
+            line: configs[0].line as u64,
+            totals: ModelCounts::default(),
+        }
+    }
+
+    fn access_line(&mut self, line: u64, counts: &mut ModelCounts) {
+        for (level, (ways, sets)) in self.levels.iter_mut().enumerate() {
+            let n = sets.len() as u64;
+            let set = &mut sets[(line % n) as usize];
+            if let Some(pos) = set.iter().position(|&l| l == line) {
+                set.remove(pos);
+                set.push_front(line);
+                counts.hits[level] += 1;
+                return;
+            }
+            set.push_front(line);
+            if set.len() > *ways {
+                set.pop_back();
+            }
+        }
+        counts.memory += 1;
+    }
+
+    fn touch(&mut self, addr: u64, bytes: u64) -> ModelCounts {
+        let mut counts = ModelCounts::default();
+        if bytes > 0 {
+            for line in addr / self.line..=(addr + bytes - 1) / self.line {
+                self.access_line(line, &mut counts);
+            }
+        }
+        self.totals.add(counts);
+        counts
+    }
+
+    fn touch_strided(&mut self, start: u64, stride: u64, elem: u64, count: u64) -> ModelCounts {
+        let mut counts = ModelCounts::default();
+        for n in 0..count {
+            counts.add(self.touch(start + n * stride, elem));
+        }
+        counts
+    }
+
+    fn flush(&mut self) {
+        for (_, sets) in &mut self.levels {
+            sets.iter_mut().for_each(VecDeque::clear);
+        }
+    }
+
+    fn holds(&self, level: usize, line: u64) -> bool {
+        let sets = &self.levels[level].1;
+        sets[(line % sets.len() as u64) as usize].contains(&line)
+    }
+}
+
+/// Where an access starts: some multiples of the first and last
+/// levels' way sizes (so different places collide in the same sets of
+/// both) plus a byte offset.
+#[derive(Clone, Copy, Debug)]
+struct Place {
+    l1_ways: u64,
+    llc_ways: u64,
+    offset: u64,
+}
+
+impl Place {
+    fn addr(self, configs: &[CacheConfig]) -> u64 {
+        let way_bytes = |c: &CacheConfig| (c.capacity / c.ways) as u64;
+        self.l1_ways * way_bytes(&configs[0])
+            + self.llc_ways * way_bytes(&configs[configs.len() - 1])
+            + self.offset
+    }
+}
+
+#[derive(Clone, Debug)]
+enum CacheOp {
+    Touch {
+        at: Place,
+        bytes: u64,
+    },
+    /// `stride = stride_lines * line + stride_rest`.
+    Strided {
+        at: Place,
+        stride_lines: u64,
+        stride_rest: u64,
+        elem: u64,
+        count: u64,
+    },
+    Flush,
+}
+
+fn place() -> impl Strategy<Value = Place> {
+    (
+        0u64..6,
+        0u64..10,
+        prop_oneof![3 => 0u64..2048, 1 => 0u64..200_000],
+    )
+        .prop_map(|(l1_ways, llc_ways, offset)| Place {
+            l1_ways,
+            llc_ways,
+            offset,
+        })
+}
+
+fn cache_op() -> impl Strategy<Value = CacheOp> {
+    prop_oneof![
+        // mostly row-sized spans, some longer than the 4096-set LLC
+        12 => (place(), prop_oneof![8 => 0u64..1500, 1 => 0u64..700_000])
+            .prop_map(|(at, bytes)| CacheOp::Touch { at, bytes }),
+        // strides that are and are not whole lines, steps longer than
+        // a level has sets, elements that fit or straddle a line
+        6 => (
+            place(),
+            (
+                prop_oneof![4 => 0u64..40, 1 => 0u64..6000],
+                prop_oneof![1 => Just(0u64), 1 => 1u64..128],
+            ),
+            0u64..200,
+            0u64..120,
+        )
+            .prop_map(|(at, (stride_lines, stride_rest), elem, count)| CacheOp::Strided {
+                at,
+                stride_lines,
+                stride_rest,
+                elem,
+                count,
+            }),
+        1 => Just(CacheOp::Flush),
+    ]
+}
+
+/// Every geometry the campaigns simulate, plus two toys: a 1-set/2-way
+/// L1 in front of a 3-set L2 (every span wraps both set cursors many
+/// times), and a 1-way / 3-way / 16-way stack for the associativities
+/// the presets do not use.
+fn geometries() -> Vec<(String, Vec<CacheConfig>)> {
+    let toy = |levels: &[(usize, usize)]| -> Vec<CacheConfig> {
+        levels
+            .iter()
+            .map(|&(sets, ways)| CacheConfig {
+                capacity: sets * ways * 64,
+                line: 64,
+                ways,
+            })
+            .collect()
+    };
+    let mut all = vec![
+        (
+            "ibm-sp-p2sc".to_string(),
+            MachineConfig::ibm_sp_p2sc().caches,
+        ),
+        (
+            "ethernet-cluster".to_string(),
+            MachineConfig::ethernet_cluster().caches,
+        ),
+        ("test-tiny".to_string(), MachineConfig::test_tiny().caches),
+        ("toy 1x2 / 3x2".to_string(), toy(&[(1, 2), (3, 2)])),
+        (
+            "toy 4x1 / 5x3 / 2x16".to_string(),
+            toy(&[(4, 1), (5, 3), (2, 16)]),
+        ),
+    ];
+    for sharers in [2, 3, 4] {
+        all.push((
+            format!("multicore-smp / {sharers} sharers"),
+            MachineConfig::multicore_smp()
+                .effective_for_ranks(sharers)
+                .caches,
+        ));
+    }
+    all
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The simulator agrees with the independent model on every call's
+    /// counts, on the running totals, and on which lines each level
+    /// holds at the end — for contiguous, strided and flushed traffic
+    /// on every built-in geometry (the 3-sharer LLC has 1365 sets).
+    #[test]
+    fn hierarchy_matches_the_independent_per_line_model(
+        ops in prop::collection::vec(cache_op(), 1..48),
+    ) {
+        for (name, configs) in geometries() {
+            let mut sim = CacheHierarchy::new(configs.clone());
+            let mut model = ModelHierarchy::new(&configs);
+            let line = configs[0].line as u64;
+            let mut touched = BTreeSet::new();
+            let mut note = |addr: u64, bytes: u64| {
+                if bytes > 0 {
+                    touched.extend(addr / line..=(addr + bytes - 1) / line);
+                }
+            };
+            for (step, op) in ops.iter().enumerate() {
+                let (got, want) = match *op {
+                    CacheOp::Touch { at, bytes } => {
+                        let addr = at.addr(&configs);
+                        note(addr, bytes);
+                        (sim.touch(Span { addr, bytes }), model.touch(addr, bytes))
+                    }
+                    CacheOp::Strided { at, stride_lines, stride_rest, elem, count } => {
+                        let start = at.addr(&configs);
+                        let stride = stride_lines * line + stride_rest;
+                        for n in 0..count {
+                            note(start + n * stride, elem);
+                        }
+                        (
+                            sim.touch_strided(start, stride, elem, count),
+                            model.touch_strided(start, stride, elem, count),
+                        )
+                    }
+                    CacheOp::Flush => {
+                        sim.flush();
+                        model.flush();
+                        continue;
+                    }
+                };
+                prop_assert_eq!(got, want, "{}: step {} {:?}", name, step, op);
+            }
+            prop_assert_eq!(sim.totals(), model.totals, "{}: totals", name);
+            for level in 0..configs.len() {
+                for &l in &touched {
+                    prop_assert_eq!(
+                        sim.is_resident(level, l * line),
+                        model.holds(level, l),
+                        "{}: line {} at level {}", name, l, level
+                    );
+                }
+            }
         }
     }
 }
