@@ -104,7 +104,7 @@ impl CacheHierarchy {
         }
         let end = last_byte(span.addr, 0, 1, span.bytes);
         let first = span.addr >> self.line_shift;
-        self.walk(first, 1, (end >> self.line_shift) - first + 1)
+        self.walk(first, (end >> self.line_shift) - first + 1)
     }
 
     /// Touch a strided sequence: `count` elements of `elem` bytes
@@ -124,11 +124,6 @@ impl CacheHierarchy {
             return AccessCounts::zero();
         }
         last_byte(start, stride, count, elem);
-        let room_in_line = self.line - (start & (self.line - 1));
-        if stride & (self.line - 1) == 0 && elem <= room_in_line {
-            // every element is one line, a whole number of lines apart
-            return self.walk(start >> self.line_shift, stride >> self.line_shift, count);
-        }
         let mut counts = AccessCounts::zero();
         for n in 0..count {
             counts += self.touch(Span {
@@ -139,20 +134,19 @@ impl CacheHierarchy {
         counts
     }
 
-    /// Access `count` lines, `step` lines apart, starting at line
-    /// number `first`; a line that misses one level goes on to the
-    /// next.
+    /// Access `count` consecutive lines starting at line number
+    /// `first`; a line that misses one level goes on to the next.
     ///
     /// The span is walked in runs of up to 64 lines, one level at a
     /// time: the first level takes the whole run
-    /// ([`SetAssocCache::access_lines`]) and hands the mask of its
+    /// ([`SetAssocCache::access_run`]) and hands the mask of its
     /// misses to the level below, and so on.  A level sees exactly the
     /// lines, in exactly the order, that a line-at-a-time loop through
     /// the levels would show it — what one level does never depends on
     /// what another holds — so every replacement decision is that
     /// loop's.  The returned counts and the running totals are added
     /// once, after the walk.
-    fn walk(&mut self, first: u64, step: u64, count: u64) -> AccessCounts {
+    fn walk(&mut self, first: u64, count: u64) -> AccessCounts {
         let mut counts = AccessCounts::zero();
         let (mut first, mut left) = (first, count);
         while left > 0 {
@@ -160,7 +154,7 @@ impl CacheHierarchy {
             let mut wanted = u64::MAX >> (64 - lines);
             let mut reached = lines;
             for (level, level_hits) in self.levels.iter_mut().zip(&mut counts.hits) {
-                let (missed, hits) = level.access_lines(first, step, wanted);
+                let (missed, hits) = level.access_run(first, wanted);
                 *level_hits += hits;
                 reached -= hits;
                 wanted = missed;
@@ -170,7 +164,9 @@ impl CacheHierarchy {
             }
             counts.memory += reached;
             left -= lines;
-            first = first.wrapping_add(step.wrapping_mul(lines));
+            // (only the step past the last line can leave the address
+            // space)
+            first = first.wrapping_add(lines);
         }
         self.totals += counts;
         counts

@@ -27,8 +27,9 @@
 //! by line: [`CacheHierarchy`] walks a span in runs of up to 64 lines,
 //! one level at a time (each level passes the mask of its misses
 //! down), and every counter is added once per run.  The one
-//! replacement routine behind `touch`, `touch_strided` and
-//! [`SetAssocCache::access`] is a single pass over a set's slots.
+//! replacement routine behind `touch`, `touch_strided` (one `touch`
+//! per element) and [`SetAssocCache::access`] is a single pass over a
+//! set's slots.
 //!
 //! ```
 //! use kc_cachesim::{CacheConfig, CacheHierarchy, RegionMap};

@@ -84,10 +84,12 @@ impl RegionMap {
     /// If the span overruns the registered region size.
     pub fn span(&self, id: RegionId, offset: usize, bytes: usize) -> Span {
         let info = &self.regions[id.0 as usize];
+        // (an end that does not fit a `usize` overruns any region)
         assert!(
-            (offset + bytes) as u64 <= info.size,
-            "span [{offset}, {}) overruns region '{}' of {} bytes",
-            offset + bytes,
+            offset
+                .checked_add(bytes)
+                .is_some_and(|end| end as u64 <= info.size),
+            "span of {bytes} bytes at offset {offset} overruns region '{}' of {} bytes",
             info.name,
             info.size
         );
@@ -144,11 +146,19 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "overruns region 'a'")]
     fn overrun_panics() {
         let mut m = RegionMap::new();
         let a = m.register("a", 100);
         m.span(a, 50, 51);
+    }
+
+    #[test]
+    #[should_panic(expected = "overruns region 'a'")]
+    fn overrun_whose_end_wraps_panics() {
+        let mut m = RegionMap::new();
+        let a = m.register("a", 100);
+        m.span(a, 50, usize::MAX);
     }
 
     #[test]

@@ -96,7 +96,7 @@ impl SetAssocCache {
     /// on a hit.  On a miss the line is installed, evicting the set's
     /// LRU line.
     pub fn access(&mut self, addr: u64) -> bool {
-        let (missed, _) = self.access_lines(addr >> self.line_shift, 0, 1);
+        let (missed, _) = self.access_run(addr >> self.line_shift, 1);
         missed == 0
     }
 
@@ -112,42 +112,32 @@ impl SetAssocCache {
         }
     }
 
-    /// Access, in order, the lines numbered `first + i * step` for
-    /// every bit `i` set in `wanted` — a run of up to 64 lines of a
-    /// span, less those a level above already served.  Returns the
-    /// mask of the lines that missed and the number that hit.
+    /// Access, in order, the lines numbered `first + i` for every bit
+    /// `i` set in `wanted` — a run of up to 64 lines of a span, less
+    /// those a level above already served.  Returns the mask of the
+    /// lines that missed and the number that hit.
     ///
     /// This is the only path to the replacement routine: the set index
     /// is derived once, for `first`, and carried from line to line by
-    /// `step` (mod the set count) with a compare-and-subtract; the
-    /// statistics are added once per run.
-    pub(crate) fn access_lines(&mut self, first: u64, step: u64, wanted: u64) -> (u64, u64) {
-        // the preset associativities get a lookup of constant length,
-        // which unrolls
+    /// increment-and-wrap; the statistics are added once per run.
+    pub(crate) fn access_run(&mut self, first: u64, wanted: u64) -> (u64, u64) {
+        // every built-in machine's levels are 4- or 8-way: those get a
+        // lookup of constant length, which unrolls
         match self.ways {
-            1 => self.access_lines_with(lru_access_fixed::<1>, first, step, wanted),
-            2 => self.access_lines_with(lru_access_fixed::<2>, first, step, wanted),
-            4 => self.access_lines_with(lru_access_fixed::<4>, first, step, wanted),
-            8 => self.access_lines_with(lru_access_fixed::<8>, first, step, wanted),
-            16 => self.access_lines_with(lru_access_fixed::<16>, first, step, wanted),
-            _ => self.access_lines_with(lru_access, first, step, wanted),
+            4 => self.access_run_with(lru_access_fixed::<4>, first, wanted),
+            8 => self.access_run_with(lru_access_fixed::<8>, first, wanted),
+            _ => self.access_run_with(lru_access, first, wanted),
         }
     }
 
-    fn access_lines_with(
+    fn access_run_with(
         &mut self,
         lookup: impl Fn(&mut [u64], u64) -> bool,
         first: u64,
-        step: u64,
         wanted: u64,
     ) -> (u64, u64) {
         let (sets, ways) = (self.sets, self.ways);
         let mut set = self.set_of(first);
-        let advance = if step < sets as u64 {
-            step as usize
-        } else {
-            (step % sets as u64) as usize
-        };
         let mut tag = first;
         let (mut missed, mut hits, mut misses) = (0u64, 0u64, 0u64);
         let (mut rest, mut bit) = (wanted, 1u64);
@@ -163,13 +153,13 @@ impl SetAssocCache {
             }
             rest >>= 1;
             bit <<= 1;
-            set += advance;
-            if set >= sets {
-                set -= sets;
+            set += 1;
+            if set == sets {
+                set = 0;
             }
             // (only the step past the last line can leave the address
             // space)
-            tag = tag.wrapping_add(step);
+            tag = tag.wrapping_add(1);
         }
         self.accesses += hits + misses;
         self.misses += misses;

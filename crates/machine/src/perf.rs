@@ -100,8 +100,11 @@ impl PerfContext {
         count: usize,
     ) -> AccessCounts {
         // the whole pencil, not just its first element, must lie in
-        // the region
-        let extent = count.saturating_sub(1) * stride + elem;
+        // the region (a length that saturates lies in none)
+        let extent = count
+            .saturating_sub(1)
+            .saturating_mul(stride)
+            .saturating_add(elem);
         let base = self.regions.span(id, offset, extent).addr;
         let counts = self
             .hierarchy
@@ -225,5 +228,15 @@ mod tests {
         let _b = c.register_region("b", 4096);
         // the first 16 elements fit; the 17th starts at byte 4096
         c.touch_strided(r, 0, 256, 8, 17);
+    }
+
+    #[test]
+    #[should_panic(expected = "overruns region 'a'")]
+    fn strided_touch_whose_length_wraps_panics() {
+        let mut c = ctx();
+        let r = c.register_region("a", 4096);
+        // 2^63 x 2 wraps to 0: unchecked, the pencil would look 8 bytes
+        // long
+        c.touch_strided(r, 0, 2, 8, (1 << 63) + 1);
     }
 }
