@@ -13,8 +13,7 @@
 //! * the persistent backend's traffic counters ([`BackendCounters`],
 //!   the serializable mirror of `kc_prophesy::BackendStats`),
 //! * every measured `CellExecuted` duration, keyed by canonical cell
-//!   key — the raw material for measured-cost scheduling
-//!   (`kc_experiments::MeasuredCost`) on the *next* run.
+//!   key — the durable per-cell timing record of the run.
 //!
 //! Appends are a single `O_APPEND` write of one line, so repeated
 //! campaigns accumulate records without rewriting the file.  Loading
@@ -56,7 +55,7 @@ pub struct HistoryRecord {
     /// Persistent-backend counters, when the run had a backend.
     pub backend: Option<BackendCounters>,
     /// Measured `CellExecuted` wall-clock seconds per canonical cell
-    /// key — the measured cost model for subsequent runs.
+    /// key.
     pub cell_durations: BTreeMap<String, f64>,
     /// Bounded-scheduler worker-pool size the run executed under
     /// (`--jobs`), so recorded durations compare like-for-like across
@@ -96,7 +95,7 @@ impl HistoryRecord {
 /// keyed by canonical cell key (later executions of the same cell —
 /// which deduplicating campaigns do not produce — overwrite earlier
 /// ones).
-pub fn executed_durations(events: &[TelemetryEvent]) -> BTreeMap<String, f64> {
+fn executed_durations(events: &[TelemetryEvent]) -> BTreeMap<String, f64> {
     let mut durations = BTreeMap::new();
     for e in events {
         if let TelemetryEvent::CellExecuted {
@@ -222,18 +221,6 @@ impl RunHistory {
             .map(|r| r.summary.cache_hit_rate)
             .collect()
     }
-
-    /// Every recorded cell duration, merged across runs (the most
-    /// recent run's measurement wins).
-    pub fn cell_durations(&self) -> BTreeMap<String, f64> {
-        let mut merged = BTreeMap::new();
-        for r in &self.records {
-            for (key, secs) in &r.cell_durations {
-                merged.insert(key.clone(), *secs);
-            }
-        }
-        merged
-    }
 }
 
 impl<'a> IntoIterator for &'a RunHistory {
@@ -335,18 +322,6 @@ mod tests {
         let h = RunHistory::load(&path).unwrap();
         assert_eq!(h.records(), &[a, b]);
         assert_eq!(h.skipped_lines(), 1, "blank lines are not counted");
-        let _ = std::fs::remove_dir_all(path.parent().unwrap());
-    }
-
-    #[test]
-    fn merged_durations_prefer_the_latest_run() {
-        let path = temp("merge");
-        let _ = std::fs::remove_file(&path);
-        RunHistory::append(&path, &record(0.0, &[("a", 1.0), ("b", 5.0)])).unwrap();
-        RunHistory::append(&path, &record(0.5, &[("a", 3.0)])).unwrap();
-        let merged = RunHistory::load(&path).unwrap().cell_durations();
-        assert_eq!(merged.get("a"), Some(&3.0));
-        assert_eq!(merged.get("b"), Some(&5.0));
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
     }
 

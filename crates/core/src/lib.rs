@@ -90,7 +90,7 @@ pub use analysis::CouplingAnalysis;
 pub use coefficients::Coefficients;
 pub use error::{CouplingError, KcError, KcResult};
 pub use executor::ChainExecutor;
-pub use history::{executed_durations, BackendCounters, HistoryRecord, RunHistory};
+pub use history::{BackendCounters, HistoryRecord, RunHistory};
 pub use kernel::{KernelId, KernelSet};
 pub use measurement::Measurement;
 pub use predict::{Prediction, PredictionSet, Predictor};

@@ -404,11 +404,6 @@ impl<P: MeasurementProvider> CachedProvider<P> {
     pub fn stats(&self) -> CacheStats {
         *self.stats.lock()
     }
-
-    /// Reset the traffic counters (the cache itself is kept).
-    pub fn reset_stats(&self) {
-        *self.stats.lock() = CacheStats::default();
-    }
 }
 
 impl<P: MeasurementProvider> MeasurementProvider for CachedProvider<P> {

@@ -5,8 +5,9 @@
 //! Sweeps that vary the machine (cache capacity, contention, noise)
 //! express each variant as an [`AnalysisSpec`] with a machine
 //! override — every variant is a distinct fingerprint, hence a
-//! distinct set of cells in the campaign cache, measured alongside
-//! everything else in the shared parallel prefetch.
+//! distinct set of cells in the campaign cache.  Each sweep reads the
+//! analyses its `*_requests` function names; prefetch those first to
+//! measure them as one parallel batch.
 
 use crate::campaign::{AnalysisSpec, Campaign};
 use crate::transitions::mean_coupling;
@@ -37,7 +38,6 @@ pub fn chain_length_sweep(
     procs: usize,
 ) -> KcResult<CouplingTable> {
     let requests = chain_length_requests(benchmark, class, procs);
-    campaign.prefetch(&requests)?;
     let mut rows = Vec::new();
     // summation baseline (coefficients all 1)
     let base = campaign.analysis(&requests[0])?;
@@ -84,7 +84,6 @@ pub fn cache_capacity_sweep(
     l2_capacities: &[usize],
 ) -> KcResult<CouplingTable> {
     let requests = cache_capacity_requests(&campaign.runner().machine, l2_capacities);
-    campaign.prefetch(&requests)?;
     let mut values = Vec::new();
     for spec in &requests {
         values.push(mean_coupling(campaign, spec)?);
@@ -119,7 +118,6 @@ pub fn contention_requests(base: &MachineConfig, contentions: &[f64]) -> Vec<Ana
 /// predictor error as the switch-contention coefficient grows.
 pub fn contention_sweep(campaign: &Campaign, contentions: &[f64]) -> KcResult<CouplingTable> {
     let requests = contention_requests(&campaign.runner().machine, contentions);
-    campaign.prefetch(&requests)?;
     let mut mean_c = Vec::new();
     let mut sum_err = Vec::new();
     let mut cpl_err = Vec::new();
@@ -170,7 +168,6 @@ pub fn noise_requests(base: &MachineConfig, floor_multipliers: &[f64]) -> Vec<An
 /// errors of both methods as the measurement-noise floor grows.
 pub fn noise_sweep(campaign: &Campaign, floor_multipliers: &[f64]) -> KcResult<CouplingTable> {
     let requests = noise_requests(&campaign.runner().machine, floor_multipliers);
-    campaign.prefetch(&requests)?;
     let mut sum_err = Vec::new();
     let mut cpl_err = Vec::new();
     for spec in &requests {

@@ -21,7 +21,7 @@ use kc_core::{KcResult, PredictionRow, PredictionTable, Predictor};
 use kc_npb::models::analytic_isolated_totals;
 use kc_npb::{Benchmark, Class};
 
-/// The analyses [`analytic_table`] needs.
+/// The analyses [`analytic_table`] reads; prefetch them first.
 pub fn analytic_requests(
     benchmark: Benchmark,
     class: Class,
@@ -43,7 +43,6 @@ pub fn analytic_table(
     procs: &[usize],
     len: usize,
 ) -> KcResult<PredictionTable> {
-    campaign.prefetch(&analytic_requests(benchmark, class, procs, len))?;
     let columns: Vec<String> = procs.iter().map(|p| format!("{p} processors")).collect();
     let mut actual = Vec::new();
     let mut rows_data: Vec<Vec<f64>> = vec![Vec::new(); 3];

@@ -31,7 +31,7 @@
 //! stderr at shutdown.
 
 use kc_core::cli::{self, CliError, Flag};
-use kc_experiments::{CampaignArgs, ServeArgs, Session, StaticCost};
+use kc_experiments::{CampaignArgs, ServeArgs, Session};
 use std::sync::Arc;
 
 /// Everything the command line configures.
@@ -119,8 +119,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut opts = cli::exit_on(parse_cli(&args), usage);
     opts.campaign.default_history_to_sidecar();
-    let session =
-        Session::open(&opts.campaign, Arc::new(StaticCost)).unwrap_or_else(|e| cli::reject(e));
+    let session = Session::open(&opts.campaign).unwrap_or_else(|e| cli::reject(e));
     let config = opts.serve.config();
     let server = session.server(config);
     install_sigterm(server.shutdown_flag());

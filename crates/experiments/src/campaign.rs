@@ -33,7 +33,6 @@
 //! executions: across concurrent prefetches over one campaign, the
 //! `cells_executed` sum equals `CacheStats::executed` exactly.
 
-use crate::cost::{CostModel, StaticCost};
 use crate::runner::Runner;
 use crate::scheduler::CellScheduler;
 use kc_core::telemetry::phases;
@@ -223,7 +222,6 @@ pub struct CampaignBuilder {
     runner: Runner,
     backend: Option<Box<dyn MeasurementBackend>>,
     sinks: Vec<Arc<dyn TelemetrySink>>,
-    cost_model: Arc<dyn CostModel>,
     jobs: Option<usize>,
 }
 
@@ -233,7 +231,6 @@ impl CampaignBuilder {
             runner,
             backend: None,
             sinks: Vec::new(),
-            cost_model: Arc::new(StaticCost),
             jobs: None,
         }
     }
@@ -261,13 +258,6 @@ impl CampaignBuilder {
     /// Attach an external telemetry sink from the first event on.
     pub fn sink(mut self, sink: Arc<dyn TelemetrySink>) -> Self {
         self.sinks.push(sink);
-        self
-    }
-
-    /// Schedule prefetch execution by this cost model instead of the
-    /// provider's static estimate (see [`crate::cost`]).
-    pub fn cost_model(mut self, model: Arc<dyn CostModel>) -> Self {
-        self.cost_model = model;
         self
     }
 
@@ -311,7 +301,6 @@ impl CampaignBuilder {
             provider,
             telemetry,
             fanout,
-            cost_model: self.cost_model,
         }
     }
 }
@@ -332,8 +321,6 @@ pub struct Campaign {
     /// Broadcast point every emitter records into; external sinks
     /// (e.g. a `JsonLinesSink`) attach here at any time.
     fanout: Arc<FanoutSink>,
-    /// Scheduling cost oracle for [`Campaign::prefetch`].
-    cost_model: Arc<dyn CostModel>,
 }
 
 impl Default for Campaign {
@@ -411,19 +398,6 @@ impl Campaign {
             self.fanout.record(TelemetryEvent::RunSummary(s.clone()));
         }
         s
-    }
-
-    /// The scheduling cost of one cell: the cost model's measured
-    /// answer if it has one, otherwise the provider's static estimate.
-    fn cell_cost(&self, key: &MeasurementKey) -> f64 {
-        self.cost_model
-            .measured_cost(key)
-            .unwrap_or_else(|| self.provider.cost_estimate(key))
-    }
-
-    /// The active cost model's name (`static`, `measured`, ...).
-    pub fn cost_model_name(&self) -> &'static str {
-        self.cost_model.name()
     }
 
     /// Run `f` bracketed by phase started/finished telemetry events.
@@ -506,7 +480,7 @@ impl Campaign {
             let todo: Vec<(MeasurementKey, f64)> = unique
                 .iter()
                 .filter(|k| !self.provider.contains(k))
-                .map(|k| (k.clone(), self.cell_cost(k)))
+                .map(|k| (k.clone(), self.provider.cost_estimate(k)))
                 .collect();
             stats.cache_hits = stats.cells_unique - todo.len();
             todo
@@ -586,34 +560,6 @@ mod tests {
         assert_eq!(again.cells_executed, 0);
         assert_eq!(again.cache_hits, again.cells_unique);
         assert_eq!(again.backend_hits, 0);
-    }
-
-    /// Regression: a cost model that yields NaN used to panic the
-    /// prefetch sort (`partial_cmp(..).unwrap()`); under `total_cmp`
-    /// ordering it merely skews the schedule, and the tables are
-    /// schedule-independent anyway.
-    #[test]
-    fn poisoned_nan_cost_model_does_not_panic_and_tables_match() {
-        struct Poisoned;
-        impl CostModel for Poisoned {
-            fn measured_cost(&self, _key: &MeasurementKey) -> Option<f64> {
-                Some(f64::NAN)
-            }
-            fn name(&self) -> &'static str {
-                "poisoned"
-            }
-        }
-
-        let spec = AnalysisSpec::new(Benchmark::Bt, Class::S, 4, 2);
-        let poisoned = Campaign::builder(Runner::noise_free())
-            .cost_model(Arc::new(Poisoned))
-            .jobs(2)
-            .build();
-        let healthy = Campaign::builder(Runner::noise_free()).jobs(2).build();
-        let a = poisoned.analysis(&spec).unwrap();
-        let b = healthy.analysis(&spec).unwrap();
-        assert_eq!(a.couplings().unwrap(), b.couplings().unwrap());
-        assert_eq!(a.actual(), b.actual());
     }
 
     /// After a warm persistent store fills the cache, a fresh

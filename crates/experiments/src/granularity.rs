@@ -34,7 +34,7 @@ pub fn fine_analysis(
     campaign.analysis(&AnalysisSpec::new(Benchmark::Bt, class, procs, chain_len).fine())
 }
 
-/// The analyses [`granularity_tables`] needs.
+/// The analyses [`granularity_tables`] reads; prefetch them first.
 pub fn granularity_requests(class: Class, procs: &[usize]) -> Vec<AnalysisSpec> {
     procs
         .iter()
@@ -55,7 +55,6 @@ pub fn granularity_tables(
     class: Class,
     procs: &[usize],
 ) -> KcResult<(CouplingTable, PredictionTable)> {
-    campaign.prefetch(&granularity_requests(class, procs))?;
     let columns: Vec<String> = procs.iter().map(|p| format!("{p} processors")).collect();
     let mut pair_coupling = Vec::new(); // strongest fine pair per proc
     let mut actual = Vec::new();

@@ -4,18 +4,27 @@
 //! the simulated IBM SP, plus the scaling/transition study and a set
 //! of ablations the paper motivates.
 //!
-//! One module per paper table group:
+//! [`catalog`] is the list of experiments: each entry names its id,
+//! its artifact and its studies at the shape the evaluation uses —
+//! Tables 2–4 (BT classes S/W/A at 2-, 3- and 4-kernel chains), 6a–6c
+//! (SP W/A/B, 4- and 5-kernel chains) and 8a–8c (LU W/A/B, 3-kernel
+//! chains) are nine rows over [`runner::build_tables`].  The studies
+//! beyond the paper's tables each have a module of builders:
 //!
-//! * [`bt`] — Tables 2a/2b (class S, pairs), 3a/3b (class W, triples),
-//!   4a/4b (class A, quadruples).
-//! * [`sp`] — Tables 6a/6b/6c (classes W/A/B, 4- and 5-kernel chains).
-//! * [`lu`] — Tables 8a/8b/8c (classes W/A/B, 3-kernel chains).
 //! * [`transitions`] — the paper's §4.1.4 finding: coupling values move
 //!   through a finite number of regimes as problem size and processor
 //!   count scale.
-//! * [`ablations`] — our additions: chain-length sweep, cache-capacity
-//!   sweep, network-contention sweep, timer-noise sweep.
+//! * [`ablations`] — chain-length, cache-capacity, network-contention
+//!   and timer-noise sweeps.
+//! * [`analytic`] — paper Eq. 3 with closed-form kernel models.
+//! * [`reuse`] — which coupling values transfer across configurations.
+//! * [`machines`] — relative performance of two machines.
+//! * [`granularity`] — procedure-level against loop-level kernels.
 //!
+//! A builder reads its analyses from a [`Campaign`] and measures
+//! nothing itself: [`catalog::Experiment::run`] prefetches an
+//! experiment's analyses as one batch, and a caller that uses a
+//! builder directly prefetches the matching `*_requests` first.
 //! Everything funnels through [`runner::Runner`], which owns the
 //! machine model and measurement protocol, and produces the typed
 //! tables of `kc_core::report` (renderable as text, markdown and
@@ -24,16 +33,14 @@
 //! The `paper_tables` binary drives it all:
 //!
 //! ```text
-//! cargo run --release -p kc-experiments --bin paper_tables -- all --out artifacts/
+//! cargo run --release -p kc-experiments --bin paper_tables -- all --out out/
 //! ```
 
 pub mod ablations;
 pub mod analytic;
-pub mod bt;
 pub mod campaign;
-pub mod cost;
+pub mod catalog;
 pub mod granularity;
-pub mod lu;
 pub mod machines;
 pub mod render;
 pub mod reuse;
@@ -41,11 +48,9 @@ pub mod runner;
 pub mod scheduler;
 pub mod serve;
 pub mod session;
-pub mod sp;
 pub mod transitions;
 
 pub use campaign::{AnalysisSpec, Campaign, CampaignBuilder, CampaignStats, SummaryOpts};
-pub use cost::{CostModel, MeasuredCost, StaticCost};
 pub use runner::{Runner, TablePair};
 pub use scheduler::{CellScheduler, DrainStats};
 pub use serve::CampaignEngine;

@@ -11,7 +11,8 @@
 //!
 //! Both machines' campaigns flow through the same shared cache: each
 //! is an [`AnalysisSpec`] with a machine override, so their cells are
-//! distinct by fingerprint but execute in one parallel prefetch.
+//! distinct by fingerprint but can be measured in one parallel
+//! prefetch of [`comparison_requests`].
 
 use crate::campaign::{AnalysisSpec, Campaign};
 use kc_core::{CouplingRow, CouplingTable, KcResult, Predictor};
@@ -78,9 +79,7 @@ pub fn machine_comparison(
     procs: usize,
     len: usize,
 ) -> KcResult<(CouplingTable, Vec<MachineOutcome>)> {
-    let requests = comparison_requests(benchmark, class, procs, len);
-    campaign.prefetch(&requests)?;
-    let outcomes = requests
+    let outcomes = comparison_requests(benchmark, class, procs, len)
         .iter()
         .map(|spec| outcome_on(campaign, spec))
         .collect::<KcResult<Vec<_>>>()?;

@@ -1,6 +1,5 @@
 //! Rendering and artifact export: text, markdown and JSON.
 
-use crate::runner::TablePair;
 use kc_core::{CouplingTable, PredictionTable};
 use serde::Serialize;
 use std::io::Write;
@@ -9,7 +8,7 @@ use std::path::Path;
 /// Everything one experiment produced, in exportable form.
 #[derive(Clone, Debug, Serialize)]
 pub struct Artifact {
-    /// Experiment identifier (e.g. `table4`).
+    /// Artifact name (e.g. `table4_bt_a`), the stem of its files.
     pub id: String,
     /// Coupling-value tables.
     pub couplings: Vec<CouplingTable>,
@@ -18,24 +17,6 @@ pub struct Artifact {
 }
 
 impl Artifact {
-    /// Wrap a table pair.
-    pub fn from_pair(id: &str, pair: &TablePair) -> Self {
-        Self {
-            id: id.to_string(),
-            couplings: pair.couplings.clone(),
-            predictions: vec![pair.predictions.clone()],
-        }
-    }
-
-    /// Wrap bare coupling tables (transition/ablation experiments).
-    pub fn from_couplings(id: &str, tables: Vec<CouplingTable>) -> Self {
-        Self {
-            id: id.to_string(),
-            couplings: tables,
-            predictions: Vec::new(),
-        }
-    }
-
     /// Pretty text rendering of everything in the artifact.
     pub fn render_text(&self) -> String {
         let mut s = String::new();
@@ -132,9 +113,9 @@ mod tests {
     use kc_core::CouplingRow;
 
     fn sample() -> Artifact {
-        Artifact::from_couplings(
-            "demo",
-            vec![CouplingTable {
+        Artifact {
+            id: "demo".into(),
+            couplings: vec![CouplingTable {
                 title: "T".into(),
                 columns: vec!["4 procs".into()],
                 rows: vec![CouplingRow {
@@ -142,7 +123,8 @@ mod tests {
                     values: vec![0.9],
                 }],
             }],
-        )
+            predictions: Vec::new(),
+        }
     }
 
     #[test]

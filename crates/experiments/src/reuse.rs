@@ -13,7 +13,7 @@ use crate::campaign::{AnalysisSpec, Campaign};
 use kc_core::{CouplingAnalysis, CouplingRow, CouplingTable, KcResult, ReuseStudy};
 use kc_npb::{Benchmark, Class};
 
-/// The analyses [`proc_transfer_table`] needs.
+/// The analyses [`proc_transfer_table`] reads; prefetch them first.
 pub fn proc_transfer_requests(
     benchmark: Benchmark,
     class: Class,
@@ -26,9 +26,8 @@ pub fn proc_transfer_requests(
         .collect()
 }
 
-/// Collect analyses for every spec, through the campaign cache.
+/// Read the analysis of every spec from the campaign cache.
 fn analyses(campaign: &Campaign, specs: &[AnalysisSpec]) -> KcResult<Vec<CouplingAnalysis>> {
-    campaign.prefetch(specs)?;
     specs.iter().map(|s| campaign.analysis(s)).collect()
 }
 
@@ -71,7 +70,7 @@ pub fn proc_transfer_table(
     Ok((table, study))
 }
 
-/// The analyses [`class_transfer_table`] needs.
+/// The analyses [`class_transfer_table`] reads; prefetch them first.
 pub fn class_transfer_requests(
     benchmark: Benchmark,
     classes: &[Class],

@@ -74,7 +74,7 @@ impl TablePair {
     }
 }
 
-/// The analysis specs a [`build_tables`] call needs — prefetch these
+/// The analysis specs a [`build_tables`] call reads — prefetch these
 /// (possibly merged with other tables' requests) to measure the whole
 /// study as one deduplicated parallel campaign.
 pub fn table_requests(
@@ -93,13 +93,12 @@ pub fn table_requests(
         .collect()
 }
 
-/// Run the full measurement campaign for one benchmark × class over a
-/// set of processor counts and chain lengths, producing the paper's
-/// table pair.
+/// The paper's table pair for one benchmark × class over a set of
+/// processor counts and chain lengths.
 ///
-/// Measurement goes through the campaign's shared cache: the cells of
-/// this table are prefetched (deduplicated, in parallel) and anything
-/// another table already measured is reused.
+/// Call [`Campaign::prefetch`] with [`table_requests`] first to have
+/// the cells measured as one batch; this function only reads analyses
+/// (an analysis that is not cached yet is measured on its own).
 pub fn build_tables(
     campaign: &Campaign,
     benchmark: Benchmark,
@@ -111,8 +110,6 @@ pub fn build_tables(
 ) -> KcResult<TablePair> {
     assert!(!procs.is_empty() && !chain_lens.is_empty());
     let columns: Vec<String> = procs.iter().map(|p| format!("{p} processors")).collect();
-
-    campaign.prefetch(&table_requests(benchmark, class, procs, chain_lens))?;
 
     struct ProcResult {
         actual: f64,

@@ -15,15 +15,14 @@
 //!
 //! * **Priority** — earliest deadline pops first (cells submitted via
 //!   [`CellScheduler::drain_with_deadline`] by an urgent serve batch
-//!   jump every deadline-free cell), then highest
-//!   [`CostModel`](crate::CostModel) cost (longest first, so the tail
-//!   of the execute phase is not one straggler), ties broken by
-//!   canonical key order.  Deadline-free drains all carry the same
-//!   infinite deadline, so their schedule is the original pure cost
-//!   order.  Ordering uses `f64::total_cmp`, so a poisoned cost model
-//!   that yields NaN skews the schedule instead of panicking — and
-//!   since cells are bit-identical under any schedule, a skewed
-//!   schedule is merely slower, never wrong.
+//!   jump every deadline-free cell), then highest cost (the
+//!   provider's `cost_estimate`; longest first, so the tail of the
+//!   execute phase is not one straggler), ties broken by canonical key
+//!   order.  Deadline-free drains all carry the same infinite
+//!   deadline, so their schedule is the original pure cost order.
+//!   Ordering uses `f64::total_cmp`, so a NaN cost skews the schedule
+//!   instead of panicking — and since cells are bit-identical under
+//!   any schedule, a skewed schedule is merely slower, never wrong.
 //! * **Dedup at the queue** — each distinct cell owns one completion
 //!   slot; a drain that wants an already-queued cell shares
 //!   the slot instead of enqueueing a duplicate, so cross-experiment
@@ -112,8 +111,8 @@ impl CellSlot {
 
 /// A queued cell, ordered so the `BinaryHeap` pops the most urgent
 /// deadline first, then the most expensive cell, then canonical key
-/// order (smallest key first) — the schedule is deterministic for a
-/// given cost model and deadline assignment.
+/// order (smallest key first) — the schedule is deterministic for
+/// given costs and deadlines.
 struct Queued {
     /// Caller-supplied urgency, `f64::INFINITY` when the drain carries
     /// no deadline.  Smaller pops first; all-infinite (the

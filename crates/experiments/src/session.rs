@@ -14,7 +14,7 @@
 //!   `[cache]` / `[metrics]` / `[trace]` / `[store]` / `[history]`
 //!   stderr lines with the flushes that make them true).
 
-use crate::{Campaign, CampaignEngine, CostModel, Runner, SummaryOpts};
+use crate::{Campaign, CampaignEngine, Runner, SummaryOpts};
 use kc_core::cli::{self, Flag};
 use kc_core::{HistoryRecord, JsonLinesSink, RunHistory, TelemetrySink};
 use kc_prophesy::{history_sidecar, CellBackend, StoreSpec};
@@ -186,7 +186,7 @@ pub struct Session {
 impl Session {
     /// Open the store `args` names, build the campaign over it and
     /// attach the sinks.  The error is a start-up (exit 2) message.
-    pub fn open(args: &CampaignArgs, cost_model: Arc<dyn CostModel>) -> Result<Session, String> {
+    pub fn open(args: &CampaignArgs) -> Result<Session, String> {
         let mut runner = Runner::default();
         if args.noise_free {
             runner.machine = runner.machine.without_noise();
@@ -194,7 +194,7 @@ impl Session {
         if let Some(reps) = args.reps {
             runner.reps = reps;
         }
-        let mut builder = Campaign::builder(runner).cost_model(cost_model);
+        let mut builder = Campaign::builder(runner);
         let mut store = None;
         if let Some(spec) = &args.store {
             let backend = spec

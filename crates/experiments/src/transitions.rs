@@ -44,7 +44,7 @@ pub fn cache_regime(machine: &kc_machine::MachineConfig, bytes: usize) -> usize 
     machine.caches.len()
 }
 
-/// The analyses [`transition_table`] needs.
+/// The analyses [`transition_table`] reads; prefetch them first.
 pub fn transition_requests(classes: &[Class], procs: &[usize]) -> Vec<AnalysisSpec> {
     classes
         .iter()
@@ -63,7 +63,6 @@ pub fn transition_table(
     classes: &[Class],
     procs: &[usize],
 ) -> KcResult<CouplingTable> {
-    campaign.prefetch(&transition_requests(classes, procs))?;
     let mut rows = Vec::new();
     for &class in classes {
         let mut values = Vec::new();

@@ -36,7 +36,7 @@
 //! gate.
 
 use kc_core::cli::{self, CliError, Flag};
-use kc_experiments::{CampaignArgs, ServeArgs, Session, StaticCost};
+use kc_experiments::{CampaignArgs, ServeArgs, Session};
 use kc_loadgen::{
     drive_server, drive_tcp, exactly_once_violations, schedule, spawn_faults, unique_requests,
     DriveResult, FaultConfig, LoadReport, SloSpec, WorkloadConfig,
@@ -271,8 +271,7 @@ fn run_remote(opts: &Options) -> DriveResult {
 /// at it; returns the drive plus `(executions, exactly-once
 /// violations)` audited from campaign telemetry.
 fn run_hosted(opts: &Options) -> (DriveResult, u64, u64) {
-    let session =
-        Session::open(&opts.campaign, Arc::new(StaticCost)).unwrap_or_else(|e| cli::reject(e));
+    let session = Session::open(&opts.campaign).unwrap_or_else(|e| cli::reject(e));
     let campaign = session.campaign().clone();
     let server = Arc::new(session.server(opts.serve.config()));
 

@@ -215,11 +215,6 @@ impl<T> RunOutcome<T> {
     pub fn total_bytes(&self) -> u64 {
         self.reports.iter().map(|r| r.comm.sent_bytes).sum()
     }
-
-    /// Total flops charged across all ranks.
-    pub fn total_flops(&self) -> u64 {
-        self.reports.iter().map(|r| r.flops).sum()
-    }
 }
 
 /// A simulated cluster of a given machine type.

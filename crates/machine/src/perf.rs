@@ -2,7 +2,7 @@
 //! virtual time.
 
 use crate::config::MachineConfig;
-use kc_cachesim::{AccessCounts, CacheHierarchy, RegionId, RegionMap, Span};
+use kc_cachesim::{AccessCounts, CacheHierarchy, RegionId, RegionMap};
 
 /// The per-rank performance model: a virtual clock, a private cache
 /// hierarchy and a region map.
@@ -142,12 +142,6 @@ impl PerfContext {
     /// The machine configuration this context was built from.
     pub fn config(&self) -> &MachineConfig {
         &self.cfg
-    }
-
-    /// Direct access to a whole-region span (for code that needs the
-    /// raw addresses, e.g. custom access patterns).
-    pub fn region_span(&self, id: RegionId, offset: usize, bytes: usize) -> Span {
-        self.regions.span(id, offset, bytes)
     }
 }
 

@@ -41,11 +41,6 @@ impl NoisyTimer {
         noisy.max(0.0)
     }
 
-    /// Number of samples drawn so far.
-    pub fn samples_drawn(&self) -> u64 {
-        self.counter
-    }
-
     /// Reset the stream to its beginning.
     pub fn reset(&mut self) {
         self.counter = 0;

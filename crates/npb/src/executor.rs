@@ -160,11 +160,6 @@ impl NpbExecutor {
         &self.app
     }
 
-    /// The measurement configuration.
-    pub fn exec_config(&self) -> ExecConfig {
-        self.cfg
-    }
-
     fn resolve(&self, chain: &[KernelId]) -> Vec<KernelSpec> {
         chain
             .iter()

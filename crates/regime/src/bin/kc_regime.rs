@@ -18,10 +18,9 @@
 //! campaign statistics go to stderr.
 
 use kc_core::cli::{self, CliError, Flag};
-use kc_experiments::{CampaignArgs, Session, StaticCost};
+use kc_experiments::{CampaignArgs, Session};
 use kc_regime::{build_map, run_sweep, sweep_requests, DetectParams, SweepSpec};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 #[derive(Default)]
 pub(crate) struct Options {
@@ -89,8 +88,7 @@ fn main() {
     let spec = SweepSpec::load(&opts.spec).unwrap_or_else(|e| cli::reject(e));
     let requests = sweep_requests(&spec).unwrap_or_else(|e| cli::reject(e));
     opts.campaign.noise_free = spec.noise_free;
-    let session =
-        Session::open(&opts.campaign, Arc::new(StaticCost)).unwrap_or_else(|e| cli::reject(e));
+    let session = Session::open(&opts.campaign).unwrap_or_else(|e| cli::reject(e));
     let campaign = session.campaign().clone();
 
     let stats = campaign

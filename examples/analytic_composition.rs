@@ -31,8 +31,11 @@ fn main() {
     }
 
     println!();
-    let table =
-        analytic::analytic_table(&campaign, Benchmark::Bt, Class::W, &[4, 9, 16, 25], 3).unwrap();
+    let procs = [4, 9, 16, 25];
+    // measure the study as one parallel batch; the builder only reads it
+    let requests = analytic::analytic_requests(Benchmark::Bt, Class::W, &procs, 3);
+    campaign.prefetch(&requests).unwrap();
+    let table = analytic::analytic_table(&campaign, Benchmark::Bt, Class::W, &procs, 3).unwrap();
     println!("{table}");
     println!(
         "The coupling coefficients correct the isolated-measurement bias of the\n\

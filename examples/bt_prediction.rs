@@ -6,24 +6,23 @@
 //! cargo run --release --example bt_prediction
 //! ```
 
-use kernel_couplings::experiments::{bt, Campaign};
+use kernel_couplings::experiments::{catalog, Campaign};
 
 fn main() {
     println!("BT class W on the simulated IBM SP (120 MHz P2SC nodes)\n");
 
     let campaign = Campaign::default(); // noisy timers, like real measurements
-    let pair = bt::table3(&campaign).unwrap();
+    let (output, _) = catalog::get("bt-w").unwrap().run(&campaign).unwrap();
+    let tables = output.artifact.unwrap();
 
-    println!("{}", pair.render_text());
+    println!("{}", tables.render_text());
 
-    let sum = pair
-        .predictions
+    let sum = tables.predictions[0]
         .row("Summation")
         .unwrap()
         .avg_rel_err_pct()
         .unwrap();
-    let cpl = pair
-        .predictions
+    let cpl = tables.predictions[0]
         .row("Coupling: 3 kernels")
         .unwrap()
         .avg_rel_err_pct()

@@ -10,10 +10,22 @@ use kernel_couplings::npb::{Benchmark, Class};
 
 fn main() {
     let campaign = Campaign::builder(Runner::noise_free()).build();
+    let procs = [4, 9, 16, 25];
+    let classes = [Class::S, Class::W, Class::A];
+    // measure both studies as one parallel batch; the builders below
+    // only read it
+    let mut requests = reuse::proc_transfer_requests(Benchmark::Bt, Class::W, &procs, 3);
+    requests.extend(reuse::class_transfer_requests(
+        Benchmark::Bt,
+        &classes,
+        16,
+        3,
+    ));
+    campaign.prefetch(&requests).unwrap();
 
     println!("Within one cache regime, coefficients transfer almost freely:\n");
     let (table, study) =
-        reuse::proc_transfer_table(&campaign, Benchmark::Bt, Class::W, &[4, 9, 16, 25], 3).unwrap();
+        reuse::proc_transfer_table(&campaign, Benchmark::Bt, Class::W, &procs, 3).unwrap();
     println!("{table}");
     println!(
         "mean transfer error {:.2}%, beats summation in {:.0}% of transfers\n",
@@ -22,14 +34,8 @@ fn main() {
     );
 
     println!("Across cache regimes, reuse breaks down — measure anew:\n");
-    let (table, study) = reuse::class_transfer_table(
-        &campaign,
-        Benchmark::Bt,
-        &[Class::S, Class::W, Class::A],
-        16,
-        3,
-    )
-    .unwrap();
+    let (table, study) =
+        reuse::class_transfer_table(&campaign, Benchmark::Bt, &classes, 16, 3).unwrap();
     println!("{table}");
     println!(
         "mean transfer error {:.2}%, beats summation in {:.0}% of transfers",

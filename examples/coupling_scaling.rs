@@ -13,6 +13,11 @@ fn main() {
     let campaign = Campaign::builder(Runner::noise_free()).build();
     let classes = [Class::S, Class::W, Class::A];
     let procs = [4, 9, 16, 25];
+    // measure the whole study as one parallel batch; the builders
+    // below only read it
+    campaign
+        .prefetch(&transitions::transition_requests(&classes, &procs))
+        .unwrap();
 
     println!(
         "{}",

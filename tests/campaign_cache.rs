@@ -6,7 +6,7 @@
 //! another.
 
 use kernel_couplings::coupling::{CouplingAnalysis, Predictor};
-use kernel_couplings::experiments::{bt, sp, AnalysisSpec, Campaign, Runner};
+use kernel_couplings::experiments::{catalog, AnalysisSpec, Campaign, Runner};
 use kernel_couplings::machine::MachineConfig;
 use kernel_couplings::npb::{Benchmark, Class, ExecConfig, NpbApp, NpbExecutor};
 
@@ -50,11 +50,13 @@ fn multi_table_campaign_measures_each_unique_cell_exactly_once() {
     let campaign = Campaign::builder(Runner::noise_free()).build();
 
     // two tables over the same benchmark/class share isolated +
-    // overhead + application cells; requesting table2's specs twice
+    // overhead + application cells; requesting table 2's specs twice
     // shares everything
-    let mut requests = bt::table2_requests();
-    requests.extend(bt::table2_requests());
-    requests.extend(sp::table6_requests(Class::W));
+    let tables = ["bt-s", "sp-w"].map(|id| catalog::get(id).unwrap());
+    let machine = &campaign.runner().machine;
+    let mut requests = tables[0].requests(machine);
+    requests.extend(tables[0].requests(machine));
+    requests.extend(tables[1].requests(machine));
     let stats = campaign.prefetch(&requests).unwrap();
 
     assert!(stats.cells_requested > stats.cells_unique, "{stats}");
@@ -66,8 +68,9 @@ fn multi_table_campaign_measures_each_unique_cell_exactly_once() {
 
     // assembling the tables afterwards must not execute anything new
     let executed_before = campaign.cache_stats().executed;
-    bt::table2(&campaign).unwrap();
-    sp::table6(&campaign, Class::W).unwrap();
+    for table in tables {
+        table.assemble(&campaign).unwrap();
+    }
     assert_eq!(
         campaign.cache_stats().executed,
         executed_before,

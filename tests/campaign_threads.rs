@@ -4,16 +4,17 @@
 //! produces bit-identical tables no matter how many scheduler workers
 //! (`jobs`) execute it — even with measurement noise enabled.
 
-use kernel_couplings::experiments::{bt, Campaign, Runner};
+use kernel_couplings::experiments::{catalog, Campaign, Runner};
 
 fn table2_numbers(campaign: &Campaign) -> (Vec<Vec<f64>>, String) {
-    let pair = bt::table2(campaign).unwrap();
-    let values = pair
+    let (output, _) = catalog::get("bt-s").unwrap().run(campaign).unwrap();
+    let tables = output.artifact.unwrap();
+    let values = tables
         .couplings
         .iter()
         .flat_map(|t| t.rows.iter().map(|r| r.values.clone()))
         .collect();
-    (values, pair.render_text())
+    (values, tables.render_text())
 }
 
 #[test]

@@ -28,11 +28,10 @@ mod paper_tables_bin;
 
 use kernel_couplings::coupling::cli::CliError;
 use kernel_couplings::coupling::RunHistory;
-use kernel_couplings::experiments::{AnalysisSpec, CampaignArgs, Session, StaticCost};
+use kernel_couplings::experiments::{AnalysisSpec, CampaignArgs, Session};
 use kernel_couplings::npb::{Benchmark, Class};
 use kernel_couplings::prophesy::{CellBackend, ShardedStore, StoreFormat, StoreSpec};
 use std::path::PathBuf;
-use std::sync::Arc;
 
 /// The store-format alias this PR removed, spelled in two pieces so
 /// the "gone everywhere" grep stays empty outside CHANGES.md.
@@ -200,10 +199,9 @@ fn a_repeated_flag_keeps_the_last_value() {
 
 #[test]
 fn paper_tables_experiments_dedup_and_expand_all() {
-    let picked = |args: &[&str]| {
-        paper_tables_bin::parse_cli(&argv(args))
-            .unwrap()
-            .experiments
+    let picked = |args: &[&str]| -> Vec<&str> {
+        let options = paper_tables_bin::parse_cli(&argv(args)).unwrap();
+        options.experiments.iter().map(|e| e.id).collect()
     };
     assert_eq!(
         picked(&["bt-s", "lu-a", "bt-s", "--noise-free", "lu-a"]),
@@ -211,10 +209,7 @@ fn paper_tables_experiments_dedup_and_expand_all() {
     );
     let all = picked(&["all"]);
     assert_eq!(all.len(), 16);
-    assert_eq!(
-        (all[0].as_str(), all[15].as_str()),
-        ("classes", "granularity")
-    );
+    assert_eq!((all[0], all[15]), ("classes", "granularity"));
     assert_eq!(picked(&[]), all, "no experiment means every experiment");
     assert_eq!(
         picked(&["sp-w", "all"]),
@@ -227,6 +222,80 @@ fn paper_tables_experiments_dedup_and_expand_all() {
         "a repeat after 'all' is dropped"
     );
     assert_usage(&BINS[0], &["bt-x"], "unknown experiment 'bt-x'");
+}
+
+/// What follows `paper_tables` on a documented command line: cargo's
+/// `--` separator dropped, cut at a shell comment or redirection.
+/// `None` for a line that does not run the binary.
+fn paper_tables_args(line: &str) -> Option<Vec<String>> {
+    let mut tokens = line.split_whitespace().map(|t| t.trim_matches('`'));
+    tokens.find(|t| t.ends_with("paper_tables"))?;
+    Some(
+        tokens
+            .skip_while(|t| *t == "--")
+            .take_while(|t| !t.starts_with('#') && !t.contains(['<', '>', '|']))
+            .map(String::from)
+            .collect(),
+    )
+}
+
+/// The lines inside a markdown text's fenced code blocks, with shell
+/// continuations (`\` at the end of a line) joined.
+fn fenced_lines(markdown: &str) -> Vec<String> {
+    let (mut fenced, mut lines, mut pending) = (false, Vec::new(), String::new());
+    for line in markdown.lines() {
+        if line.trim_start().starts_with("```") {
+            fenced = !fenced;
+        } else if fenced {
+            match line.strip_suffix('\\') {
+                Some(head) => pending.push_str(head),
+                None => lines.push(std::mem::take(&mut pending) + line),
+            }
+        }
+    }
+    lines
+}
+
+/// Docs that name things which do not exist: every `paper_tables`
+/// command line in a fenced block of the user-facing docs, and every
+/// regenerator of DESIGN §6's index, must parse with the binary's own
+/// parser — and the index must cover every experiment.
+#[test]
+fn documented_paper_tables_command_lines_parse() {
+    let read = |name: &str| {
+        std::fs::read_to_string(PathBuf::from(env!("CARGO_MANIFEST_DIR")).join(name)).unwrap()
+    };
+    let parse = |doc: &str, line: &str| {
+        let args = paper_tables_args(line)?;
+        match paper_tables_bin::parse_cli(&args) {
+            Ok(options) => Some(options.experiments),
+            Err(e) => panic!("{doc}: `{line}` does not parse: {e:?}"),
+        }
+    };
+
+    for doc in ["README.md", "EXPERIMENTS.md"] {
+        let parsed = fenced_lines(&read(doc))
+            .iter()
+            .filter_map(|line| parse(doc, line))
+            .count();
+        assert!(parsed >= 2, "{doc}: found {parsed} paper_tables lines");
+    }
+
+    let design = read("DESIGN.md");
+    let index = design
+        .split("\n## ")
+        .find(|section| section.starts_with("6. Experiment index"))
+        .expect("DESIGN.md has its experiment index");
+    let indexed: Vec<&str> = index
+        .lines()
+        .filter_map(|row| row.strip_suffix('|')?.rsplit('|').next())
+        .filter_map(|regenerator| parse("DESIGN.md §6", regenerator))
+        .flatten()
+        .map(|e| e.id)
+        .collect();
+    let all = paper_tables_bin::parse_cli(&argv(&["all"])).unwrap();
+    let all: Vec<&str> = all.experiments.iter().map(|e| e.id).collect();
+    assert_eq!(indexed, all, "DESIGN.md §6 lists the catalogue, in order");
 }
 
 #[test]
@@ -356,7 +425,7 @@ fn session_round_trip_fills_the_store_then_answers_from_it() {
     assert_eq!(history, dir.join("cells.kcs.history.jsonl"));
     let spec = AnalysisSpec::new(Benchmark::Bt, Class::S, 4, 2);
 
-    let cold = Session::open(&args, Arc::new(StaticCost)).unwrap();
+    let cold = Session::open(&args).unwrap();
     let stats = cold
         .campaign()
         .prefetch(std::slice::from_ref(&spec))
@@ -366,7 +435,7 @@ fn session_round_trip_fills_the_store_then_answers_from_it() {
     assert!(store.join("kcstore.json").is_file(), "store not written");
     assert_eq!(RunHistory::load(&history).unwrap().len(), 1);
 
-    let warm = Session::open(&args, Arc::new(StaticCost)).unwrap();
+    let warm = Session::open(&args).unwrap();
     warm.campaign()
         .prefetch(std::slice::from_ref(&spec))
         .unwrap();
@@ -386,9 +455,7 @@ fn session_open_and_finish_return_errors_instead_of_panicking() {
         store: Some(StoreSpec::new(&dir)),
         ..CampaignArgs::default()
     };
-    let err = Session::open(&not_a_store, Arc::new(StaticCost))
-        .map(drop)
-        .unwrap_err();
+    let err = Session::open(&not_a_store).map(drop).unwrap_err();
     assert!(err.starts_with("cannot open cell store"), "{err}");
 
     // the JSON store's flush target turns into a directory mid-run
@@ -397,7 +464,7 @@ fn session_open_and_finish_return_errors_instead_of_panicking() {
         store: Some(StoreSpec::new(&path)),
         ..CampaignArgs::default()
     };
-    let session = Session::open(&args, Arc::new(StaticCost)).unwrap();
+    let session = Session::open(&args).unwrap();
     std::fs::create_dir_all(&path).unwrap();
     let err = session.finish("").unwrap_err().to_string();
     assert!(err.starts_with("cannot save cell store"), "{err}");

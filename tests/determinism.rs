@@ -4,7 +4,7 @@
 
 use kernel_couplings::cachesim::AccessCounts;
 use kernel_couplings::coupling::{ChainExecutor, CouplingAnalysis};
-use kernel_couplings::experiments::{bt, Campaign, Runner};
+use kernel_couplings::experiments::{catalog, Campaign, Runner};
 use kernel_couplings::machine::{Cluster, MachineConfig, PerfContext};
 use kernel_couplings::npb::{Benchmark, Class, ExecConfig, NpbApp, NpbExecutor, RankState};
 use proptest::prelude::*;
@@ -12,9 +12,13 @@ use proptest::prelude::*;
 #[test]
 fn repeated_table_builds_are_bit_identical() {
     // two independent campaigns (separate caches) must agree exactly
-    let a = bt::table2(&Campaign::builder(Runner::noise_free()).build()).unwrap();
-    let b = bt::table2(&Campaign::builder(Runner::noise_free()).build()).unwrap();
-    assert_eq!(a.couplings[0], b.couplings[0]);
+    let table2 = || {
+        let campaign = Campaign::builder(Runner::noise_free()).build();
+        let (output, _) = catalog::get("bt-s").unwrap().run(&campaign).unwrap();
+        output.artifact.unwrap()
+    };
+    let (a, b) = (table2(), table2());
+    assert_eq!(a.couplings, b.couplings);
     assert_eq!(a.predictions, b.predictions);
 }
 

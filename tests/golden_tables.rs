@@ -1,16 +1,20 @@
-//! Golden-table regression harness: every reproduced paper table,
-//! compared value-by-value against committed snapshots.
+//! Golden-table regression harness: every experiment of the
+//! catalogue, compared value-by-value against committed snapshots.
 //!
 //! `artifacts/golden/` holds one JSON snapshot per table (the
-//! noise-free IBM SP configuration) plus `cells.json`, a
-//! `kc-prophesy` cell store with the raw samples of every measurement
-//! cell the tables need.  The main test assembles all tables with the
-//! committed store as backend and asserts `executed == 0` — so a
-//! drift in the `MeasurementKey` schema (which would silently
-//! re-simulate instead of reusing committed cells) fails loudly — and
-//! every numeric value must match its snapshot within a relative
-//! tolerance of 1e-6.  A second test re-simulates the two cheapest
-//! tables from scratch, catching drift in the simulation itself.
+//! noise-free IBM SP configuration) plus three `kc-prophesy` cell
+//! stores with the raw samples of every measurement cell the tables
+//! need ([`GOLDEN_STORES`]).  The store-backed tests run each
+//! experiment exactly as `paper_tables` does —
+//! `catalog::Experiment::run` — with a committed store as backend and
+//! assert `executed == 0`, so a drift in the `MeasurementKey` schema
+//! (which would silently re-simulate instead of reusing committed
+//! cells) fails loudly, and every numeric value must match its
+//! snapshot within a relative tolerance of 1e-6.  One test re-simulates
+//! the two cheapest tables from scratch, catching drift in the
+//! simulation itself; two more hold the catalogue to itself (an
+//! experiment reads exactly the cells it requests) and to the
+//! snapshot directory.
 //!
 //! Regenerate the snapshots after an intentional model change with:
 //!
@@ -18,29 +22,46 @@
 //! UPDATE_GOLDEN=1 cargo test --release --test golden_tables
 //! ```
 
+use kernel_couplings::coupling::{MemorySink, TelemetryEvent};
+use kernel_couplings::experiments::catalog::{self, Experiment};
 use kernel_couplings::experiments::render::Artifact;
-use kernel_couplings::experiments::{
-    ablations, analytic, bt, granularity, lu, machines, reuse, sp, transitions, Campaign,
-    MeasuredCost, Runner,
-};
-use kernel_couplings::npb::{Benchmark, Class};
+use kernel_couplings::experiments::{Campaign, Runner};
 use kernel_couplings::prophesy::CellStore;
 use serde_json::Value;
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 /// Per-value relative tolerance for table comparisons.
 const REL_TOL: f64 = 1e-6;
 
-/// Transition-study shape (mirrors the `paper_tables` binary).
-const TRANSITION_CLASSES: [Class; 3] = [Class::S, Class::W, Class::A];
-const TRANSITION_PROCS: [usize; 4] = [4, 9, 16, 25];
+/// A committed cell store and the experiments whose cells it holds.
+type GoldenStore = (&'static str, &'static [&'static str]);
 
-/// Ablation/reuse/granularity shapes (also mirroring the binary).
-const L2_CAPS: [usize; 5] = [1 << 20, 2 << 20, 4 << 20, 8 << 20, 16 << 20];
-const CONTENTIONS: [f64; 5] = [0.0, 0.01, 0.02, 0.05, 0.1];
-const NOISE_MULTS: [f64; 4] = [0.0, 1.0, 4.0, 16.0];
-const GRANULARITY_PROCS: [usize; 3] = [4, 9, 16];
+/// The paper's tables share one store; the analytic and cross-machine
+/// studies need cells those don't (machine-override fingerprints, SP
+/// 5-kernel windows), and so do the sweeps (machine variants,
+/// fine-grained kernels) — each group carries its own.
+const GOLDEN_STORES: [GoldenStore; 3] = [
+    (
+        "cells.json",
+        &[
+            "classes",
+            "bt-s",
+            "bt-w",
+            "bt-a",
+            "sp-w",
+            "sp-a",
+            "sp-b",
+            "lu-w",
+            "lu-a",
+            "lu-b",
+            "transitions",
+        ],
+    ),
+    ("cells_extended.json", &["analytic", "machines"]),
+    ("cells_studies.json", &["ablations", "reuse", "granularity"]),
+];
 
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("artifacts/golden")
@@ -50,27 +71,16 @@ fn updating() -> bool {
     std::env::var_os("UPDATE_GOLDEN").is_some_and(|v| v != "0" && !v.is_empty())
 }
 
-/// Every golden table, assembled through one shared campaign.
-fn all_artifacts(campaign: &Campaign) -> Vec<Artifact> {
-    vec![
-        Artifact::from_pair("table2_bt_s", &bt::table2(campaign).unwrap()),
-        Artifact::from_pair("table3_bt_w", &bt::table3(campaign).unwrap()),
-        Artifact::from_pair("table4_bt_a", &bt::table4(campaign).unwrap()),
-        Artifact::from_pair("table6a_sp_w", &sp::table6(campaign, Class::W).unwrap()),
-        Artifact::from_pair("table6b_sp_a", &sp::table6(campaign, Class::A).unwrap()),
-        Artifact::from_pair("table6c_sp_b", &sp::table6(campaign, Class::B).unwrap()),
-        Artifact::from_pair("table8a_lu_w", &lu::table8(campaign, Class::W).unwrap()),
-        Artifact::from_pair("table8b_lu_a", &lu::table8(campaign, Class::A).unwrap()),
-        Artifact::from_pair("table8c_lu_b", &lu::table8(campaign, Class::B).unwrap()),
-        Artifact::from_couplings(
-            "transitions",
-            vec![
-                transitions::transition_table(campaign, &TRANSITION_CLASSES, &TRANSITION_PROCS)
-                    .unwrap(),
-                transitions::regime_table(campaign, &TRANSITION_CLASSES, &TRANSITION_PROCS),
-            ],
-        ),
-    ]
+fn experiment(id: &str) -> &'static Experiment {
+    catalog::get(id).unwrap_or_else(|| panic!("no experiment '{id}' in the catalogue"))
+}
+
+fn load_store(cells_file: &str) -> Arc<CellStore> {
+    let path = golden_dir().join(cells_file);
+    Arc::new(
+        CellStore::load(&path)
+            .unwrap_or_else(|e| panic!("missing golden cell store {}: {e}", path.display())),
+    )
 }
 
 /// Walk two JSON values in lockstep, recording every mismatch.
@@ -143,40 +153,39 @@ fn check_artifact(artifact: &Artifact, diffs: &mut Vec<String>) {
     diff_values(&golden, &fresh, &artifact.id, REL_TOL, diffs);
 }
 
-#[test]
-fn golden_tables_match_store_backed_assembly() {
+/// Run one store's experiments through the catalogue over the
+/// committed cells and compare every table with its snapshot — or,
+/// under `UPDATE_GOLDEN`, simulate them from scratch and commit the
+/// snapshots with the raw cells they were built from.
+fn check_store_backed((cells_file, ids): GoldenStore) {
     let dir = golden_dir();
-    let cells_path = dir.join("cells.json");
-
-    if updating() {
-        // regenerate: simulate everything from scratch, then commit
-        // the snapshots and the raw cells they were built from
-        let store = Arc::new(CellStore::new());
-        let campaign = Campaign::builder(Runner::noise_free())
-            .backend(Box::new(Arc::clone(&store)))
-            .build();
-        std::fs::create_dir_all(&dir).unwrap();
-        for artifact in all_artifacts(&campaign) {
-            let json = artifact.render_json();
-            std::fs::write(dir.join(format!("{}.json", artifact.id)), json).unwrap();
-        }
-        store.save(&cells_path).unwrap();
-        eprintln!(
-            "regenerated {} golden cells into {}",
-            store.len(),
-            dir.display()
-        );
-        return;
-    }
-
-    let store = Arc::new(
-        CellStore::load(&cells_path)
-            .unwrap_or_else(|e| panic!("missing golden cell store {}: {e}", cells_path.display())),
-    );
+    let regenerate = updating();
+    let store = if regenerate {
+        Arc::new(CellStore::new())
+    } else {
+        load_store(cells_file)
+    };
     let campaign = Campaign::builder(Runner::noise_free())
         .backend(Box::new(Arc::clone(&store)))
         .build();
-    let artifacts = all_artifacts(&campaign);
+    let artifacts: Vec<Artifact> = ids
+        .iter()
+        .filter_map(|id| {
+            let (output, _) = experiment(id).run(&campaign).unwrap();
+            output.artifact
+        })
+        .collect();
+
+    if regenerate {
+        std::fs::create_dir_all(&dir).unwrap();
+        for artifact in &artifacts {
+            let path = dir.join(format!("{}.json", artifact.id));
+            std::fs::write(path, artifact.render_json()).unwrap();
+        }
+        store.save(&dir.join(cells_file)).unwrap();
+        eprintln!("regenerated {} golden cells into {cells_file}", store.len());
+        return;
+    }
 
     // every cell must come from the committed store: an execution
     // here means the key schema (or enumeration) drifted and the
@@ -184,216 +193,159 @@ fn golden_tables_match_store_backed_assembly() {
     let cache = campaign.cache_stats();
     assert_eq!(
         cache.executed, 0,
-        "cells missing from the golden store were re-simulated"
+        "cells missing from {cells_file} were re-simulated"
     );
     assert!(cache.backend_hits > 0);
 
     let mut diffs = Vec::new();
     for artifact in &artifacts {
         check_artifact(artifact, &mut diffs);
+        // the headline claim the machines tables encode must keep
+        // holding: predicted machine ratio within 10 % of the actual
+        if artifact.id == "machines" {
+            for table in &artifact.couplings {
+                let ratio = |label: &str| {
+                    let row = table.rows.iter().find(|r| r.label == label).unwrap();
+                    row.values[0] / row.values[1]
+                };
+                let predicted = ratio("coupling prediction (s)");
+                let actual = ratio("actual time (s)");
+                assert!(
+                    (predicted - actual).abs() / actual < 0.10,
+                    "cross-machine ratio drifted: predicted {predicted:.3}, actual {actual:.3}"
+                );
+            }
+        }
     }
     assert!(
         diffs.is_empty(),
-        "{} value(s) drifted from the golden tables:\n  {}",
+        "{} value(s) drifted from the golden tables of {cells_file}:\n  {}",
         diffs.len(),
         diffs.join("\n  ")
     );
-
-    // the same assembly under a measured cost model (scrambled,
-    // digest-derived durations for every committed cell) must be
-    // value-identical: scheduling order is not allowed to leak into
-    // the tables
-    let model = MeasuredCost::from_durations(
-        store
-            .keys()
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (k.clone(), (i * 7919 % 997) as f64)),
-    );
-    let measured = Campaign::builder(Runner::noise_free())
-        .backend(Box::new(Arc::clone(&store)))
-        .cost_model(std::sync::Arc::new(model))
-        .build();
-    let mut diffs = Vec::new();
-    for artifact in &all_artifacts(&measured) {
-        check_artifact(artifact, &mut diffs);
-    }
-    assert!(
-        diffs.is_empty(),
-        "measured-cost scheduling changed golden values:\n  {}",
-        diffs.join("\n  ")
-    );
 }
 
-/// The extended studies (analytic composition per paper Eq. 3, and the
-/// cross-machine comparison), mirroring the `paper_tables` shapes.
-fn extended_artifacts(campaign: &Campaign) -> Vec<Artifact> {
-    let mut analytic_art = Artifact::from_couplings("analytic", vec![]);
-    analytic_art.predictions = vec![
-        analytic::analytic_table(campaign, Benchmark::Bt, Class::W, &[4, 9, 16, 25], 3).unwrap(),
-        analytic::analytic_table(campaign, Benchmark::Sp, Class::A, &[4, 9, 16, 25], 5).unwrap(),
-        analytic::analytic_table(campaign, Benchmark::Lu, Class::A, &[4, 8, 16, 32], 3).unwrap(),
-    ];
-    let (t1, o1) = machines::machine_comparison(campaign, Benchmark::Bt, Class::W, 9, 3).unwrap();
-    let (t2, o2) = machines::machine_comparison(campaign, Benchmark::Lu, Class::W, 8, 3).unwrap();
-    // the headline claim the machines table encodes must keep holding
-    for outcomes in [&o1, &o2] {
-        let (pred_ratio, actual_ratio) = machines::relative_performance(outcomes);
-        assert!(
-            (pred_ratio - actual_ratio).abs() / actual_ratio < 0.10,
-            "cross-machine ratio drifted: predicted {pred_ratio:.3}, actual {actual_ratio:.3}"
-        );
-    }
-    vec![
-        analytic_art,
-        Artifact::from_couplings("machines", vec![t1, t2]),
-    ]
+#[test]
+fn golden_tables_match_store_backed_assembly() {
+    check_store_backed(GOLDEN_STORES[0]);
 }
 
-/// Same harness as the main test, for the analytic-composition and
-/// machine-comparison studies.  These need cells the paper tables
-/// don't (machine-override fingerprints, SP 5-kernel windows), so they
-/// carry their own committed store, `cells_extended.json`.
 #[test]
 fn extended_golden_tables_match_store_backed_assembly() {
-    let dir = golden_dir();
-    let cells_path = dir.join("cells_extended.json");
-
-    if updating() {
-        let store = Arc::new(CellStore::new());
-        let campaign = Campaign::builder(Runner::noise_free())
-            .backend(Box::new(Arc::clone(&store)))
-            .build();
-        std::fs::create_dir_all(&dir).unwrap();
-        for artifact in extended_artifacts(&campaign) {
-            let json = artifact.render_json();
-            std::fs::write(dir.join(format!("{}.json", artifact.id)), json).unwrap();
-        }
-        store.save(&cells_path).unwrap();
-        eprintln!(
-            "regenerated {} extended golden cells into {}",
-            store.len(),
-            dir.display()
-        );
-        return;
-    }
-
-    let store = Arc::new(
-        CellStore::load(&cells_path)
-            .unwrap_or_else(|e| panic!("missing golden cell store {}: {e}", cells_path.display())),
-    );
-    let campaign = Campaign::builder(Runner::noise_free())
-        .backend(Box::new(Arc::clone(&store)))
-        .build();
-    let artifacts = extended_artifacts(&campaign);
-
-    let cache = campaign.cache_stats();
-    assert_eq!(
-        cache.executed, 0,
-        "cells missing from the extended golden store were re-simulated"
-    );
-    assert!(cache.backend_hits > 0);
-
-    let mut diffs = Vec::new();
-    for artifact in &artifacts {
-        check_artifact(artifact, &mut diffs);
-    }
-    assert!(
-        diffs.is_empty(),
-        "{} value(s) drifted from the extended golden tables:\n  {}",
-        diffs.len(),
-        diffs.join("\n  ")
-    );
+    check_store_backed(GOLDEN_STORES[1]);
 }
 
-/// The remaining study tables — ablation sweeps, coefficient-reuse
-/// transfers and the granularity comparison — with the same
-/// `paper_tables` shapes.  Their cells (machine-variant fingerprints
-/// for the sweeps, fine-grained kernels for granularity) overlap
-/// neither committed store, so they carry `cells_studies.json`.
-fn studies_artifacts(campaign: &Campaign) -> Vec<Artifact> {
-    let ablations_art = Artifact::from_couplings(
-        "ablations",
-        vec![
-            ablations::chain_length_sweep(campaign, Benchmark::Bt, Class::W, 9).unwrap(),
-            ablations::cache_capacity_sweep(campaign, &L2_CAPS).unwrap(),
-            ablations::contention_sweep(campaign, &CONTENTIONS).unwrap(),
-            ablations::noise_sweep(campaign, &NOISE_MULTS).unwrap(),
-        ],
-    );
-    let (t1, _) =
-        reuse::proc_transfer_table(campaign, Benchmark::Bt, Class::W, &[4, 9, 16, 25], 3).unwrap();
-    let (t2, _) = reuse::class_transfer_table(
-        campaign,
-        Benchmark::Bt,
-        &[Class::S, Class::W, Class::A],
-        16,
-        3,
-    )
-    .unwrap();
-    let (t3, _) =
-        reuse::proc_transfer_table(campaign, Benchmark::Lu, Class::A, &[4, 8, 16, 32], 3).unwrap();
-    let reuse_art = Artifact::from_couplings("reuse", vec![t1, t2, t3]);
-    let (c, p) = granularity::granularity_tables(campaign, Class::W, &GRANULARITY_PROCS).unwrap();
-    let mut granularity_art = Artifact::from_couplings("granularity", vec![c]);
-    granularity_art.predictions = vec![p];
-    vec![ablations_art, reuse_art, granularity_art]
-}
-
-/// Same harness again for the study tables: committed cells only
-/// (`executed == 0`), every value within tolerance.  Together with
-/// the main and extended tests this closes golden coverage over every
-/// experiment id the `paper_tables` binary knows.
 #[test]
 fn studies_golden_tables_match_store_backed_assembly() {
-    let dir = golden_dir();
-    let cells_path = dir.join("cells_studies.json");
+    check_store_backed(GOLDEN_STORES[2]);
+}
 
-    if updating() {
-        let store = Arc::new(CellStore::new());
-        let campaign = Campaign::builder(Runner::noise_free())
-            .backend(Box::new(Arc::clone(&store)))
-            .build();
-        std::fs::create_dir_all(&dir).unwrap();
-        for artifact in studies_artifacts(&campaign) {
-            let json = artifact.render_json();
-            std::fs::write(dir.join(format!("{}.json", artifact.id)), json).unwrap();
+/// The catalogue cannot drift from itself: what an experiment
+/// enumerates ([`Experiment::requests`]) is exactly what its assembly
+/// reads.  A cell assembly reads but the requests do not name would be
+/// measured outside the experiment's one batch; a cell the requests
+/// name but assembly never reads would be measured for nothing.
+#[test]
+fn every_experiment_reads_exactly_the_cells_it_requests() {
+    for (cells_file, ids) in GOLDEN_STORES {
+        let store = load_store(cells_file);
+        for id in ids {
+            let exp = experiment(id);
+            let sink = Arc::new(MemorySink::new());
+            let campaign = Campaign::builder(Runner::noise_free())
+                .backend(Box::new(Arc::clone(&store)))
+                .sink(sink.clone())
+                .build();
+            let requested: BTreeSet<String> = exp
+                .requests(&campaign.runner().machine)
+                .iter()
+                .flat_map(|spec| campaign.cells(spec).unwrap())
+                .map(|key| key.to_string())
+                .collect();
+
+            // `run` loads exactly the requested cells, each once
+            exp.run(&campaign).unwrap();
+            let after_run = campaign.cache_stats();
+            assert_eq!(
+                after_run.executed, 0,
+                "{id}: cells missing from {cells_file}"
+            );
+            assert_eq!(
+                after_run.backend_hits as usize,
+                requested.len(),
+                "{id}: run loaded a different number of cells than its requests name"
+            );
+
+            // assembly alone reads those cells and nothing else, all
+            // from memory
+            sink.clear();
+            exp.assemble(&campaign).unwrap();
+            let read: BTreeSet<String> = sink
+                .events()
+                .into_iter()
+                .filter_map(|e| match e {
+                    TelemetryEvent::CellFinished { key, .. } => Some(key),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(read, requested, "{id}: assembly reads != requests");
+            let after = campaign.cache_stats();
+            assert_eq!(
+                (after.backend_hits, after.executed),
+                (after_run.backend_hits, 0),
+                "{id}: assembly after run's prefetch went past the memory cache"
+            );
         }
-        store.save(&cells_path).unwrap();
-        eprintln!(
-            "regenerated {} studies golden cells into {}",
-            store.len(),
-            dir.display()
-        );
-        return;
     }
+}
 
-    let store = Arc::new(
-        CellStore::load(&cells_path)
-            .unwrap_or_else(|e| panic!("missing golden cell store {}: {e}", cells_path.display())),
-    );
-    let campaign = Campaign::builder(Runner::noise_free())
-        .backend(Box::new(Arc::clone(&store)))
-        .build();
-    let artifacts = studies_artifacts(&campaign);
-
-    let cache = campaign.cache_stats();
+/// Ids are unique and in the `paper_tables all` order users know,
+/// every experiment is covered by a golden store, and the artifact
+/// names are exactly the table snapshots under `artifacts/golden/`.
+#[test]
+fn catalogue_ids_and_artifacts_match_the_golden_directory() {
+    let ids: Vec<&str> = catalog::all().iter().map(|e| e.id).collect();
     assert_eq!(
-        cache.executed, 0,
-        "cells missing from the studies golden store were re-simulated"
+        ids,
+        [
+            "classes",
+            "bt-s",
+            "bt-w",
+            "bt-a",
+            "sp-w",
+            "sp-a",
+            "sp-b",
+            "lu-w",
+            "lu-a",
+            "lu-b",
+            "transitions",
+            "ablations",
+            "analytic",
+            "reuse",
+            "machines",
+            "granularity",
+        ]
     );
-    assert!(cache.backend_hits > 0);
+    let covered: BTreeSet<&str> = GOLDEN_STORES
+        .iter()
+        .flat_map(|(_, ids)| ids.iter().copied())
+        .collect();
+    assert_eq!(covered, ids.iter().copied().collect::<BTreeSet<_>>());
 
-    let mut diffs = Vec::new();
-    for artifact in &artifacts {
-        check_artifact(artifact, &mut diffs);
-    }
-    assert!(
-        diffs.is_empty(),
-        "{} value(s) drifted from the studies golden tables:\n  {}",
-        diffs.len(),
-        diffs.join("\n  ")
-    );
+    let artifacts: BTreeSet<String> = catalog::all()
+        .iter()
+        .filter_map(|e| e.artifact)
+        .map(|name| format!("{name}.json"))
+        .collect();
+    // besides the tables the directory holds the cell stores and
+    // kc_regime's map
+    let snapshots: BTreeSet<String> = std::fs::read_dir(golden_dir())
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+        .filter(|f| f.ends_with(".json") && !f.starts_with("cells") && f != "regime_map.json")
+        .collect();
+    assert_eq!(artifacts, snapshots);
+    assert_eq!(artifacts.len(), 15);
 }
 
 /// The simulation itself (not just the assembly arithmetic) still
@@ -402,18 +354,15 @@ fn studies_golden_tables_match_store_backed_assembly() {
 #[test]
 fn fresh_simulation_matches_golden_for_cheap_tables() {
     if updating() {
-        return; // snapshots are being rewritten by the main test
+        return; // snapshots are being rewritten by the store-backed tests
     }
     let campaign = Campaign::builder(Runner::noise_free()).build();
-    let fresh = vec![
-        Artifact::from_pair("table2_bt_s", &bt::table2(&campaign).unwrap()),
-        Artifact::from_pair("table8a_lu_w", &lu::table8(&campaign, Class::W).unwrap()),
-    ];
-    assert!(campaign.cache_stats().executed > 0, "nothing was simulated");
     let mut diffs = Vec::new();
-    for artifact in &fresh {
-        check_artifact(artifact, &mut diffs);
+    for id in ["bt-s", "lu-w"] {
+        let (output, _) = experiment(id).run(&campaign).unwrap();
+        check_artifact(&output.artifact.unwrap(), &mut diffs);
     }
+    assert!(campaign.cache_stats().executed > 0, "nothing was simulated");
     assert!(
         diffs.is_empty(),
         "fresh simulation drifted from the golden tables:\n  {}",

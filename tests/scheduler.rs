@@ -2,18 +2,18 @@
 //!
 //! Four properties:
 //!
-//! 1. **Ordering** — `Campaign::prefetch` executes cells in the order
-//!    the cost model dictates, longest recorded duration first (with
-//!    `jobs = 1` the single worker drains the priority queue in
-//!    order, so the emitted `CellExecuted` sequence *is* the
-//!    schedule).
+//! 1. **Ordering** — a cold `Campaign::prefetch` executes cells by
+//!    descending `cost_estimate`, ties in key order (with `jobs = 1`
+//!    the single worker drains the priority queue in order, so the
+//!    emitted `CellExecuted` sequence *is* the schedule).
 //! 2. **Bounded concurrency** — under `jobs = N` at most N cells are
 //!    ever in flight, no matter how many cells a prefetch submits.
-//! 3. **Value identity** — the cost model and the `jobs` value only
-//!    shape the schedule.  Cells run on independent per-cell clusters
-//!    with per-cell noise seeds, so the assembled tables are
-//!    bit-identical under any cost model or pool size, even with
-//!    measurement noise enabled.
+//! 3. **Value identity** — costs and the `jobs` value only shape the
+//!    schedule.  Cells run on independent per-cell clusters with
+//!    per-cell noise seeds, so the assembled tables are bit-identical
+//!    under any schedule (`tests/campaign_threads.rs` compares pool
+//!    sizes with noise on; property 5 feeds the scheduler arbitrary
+//!    costs).
 //! 4. **Exact accounting** — concurrent `prefetch` calls over one
 //!    shared cache attribute every cell to exactly one disposition:
 //!    their `cells_executed` / `backend_hits` sums equal the
@@ -26,14 +26,11 @@
 //!    deadlines existed.
 
 use kernel_couplings::coupling::{
-    CacheStats, CellContext, CellKind, Disposition, KernelId, MeasurementKey, MemorySink,
-    TelemetryEvent, TelemetrySink,
+    CacheStats, CellContext, CellKind, Disposition, KernelId, MeasurementKey, MeasurementProvider,
+    MemorySink, TelemetryEvent, TelemetrySink,
 };
-use kernel_couplings::experiments::render::Artifact;
-use kernel_couplings::experiments::{
-    bt, AnalysisSpec, Campaign, CellScheduler, MeasuredCost, Runner,
-};
-use kernel_couplings::npb::{Benchmark, Class};
+use kernel_couplings::experiments::{catalog, AnalysisSpec, Campaign, CellScheduler, Runner};
+use kernel_couplings::npb::{Benchmark, Class, NpbProvider};
 use kernel_couplings::prophesy::CellStore;
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -52,42 +49,35 @@ fn executed_keys(events: &[TelemetryEvent]) -> Vec<String> {
 }
 
 #[test]
-fn measured_cost_executes_longest_recorded_cells_first() {
+fn cold_prefetch_executes_in_descending_cost_estimate_order() {
     let spec = AnalysisSpec::new(Benchmark::Bt, Class::S, 4, 2);
-
-    // enumerate the spec's cells with a throwaway campaign, then give
-    // each a crafted duration: ascending key order -> ascending cost,
-    // so a longest-first schedule must be exact *reverse* key order —
-    // the opposite of the deterministic tie-break a static model with
-    // equal estimates would produce
-    let probe = Campaign::builder(Runner::noise_free()).build();
-    let mut cells = probe.cells(&spec).unwrap();
-    cells.sort();
-    cells.dedup();
-    let model = MeasuredCost::from_durations(
-        cells
-            .iter()
-            .enumerate()
-            .map(|(i, k)| (k.to_string(), (i + 1) as f64)),
-    );
-
     let sink = Arc::new(MemorySink::new());
     let campaign = Campaign::builder(Runner::noise_free())
-        .cost_model(Arc::new(model))
         .sink(sink.clone())
         .jobs(1)
         .build();
-    assert_eq!(campaign.cost_model_name(), "measured");
     assert_eq!(campaign.jobs(), 1);
+
+    // the estimate depends on the key alone, so a second provider
+    // gives the campaign's numbers: the application above the pairs
+    // and the overhead, those above the isolated kernels
+    let estimator = NpbProvider::new();
+    let cost = |k: &MeasurementKey| estimator.cost_estimate(k);
+    let mut cells = campaign.cells(&spec).unwrap();
+    cells.sort_by(|a, b| cost(b).total_cmp(&cost(a)).then_with(|| a.cmp(b)));
+    let costs: Vec<f64> = cells.iter().map(cost).collect();
+    assert!(
+        costs.windows(2).any(|w| w[0] > w[1]) && costs.windows(2).any(|w| w[0] == w[1]),
+        "the probe needs both distinct and tied estimates: {costs:?}"
+    );
 
     campaign.prefetch(std::slice::from_ref(&spec)).unwrap();
 
-    let schedule = executed_keys(&sink.events());
-    let expected: Vec<String> = cells.iter().rev().map(|k| k.to_string()).collect();
-    assert_eq!(schedule.len(), cells.len(), "every cell executes once");
+    let expected: Vec<String> = cells.iter().map(|k| k.to_string()).collect();
     assert_eq!(
-        schedule, expected,
-        "execution must follow recorded durations, longest first"
+        executed_keys(&sink.events()),
+        expected,
+        "execution must follow cost_estimate, longest first, ties in key order"
     );
 }
 
@@ -125,7 +115,8 @@ fn jobs_bounds_the_number_of_concurrently_executing_cells() {
         .build();
     // plenty of cells across two experiments' worth of specs, all
     // cold, prefetched concurrently from two threads
-    let (a, b) = (bt::table2_requests(), bt::table3_requests());
+    let machine = &campaign.runner().machine;
+    let [a, b] = ["bt-s", "bt-w"].map(|id| catalog::get(id).unwrap().requests(machine));
     std::thread::scope(|s| {
         let campaign = &campaign;
         let ha = s.spawn(move || campaign.prefetch(&a).unwrap());
@@ -200,37 +191,6 @@ fn concurrent_prefetch_disposition_sums_match_cache_stats_exactly() {
     }
 }
 
-#[test]
-fn cost_model_permutes_the_schedule_but_not_the_tables() {
-    // noise ON: the strongest form of the claim
-    let static_campaign = Campaign::builder(Runner::default()).build();
-    let static_table = Artifact::from_pair("t2", &bt::table2(&static_campaign).unwrap());
-    assert_eq!(static_campaign.cost_model_name(), "static");
-
-    // a thoroughly scrambled measured model: digest-derived durations
-    // bear no relation to the static estimates, so the schedule is a
-    // genuinely different permutation — and jobs=2 differs from the
-    // default pool as well
-    let mut model = MeasuredCost::new();
-    for spec in bt::table2_requests() {
-        for key in static_campaign.cells(&spec).unwrap() {
-            model.record(&key, key.digest_u64() as f64);
-        }
-    }
-    assert!(!model.is_empty());
-    let measured_campaign = Campaign::builder(Runner::default())
-        .cost_model(Arc::new(model))
-        .jobs(2)
-        .build();
-    let measured_table = Artifact::from_pair("t2", &bt::table2(&measured_campaign).unwrap());
-
-    assert_eq!(
-        static_table.render_json(),
-        measured_table.render_json(),
-        "tables must be bit-identical under any cost model or pool size"
-    );
-}
-
 /// A distinct, deterministic cell key per index.
 fn cell_key(i: usize) -> MeasurementKey {
     CellContext {
@@ -257,7 +217,7 @@ fn recording_scheduler(jobs: usize) -> (CellScheduler, Arc<Mutex<Vec<Measurement
     (scheduler, order)
 }
 
-/// Any f64 a cost model (or a poisoned one) could produce.
+/// Any f64 a cost estimate (or a poisoned one) could produce.
 fn any_cost() -> impl Strategy<Value = f64> {
     prop_oneof![
         5 => -1e9f64..1e9,
