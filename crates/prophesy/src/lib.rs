@@ -20,7 +20,7 @@
 //!   persist individual measurements across processes and campaigns;
 //! * [`sharded`] — the binary [`ShardedStore`]: digest-sharded
 //!   append-only segments with checksummed frames, torn-tail
-//!   recovery, per-shard frame indexes and background compaction,
+//!   recovery, per-shard frame indexes and compaction at flush,
 //!   fronted by a lossy hot cache.
 //!
 //! ```
@@ -52,6 +52,4 @@ pub mod sharded;
 pub use backend::{detect_format, CellBackend, StoreFormat, StoreSpec};
 pub use cells::{history_sidecar, BackendStats, CellStore};
 pub use hot::HotTierStats;
-pub use sharded::{
-    CompactionReport, ReadPathStats, SegmentStat, ShardOpenOptions, ShardedStore, SidecarState,
-};
+pub use sharded::{CompactionReport, ReadPathStats, SegmentStat, ShardedStore, SidecarState};

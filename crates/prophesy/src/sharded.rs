@@ -71,27 +71,16 @@
 //!
 //! Re-appends leave superseded frames behind; [`ShardedStore::compact`]
 //! rewrites each segment with one frame per live cell (tmp + fsync +
-//! rename).  The store also compacts a shard automatically once an
-//! append leaves more than [`ShardedStore::AUTO_COMPACT_RATIO`] of its
-//! (at least [`ShardedStore::AUTO_COMPACT_MIN_FRAMES`]) frames
-//! superseded — so only a handle that re-appends keys it already
-//! holds ever pays for it; a campaign appends each cell once.
-//! Automatic compactions run on a **background worker thread** (one
-//! per store, bounded queue): the appending thread only checks the
-//! ratio under the shard lock and enqueues the shard id, so the
-//! append path never pays the rewrite.  The worker re-checks the
-//! ratio under the shard lock before compacting (a racing manual
-//! compaction or a concurrent trigger may have emptied the backlog),
-//! failed background compactions poison the store exactly like failed
-//! appends, and [`ShardedStore::flush`] (and drop) drain the worker
-//! first — after a flush returns, every triggered compaction has
-//! landed.
-//!
-//! Long append-heavy sessions also refresh each shard's `.idx`
-//! sidecar inline: after [`ShardOpenOptions::sidecar_refresh_bytes`]
-//! appended bytes since the sidecar last matched disk, the next
-//! append rewrites it, so reopening stays cheap even when nothing
-//! ever calls `flush`.
+//! rename).  Appends never rewrite anything: all write-side upkeep
+//! happens in [`CellBackend::flush`], on the caller's thread, one shard
+//! at a time under its lock.  A shard with more than
+//! [`ShardedStore::AUTO_COMPACT_RATIO`] of its (at least
+//! [`ShardedStore::AUTO_COMPACT_MIN_FRAMES`]) frames superseded is
+//! compacted there; every other shard is fsynced and gets a fresh
+//! sidecar.  Only a handle that re-appends keys it already holds ever
+//! pays for a compaction; a campaign appends each cell once.  A failed
+//! append, fsync or compaction poisons the store: every later `flush`
+//! reports it until [`ShardedStore::clear_write_error`].
 
 use crate::backend::{CellBackend, StoreFormat};
 use crate::cells::BackendStats;
@@ -104,9 +93,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 
 /// Magic prefix of every segment file (the trailing `1` is the format
 /// version).
@@ -278,29 +265,6 @@ impl ReadPathCounters {
     }
 }
 
-/// Tunables for [`ShardedStore::open_with`].
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ShardOpenOptions {
-    /// Hot-tier slots.  A tiny tier maximizes lossy collisions, which
-    /// is how tests force the segment read path; a size of 1 makes
-    /// every distinct key evict the previous one.
-    pub hot_slots: usize,
-    /// Appended bytes per shard after which the next append refreshes
-    /// the `.idx` sidecar inline, so long append-heavy sessions stay
-    /// cheap to reopen without an explicit flush.  `u64::MAX`
-    /// restores the flush/compact-only behaviour.
-    pub sidecar_refresh_bytes: u64,
-}
-
-impl Default for ShardOpenOptions {
-    fn default() -> Self {
-        Self {
-            hot_slots: ShardedStore::DEFAULT_HOT_SLOTS,
-            sidecar_refresh_bytes: ShardedStore::DEFAULT_SIDECAR_REFRESH_BYTES,
-        }
-    }
-}
-
 /// One shard's mutable state.  Everything that must stay mutually
 /// consistent — the append handle and its write offset, the read
 /// handle, the frame index — lives under one mutex, so appends,
@@ -321,10 +285,6 @@ struct Shard {
     len: u64,
     /// What the on-disk sidecar currently describes.
     sidecar: SidecarState,
-    /// Bytes appended since the sidecar last matched the segment;
-    /// crossing [`ShardOpenOptions::sidecar_refresh_bytes`] rewrites
-    /// the sidecar inline on the next append.
-    appended_since_sidecar: u64,
 }
 
 impl Shard {
@@ -360,89 +320,28 @@ impl Shard {
     /// Rewrite the index sidecar to describe the shard as it is now.
     /// Best-effort: a sidecar that could not be written is detected
     /// as stale and rebuilt at the next open, never believed, and the
-    /// next threshold's worth of appends (or flush) tries again.
+    /// next flush tries again.
     fn refresh_sidecar(&mut self, path: &Path, shard: u32) {
         match write_sidecar(path, shard, self.len, self.frames, &self.index) {
             Ok(()) => self.sidecar = SidecarState::Fresh,
             Err(_) if self.sidecar == SidecarState::Fresh => self.sidecar = SidecarState::Stale,
             Err(_) => {}
         }
-        self.appended_since_sidecar = 0;
     }
 
-    /// Whether ratio-triggered compaction is due.  Called under the
-    /// shard lock — by the appending thread to decide whether to
-    /// enqueue, and by the worker to re-check before doing the work.
+    /// Whether ratio-triggered compaction is due (checked by `flush`
+    /// under the shard lock).
     fn compaction_due(&self) -> bool {
         let superseded = self.frames.saturating_sub(self.index.len() as u64);
         self.frames >= ShardedStore::AUTO_COMPACT_MIN_FRAMES
             && (superseded as f64) > ShardedStore::AUTO_COMPACT_RATIO * (self.frames as f64)
     }
-}
 
-/// The store state shared between the front-end handle and its
-/// background compaction worker: everything an automatic compaction
-/// needs to run off the appending thread.
-struct StoreCore {
-    dir: PathBuf,
-    shards: u32,
-    /// Per-shard state; the mutex also serializes appends so frames
-    /// from concurrent writers never interleave.
-    state: Vec<Mutex<Shard>>,
-    /// First deferred append error, surfaced by **every** `flush`
-    /// until [`ShardedStore::clear_write_error`] acknowledges it.
-    write_error: Mutex<Option<(io::ErrorKind, String)>>,
-    /// Inline sidecar refresh threshold (bytes appended per shard).
-    sidecar_refresh_bytes: u64,
-    read_path: ReadPathCounters,
-}
-
-/// What the appending threads hand the compaction worker.
-enum CompactMsg {
-    /// A shard crossed the superseded ratio; re-check and compact it.
-    Compact(u32),
-    /// Sync point: answer once every earlier message is processed.
-    Drain(SyncSender<()>),
-}
-
-impl StoreCore {
-    /// The segment path of one shard.
-    fn segment_path(&self, shard: u32) -> PathBuf {
-        ShardedStore::segment_path(&self.dir, shard)
-    }
-
-    /// The index-sidecar path of one shard.
-    fn index_path(&self, shard: u32) -> PathBuf {
-        ShardedStore::index_path(&self.dir, shard)
-    }
-
-    /// Record an append failure for `flush` to keep reporting.
-    fn poison(&self, e: &io::Error) {
-        let mut slot = self.write_error.lock();
-        if slot.is_none() {
-            *slot = Some((e.kind(), e.to_string()));
-        }
-    }
-
-    /// Compact `shard` if it (still) crosses the superseded ratio.  A
-    /// failed automatic compaction poisons the store (the segment
-    /// itself is intact — replacement is by rename — but the shard
-    /// handles may not be).
-    fn maybe_compact_locked(&self, shard: u32, s: &mut Shard) {
-        if !s.compaction_due() {
-            return;
-        }
-        match self.compact_shard_locked(shard, s) {
-            Ok(_) => ReadPathCounters::bump(&self.read_path.auto_compactions),
-            Err(e) => self.poison(&e),
-        }
-    }
-
-    /// Rewrite one shard's segment with one frame per live cell and
-    /// swap it in by rename, refreshing the handles, the index and
-    /// the sidecar.
-    fn compact_shard_locked(&self, shard: u32, s: &mut Shard) -> io::Result<CompactionReport> {
-        let path = self.segment_path(shard);
+    /// Rewrite this shard's segment in `dir` with one frame per live
+    /// cell and swap it in by rename, refreshing the handles, the index
+    /// and the sidecar.
+    fn compact(&mut self, dir: &Path, shard: u32) -> io::Result<CompactionReport> {
+        let path = ShardedStore::segment_path(dir, shard);
         let segment = read_segment(&path, shard)?;
         let mut report = CompactionReport {
             records_before: segment.frames.len() as u64,
@@ -476,32 +375,14 @@ impl StoreCore {
         }
         std::fs::rename(&tmp, &path)?;
         report.bytes_after = std::fs::metadata(&path)?.len();
-        s.appender = OpenOptions::new().append(true).open(&path)?;
-        s.reader = File::open(&path)?;
-        s.index = index;
-        s.frames = report.records_after;
-        s.len = report.bytes_after;
+        self.appender = OpenOptions::new().append(true).open(&path)?;
+        self.reader = File::open(&path)?;
+        self.index = index;
+        self.frames = report.records_after;
+        self.len = report.bytes_after;
         // the old sidecar describes the pre-compaction segment
-        s.refresh_sidecar(&self.index_path(shard), shard);
+        self.refresh_sidecar(&ShardedStore::index_path(dir, shard), shard);
         Ok(report)
-    }
-}
-
-/// The background compaction loop: drain shard ids, re-check the
-/// ratio under the shard lock, compact.  Exits when every sender is
-/// gone (store drop).
-fn compaction_worker(core: Arc<StoreCore>, rx: Receiver<CompactMsg>) {
-    for msg in rx {
-        match msg {
-            CompactMsg::Compact(shard) => {
-                let mut s = core.state[shard as usize].lock();
-                core.maybe_compact_locked(shard, &mut s);
-            }
-            CompactMsg::Drain(ack) => {
-                // receiver may have given up (timeout); that's theirs
-                let _ = ack.send(());
-            }
-        }
     }
 }
 
@@ -512,23 +393,25 @@ fn compaction_worker(core: Arc<StoreCore>, rx: Receiver<CompactMsg>) {
 /// — absent keys answer without touching disk, present ones cost one
 /// positioned frame read (plus hot promotion).  Appends write one
 /// frame under the shard's lock, update the index and refresh the hot
-/// tier.  Because the tier overwrites on slot collision, residency is
-/// best-effort — but a miss only costs an indexed read, never a wrong
-/// answer.
+/// tier; `flush` does the rest (fsync, compaction, sidecars).  Because
+/// the tier overwrites on slot collision, residency is best-effort —
+/// but a miss only costs an indexed read, never a wrong answer.
 pub struct ShardedStore {
-    /// State shared with the background compaction worker.
-    core: Arc<StoreCore>,
+    dir: PathBuf,
+    shards: u32,
+    /// Per-shard state; the mutex also serializes appends so frames
+    /// from concurrent writers never interleave.
+    state: Vec<Mutex<Shard>>,
+    /// First failed append, fsync or compaction, surfaced by **every**
+    /// `flush` until [`ShardedStore::clear_write_error`] acknowledges it.
+    write_error: Mutex<Option<(io::ErrorKind, String)>>,
+    read_path: ReadPathCounters,
     hot: HotTier,
     stats: Mutex<BackendStats>,
     /// Sink for store-emitted telemetry (read errors).
     sink: Mutex<Option<Arc<dyn TelemetrySink>>>,
     /// Bytes of torn tail truncated at open, across all segments.
     repaired_bytes: u64,
-    /// Bounded queue feeding the compaction worker; dropped (closing
-    /// the channel) before the join on drop.
-    compact_tx: Option<SyncSender<CompactMsg>>,
-    /// The compaction worker itself, joined on drop.
-    compact_worker: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl ShardedStore {
@@ -539,26 +422,15 @@ impl ShardedStore {
     /// Hot-tier slots per store.
     pub const DEFAULT_HOT_SLOTS: usize = 2048;
 
-    /// Appended bytes per shard after which an append refreshes the
-    /// index sidecar inline (see
-    /// [`ShardOpenOptions::sidecar_refresh_bytes`]).
-    pub const DEFAULT_SIDECAR_REFRESH_BYTES: u64 = 1 << 20;
-
-    /// Queue slots of the background compaction worker.  Triggers
-    /// past a full queue are dropped: the shard still crosses the
-    /// ratio, so any later append re-enqueues it.
-    const COMPACT_QUEUE_SLOTS: usize = 256;
-
     /// Frames a shard must hold before the superseded ratio can
     /// trigger an automatic compaction (rewriting a near-empty
     /// segment for its first superseded frame would thrash).
     pub const AUTO_COMPACT_MIN_FRAMES: u64 = 16;
 
-    /// Share of a shard's frames that must be superseded before an
-    /// append queues the shard for automatic compaction.  Only
-    /// re-appending keys a shard already holds produces superseded
-    /// frames, so a store that is appended to once per cell never
-    /// compacts itself.
+    /// Share of a shard's frames that must be superseded before
+    /// `flush` compacts the shard.  Only re-appending keys a shard
+    /// already holds produces superseded frames, so a store that is
+    /// appended to once per cell never compacts itself.
     pub const AUTO_COMPACT_RATIO: f64 = 0.5;
 
     /// The manifest path inside a store directory (also the format
@@ -612,16 +484,19 @@ impl ShardedStore {
     /// (append-after-torn-tail would otherwise hide the new frames
     /// behind the garbage).
     pub fn open(dir: &Path) -> io::Result<Self> {
-        Self::open_with(dir, ShardOpenOptions::default())
+        Self::open_with(dir, Self::DEFAULT_HOT_SLOTS)
     }
 
-    /// [`ShardedStore::open`] with explicit tunables.
+    /// [`ShardedStore::open`] with `hot_slots` hot-tier slots.  A tiny
+    /// tier maximizes lossy collisions, which is how tests force the
+    /// segment read path; a size of 1 makes every distinct key evict
+    /// the previous one.
     ///
     /// Each shard's index loads from a fresh sidecar when one exists
     /// (checksum intact, recorded segment length equal to the file's);
     /// otherwise the segment is scanned — which is also when torn
     /// tails are repaired — and the index rebuilt from the scan.
-    pub fn open_with(dir: &Path, options: ShardOpenOptions) -> io::Result<Self> {
+    pub fn open_with(dir: &Path, hot_slots: usize) -> io::Result<Self> {
         let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         let manifest_text = std::fs::read_to_string(Self::manifest_path(dir))?;
         let manifest: Value =
@@ -666,7 +541,6 @@ impl ShardedStore {
                 frames: 0,
                 len: 0,
                 sidecar: SidecarState::Missing,
-                appended_since_sidecar: 0,
             };
             let file_len = s.appender.metadata()?.len();
             match load_sidecar(&index_path, shard, file_len) {
@@ -686,33 +560,22 @@ impl ShardedStore {
             }
             state.push(Mutex::new(s));
         }
-        let core = Arc::new(StoreCore {
+        Ok(Self {
             dir: dir.to_path_buf(),
             shards,
             state,
             write_error: Mutex::new(None),
-            sidecar_refresh_bytes: options.sidecar_refresh_bytes.max(1),
             read_path,
-        });
-        let (compact_tx, compact_rx) = std::sync::mpsc::sync_channel(Self::COMPACT_QUEUE_SLOTS);
-        let worker_core = Arc::clone(&core);
-        let worker = std::thread::Builder::new()
-            .name("kc-store-compact".to_string())
-            .spawn(move || compaction_worker(worker_core, compact_rx))?;
-        Ok(Self {
-            core,
-            hot: HotTier::new(options.hot_slots),
+            hot: HotTier::new(hot_slots),
             stats: Mutex::new(BackendStats::default()),
             sink: Mutex::new(None),
             repaired_bytes,
-            compact_tx: Some(compact_tx),
-            compact_worker: Mutex::new(Some(worker)),
         })
     }
 
     /// Number of shards.
     pub fn shards(&self) -> u32 {
-        self.core.shards
+        self.shards
     }
 
     /// Bytes of torn tail truncated when this store was opened.
@@ -727,26 +590,15 @@ impl ShardedStore {
 
     /// Read-path traffic counters.
     pub fn read_stats(&self) -> ReadPathStats {
-        self.core.read_path.snapshot()
-    }
-
-    /// Block until the background compaction worker has processed
-    /// every trigger enqueued so far.
-    fn drain_compactions(&self) {
-        if let Some(tx) = &self.compact_tx {
-            let (ack_tx, ack_rx) = std::sync::mpsc::sync_channel(1);
-            if tx.send(CompactMsg::Drain(ack_tx)).is_ok() {
-                let _ = ack_rx.recv();
-            }
-        }
+        self.read_path.snapshot()
     }
 
     /// Per-shard frame/byte/sidecar statistics (the `kc_store stat`
     /// view).
     pub fn segment_stats(&self) -> Vec<SegmentStat> {
-        (0..self.core.shards)
+        (0..self.shards)
             .map(|shard| {
-                let s = self.core.state[shard as usize].lock();
+                let s = self.state[shard as usize].lock();
                 SegmentStat {
                     shard,
                     bytes: s.len,
@@ -758,17 +610,24 @@ impl ShardedStore {
             .collect()
     }
 
-    /// Drop a sticky append failure recorded by an earlier write,
-    /// returning it.  Until this is called, every
+    /// Drop a sticky failure recorded by an earlier append, fsync or
+    /// compaction, returning it.  Until this is called, every
     /// [`CellBackend::flush`] re-reports the failure — a store that
     /// lost a write must not quietly report success once the first
     /// flush was seen.
     pub fn clear_write_error(&self) -> Option<io::Error> {
-        self.core
-            .write_error
+        self.write_error
             .lock()
             .take()
             .map(|(kind, msg)| io::Error::new(kind, msg))
+    }
+
+    /// Record a write-side failure for `flush` to keep reporting.
+    fn poison(&self, e: &io::Error) {
+        let mut slot = self.write_error.lock();
+        if slot.is_none() {
+            *slot = Some((e.kind(), e.to_string()));
+        }
     }
 
     /// Count a shard read error and surface it: through the attached
@@ -794,9 +653,9 @@ impl ShardedStore {
         if let Some(samples) = self.hot.get(digest, key) {
             return Some(samples);
         }
-        let shard = (digest % self.core.shards as u64) as u32;
+        let shard = (digest % self.shards as u64) as u32;
         let found = {
-            let mut s = self.core.state[shard as usize].lock();
+            let mut s = self.state[shard as usize].lock();
             self.read_locked(shard, &mut s, digest, key)
         };
         match found {
@@ -827,21 +686,21 @@ impl ShardedStore {
         key: &str,
     ) -> io::Result<Option<Vec<f64>>> {
         let Some(loc) = s.index.get(&digest).copied() else {
-            ReadPathCounters::bump(&self.core.read_path.filtered_absent);
+            ReadPathCounters::bump(&self.read_path.filtered_absent);
             return Ok(None);
         };
         if let Some((frame_key, samples)) = read_frame_at(&s.reader, loc)? {
             if frame_key == key {
-                ReadPathCounters::bump(&self.core.read_path.positioned_reads);
+                ReadPathCounters::bump(&self.read_path.positioned_reads);
                 return Ok(Some(samples));
             }
             // digest collision: the indexed frame belongs to another
             // key with the same digest; the scan below still finds
             // ours if the shard holds it
         }
-        ReadPathCounters::bump(&self.core.read_path.fallback_scans);
-        let path = self.core.segment_path(shard);
-        let (scanned, _) = s.rescan(&path, shard, &self.core.read_path)?;
+        ReadPathCounters::bump(&self.read_path.fallback_scans);
+        let path = Self::segment_path(&self.dir, shard);
+        let (scanned, _) = s.rescan(&path, shard, &self.read_path)?;
         Ok(scanned
             .into_iter()
             .rev()
@@ -850,17 +709,14 @@ impl ShardedStore {
     }
 
     /// Append one frame for `key`, update the shard index and refresh
-    /// the hot tier; then hand the shard to the background compaction
-    /// worker if the superseded ratio crossed
-    /// [`ShardedStore::AUTO_COMPACT_RATIO`], and rewrite the index
-    /// sidecar inline if enough bytes accumulated since it last
-    /// matched disk.
+    /// the hot tier.  Nothing else: fsync, compaction and the sidecar
+    /// wait for `flush`.
     fn write(&self, key: &str, samples: &[f64]) -> io::Result<()> {
         let digest = fnv1a(key.as_bytes());
         let frame = encode_frame(key, samples);
-        let shard = (digest % self.core.shards as u64) as u32;
-        let compaction_due = {
-            let mut s = self.core.state[shard as usize].lock();
+        let shard = (digest % self.shards as u64) as u32;
+        {
+            let mut s = self.state[shard as usize].lock();
             let offset = s.len;
             if let Err(e) = s
                 .appender
@@ -871,7 +727,7 @@ impl ShardedStore {
                 // stays a clean validated prefix, then poison the
                 // store for flush()
                 let _ = s.appender.set_len(offset);
-                self.core.poison(&e);
+                self.poison(&e);
                 return Err(e);
             }
             s.len += frame.len() as u64;
@@ -886,23 +742,6 @@ impl ShardedStore {
             if s.sidecar == SidecarState::Fresh {
                 s.sidecar = SidecarState::Stale;
             }
-            s.appended_since_sidecar += frame.len() as u64;
-            if s.appended_since_sidecar >= self.core.sidecar_refresh_bytes {
-                // long append session without a flush: refresh the
-                // sidecar so a reopen skips the segment scan anyway
-                s.refresh_sidecar(&self.core.index_path(shard), shard);
-            }
-            s.compaction_due()
-        };
-        if compaction_due {
-            // off-thread: enqueue after releasing the shard lock.  A
-            // full queue drops the trigger — the ratio stays crossed,
-            // so a later append (or flush's drain) still gets there.
-            if let Some(tx) = &self.compact_tx {
-                match tx.try_send(CompactMsg::Compact(shard)) {
-                    Ok(()) | Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {}
-                }
-            }
         }
         self.hot.insert(digest, key, samples);
         Ok(())
@@ -912,8 +751,8 @@ impl ShardedStore {
     /// (last frame per key wins).
     fn scan_all(&self) -> io::Result<BTreeMap<String, Vec<f64>>> {
         let mut cells = BTreeMap::new();
-        for shard in 0..self.core.shards {
-            for f in read_segment(&self.core.segment_path(shard), shard)?.frames {
+        for shard in 0..self.shards {
+            for f in read_segment(&Self::segment_path(&self.dir, shard), shard)?.frames {
                 cells.insert(f.key, f.samples);
             }
         }
@@ -926,31 +765,28 @@ impl ShardedStore {
     /// held out by the shard locks.
     pub fn compact(&self) -> io::Result<CompactionReport> {
         let mut report = CompactionReport::default();
-        for shard in 0..self.core.shards {
-            let mut s = self.core.state[shard as usize].lock();
-            report.absorb(self.core.compact_shard_locked(shard, &mut s)?);
+        for shard in 0..self.shards {
+            let mut s = self.state[shard as usize].lock();
+            report.absorb(self.compact_shard_locked(shard, &mut s)?);
         }
         Ok(report)
     }
-}
 
-impl Drop for ShardedStore {
-    fn drop(&mut self) {
-        // closing the channel ends the worker's receive loop; joining
-        // guarantees no compaction is mid-rewrite when the shard
-        // handles go away with the store
-        self.compact_tx = None;
-        if let Some(handle) = self.compact_worker.lock().take() {
-            let _ = handle.join();
-        }
+    /// Compact one shard whose lock the caller holds — the one
+    /// compaction routine, for [`ShardedStore::compact`] and `flush`
+    /// alike.  A failure poisons the store: the segment itself is
+    /// intact until the rename, but after it the shard's handles may
+    /// still point at the unlinked file.
+    fn compact_shard_locked(&self, shard: u32, s: &mut Shard) -> io::Result<CompactionReport> {
+        s.compact(&self.dir, shard).inspect_err(|e| self.poison(e))
     }
 }
 
 impl std::fmt::Debug for ShardedStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedStore")
-            .field("dir", &self.core.dir)
-            .field("shards", &self.core.shards)
+            .field("dir", &self.dir)
+            .field("shards", &self.shards)
             .field("repaired_bytes", &self.repaired_bytes)
             .finish_non_exhaustive()
     }
@@ -981,7 +817,7 @@ impl CellBackend for ShardedStore {
         match self.scan_all() {
             Ok(cells) => cells.into_iter().collect(),
             Err(e) => {
-                eprintln!("[store] scan of {} failed: {e}", self.core.dir.display());
+                eprintln!("[store] scan of {} failed: {e}", self.dir.display());
                 Vec::new()
             }
         }
@@ -990,28 +826,33 @@ impl CellBackend for ShardedStore {
     /// The per-shard index sizes summed (the `live` count of
     /// [`ShardedStore::segment_stats`]): no segment is read.
     fn len(&self) -> usize {
-        self.core.state.iter().map(|s| s.lock().index.len()).sum()
+        self.state.iter().map(|s| s.lock().index.len()).sum()
     }
 
     fn stats(&self) -> BackendStats {
         *self.stats.lock()
     }
 
+    /// The store's one upkeep point, shard by shard under each lock:
+    /// a shard past the superseded ratio is compacted (the rewrite
+    /// syncs the new segment and writes its sidecar); any other is
+    /// fsynced and its sidecar refreshed if stale.
     fn flush(&self) -> io::Result<()> {
-        // settle any queued background compactions first, so the
-        // sticky-error check below sees their failures too and the
-        // durability point covers the compacted segments
-        self.drain_compactions();
-        if let Some((kind, msg)) = &*self.core.write_error.lock() {
+        if let Some((kind, msg)) = &*self.write_error.lock() {
             // sticky: a store that lost a write keeps failing until
             // clear_write_error acknowledges the loss
             return Err(io::Error::new(*kind, msg.clone()));
         }
-        for (shard, state) in self.core.state.iter().enumerate() {
+        for (shard, state) in (0..self.shards).zip(&self.state) {
             let mut s = state.lock();
-            s.appender.sync_all()?;
-            if s.sidecar != SidecarState::Fresh {
-                s.refresh_sidecar(&self.core.index_path(shard as u32), shard as u32);
+            if s.compaction_due() {
+                self.compact_shard_locked(shard, &mut s)?;
+                ReadPathCounters::bump(&self.read_path.auto_compactions);
+            } else {
+                s.appender.sync_all().inspect_err(|e| self.poison(e))?;
+                if s.sidecar != SidecarState::Fresh {
+                    s.refresh_sidecar(&Self::index_path(&self.dir, shard), shard);
+                }
             }
         }
         Ok(())
@@ -1578,7 +1419,7 @@ mod tests {
         // sabotage the in-memory index: point the victim's entry at a
         // nonsense location — the read must self-heal, not mis-answer
         {
-            let mut s = store.core.state[0].lock();
+            let mut s = store.state[0].lock();
             let digest = fnv1a(b"victim");
             s.index.insert(
                 digest,
@@ -1607,70 +1448,31 @@ mod tests {
         let dir = tmp("autocompact");
         let store = ShardedStore::create(&dir, 1).unwrap();
         store.append_raw("stable", &[0.5]).unwrap();
+        store.flush().unwrap();
         for round in 0..50 {
             store.append_raw("churner", &[round as f64]).unwrap();
         }
-        // compaction runs on the worker thread; settle it before
-        // asserting on its effects
-        store.drain_compactions();
-        let reads = store.read_stats();
-        assert!(
-            reads.auto_compactions >= 1,
-            "50 supersedes past ratio 0.5 must compact (got {reads:?})"
-        );
-        let stat = &store.segment_stats()[0];
-        assert!(
-            stat.frames < 40,
-            "compaction bounds frame growth (got {} frames)",
-            stat.frames
-        );
+        // appends never rewrite the segment, however far past the
+        // ratio they push it: every frame is still there
+        let stat = store.segment_stats()[0];
+        assert_eq!(stat.frames, 51);
+        assert_eq!(store.read_stats().auto_compactions, 0);
+        assert_eq!(stat.sidecar, SidecarState::Stale);
+        store.flush().unwrap();
+        let stat = store.segment_stats()[0];
+        assert_eq!(stat.frames, 2, "flush compacted the shard");
+        assert_eq!(store.read_stats().auto_compactions, 1);
+        assert_eq!(stat.sidecar, SidecarState::Fresh);
         assert_eq!(store.get_raw("churner"), Some(vec![49.0]));
         assert_eq!(store.get_raw("stable"), Some(vec![0.5]));
-        store.flush().unwrap();
+        drop(store);
         let reopened = ShardedStore::open(&dir).unwrap();
+        let reads = reopened.read_stats();
+        assert_eq!(reads.sidecar_loads, 1, "the compaction's sidecar loads");
+        assert_eq!(reads.index_rebuilds, 0);
         assert_eq!(reopened.get_raw("churner"), Some(vec![49.0]));
         assert_eq!(reopened.get_raw("stable"), Some(vec![0.5]));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sidecar_refreshes_after_enough_appended_bytes_without_a_flush() {
-        let dir = tmp("sidecar-refresh");
-        drop(ShardedStore::create(&dir, 1).unwrap());
-        let store = ShardedStore::open_with(
-            &dir,
-            ShardOpenOptions {
-                sidecar_refresh_bytes: 64,
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        store.append_raw("first", &[1.0]).unwrap();
-        store.append_raw("second", &[2.0]).unwrap();
-        // two ~40-byte frames crossed the 64-byte threshold, so the
-        // sidecar was rewritten inline — no flush() involved
-        assert_eq!(store.segment_stats()[0].sidecar, SidecarState::Fresh);
-        drop(store);
-        let reopened = ShardedStore::open(&dir).unwrap();
-        assert_eq!(
-            reopened.read_stats().sidecar_loads,
-            1,
-            "reopen skips the segment scan"
-        );
-        assert_eq!(reopened.get_raw("first"), Some(vec![1.0]));
-        assert_eq!(reopened.get_raw("second"), Some(vec![2.0]));
-
-        // the default threshold is far above a few tiny frames: the
-        // sidecar goes stale on append and stays stale until flush
-        let lazy_dir = tmp("sidecar-lazy");
-        drop(ShardedStore::create(&lazy_dir, 1).unwrap());
-        let lazy = ShardedStore::open(&lazy_dir).unwrap();
-        lazy.append_raw("first", &[1.0]).unwrap();
-        lazy.flush().unwrap();
-        lazy.append_raw("second", &[2.0]).unwrap();
-        assert_eq!(lazy.segment_stats()[0].sidecar, SidecarState::Stale);
-        let _ = std::fs::remove_dir_all(&dir);
-        let _ = std::fs::remove_dir_all(&lazy_dir);
     }
 
     #[test]
@@ -1684,7 +1486,7 @@ mod tests {
             return;
         };
         {
-            let mut s = store.core.state[0].lock();
+            let mut s = store.state[0].lock();
             s.appender = full;
         }
         assert!(store.append_raw("doomed", &[2.0]).is_err());
@@ -1698,7 +1500,7 @@ mod tests {
         // after explicit repair (and restoring a real handle) the
         // store flushes again
         {
-            let mut s = store.core.state[0].lock();
+            let mut s = store.state[0].lock();
             s.appender = OpenOptions::new()
                 .append(true)
                 .open(ShardedStore::segment_path(&dir, 0))
@@ -1709,17 +1511,45 @@ mod tests {
     }
 
     #[test]
+    fn failed_syncs_and_compactions_poison_flush_until_cleared() {
+        let dir = tmp("poison-upkeep");
+        let store = ShardedStore::create(&dir, 1).unwrap();
+        store.append_raw("ok", &[1.0]).unwrap();
+        let segment = ShardedStore::segment_path(&dir, 0);
+
+        // a failed fsync: swap in a handle that refuses sync_all
+        let null = OpenOptions::new().write(true).open("/dev/null");
+        let Some(null) = null.ok().filter(|f| f.sync_all().is_err()) else {
+            eprintln!("skipping: no handle that fails fsync on this platform");
+            return;
+        };
+        let real = std::mem::replace(&mut store.state[0].lock().appender, null);
+        assert!(store.flush().is_err(), "the failed fsync is reported");
+        store.state[0].lock().appender = real;
+        assert!(
+            store.flush().is_err(),
+            "and stays reported after the handle is restored"
+        );
+        assert!(store.clear_write_error().is_some());
+        store.flush().unwrap();
+
+        // a failed compaction: a directory squats on the rewrite's tmp
+        let squatter = segment.with_extension("seg.tmp");
+        std::fs::create_dir(&squatter).unwrap();
+        assert!(store.compact().is_err());
+        std::fs::remove_dir(&squatter).unwrap();
+        assert!(store.flush().is_err(), "the failed compaction is reported");
+        assert!(store.clear_write_error().is_some());
+        store.flush().unwrap();
+        assert_eq!(store.get_raw("ok"), Some(vec![1.0]));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn read_errors_are_counted_and_reported_to_the_sink() {
         let dir = tmp("readerr");
         drop(ShardedStore::create(&dir, 1).unwrap());
-        let store = ShardedStore::open_with(
-            &dir,
-            ShardOpenOptions {
-                hot_slots: 1,
-                ..Default::default()
-            },
-        )
-        .unwrap();
+        let store = ShardedStore::open_with(&dir, 1).unwrap();
         let sink = Arc::new(kc_core::MemorySink::new());
         store.attach_sink(sink.clone());
         store.append_raw("key", &[1.0]).unwrap();
@@ -1727,7 +1557,7 @@ mod tests {
         // break the read path: replace the segment with a directory
         // so the fallback scan's fs::read errors
         {
-            let mut s = store.core.state[0].lock();
+            let mut s = store.state[0].lock();
             s.index.insert(
                 fnv1a(b"key"),
                 FrameLoc {

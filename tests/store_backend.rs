@@ -5,14 +5,12 @@
 //! torn segment tail recovers to its intact prefix, the lossy hot
 //! tier may evict whatever it wants without ever changing an answer,
 //! the indexed read path always agrees with the scan path and a
-//! last-wins model, and automatic compaction fires exactly when a
-//! handle re-appends more than half of a shard.
+//! last-wins model, and `flush` compacts a shard exactly when a
+//! handle has re-appended more than half of it.
 
 use kernel_couplings::coupling::{CellKind, KernelId, MeasurementKey};
 use kernel_couplings::experiments::{Campaign, CampaignEngine, Runner};
-use kernel_couplings::prophesy::{
-    CellBackend, CellStore, ShardOpenOptions, ShardedStore, StoreFormat, StoreSpec,
-};
+use kernel_couplings::prophesy::{CellBackend, CellStore, ShardedStore, StoreFormat, StoreSpec};
 use kernel_couplings::serve::{PredictRequest, Server, ServerConfig, Status};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -42,14 +40,7 @@ fn sharded_spec(path: &Path) -> StoreSpec {
 /// Open with a one-slot hot tier: every distinct key evicts the
 /// previous one, which pins nearly every read to the segment path.
 fn open_cold_tier(dir: &Path) -> ShardedStore {
-    ShardedStore::open_with(
-        dir,
-        ShardOpenOptions {
-            hot_slots: 1,
-            ..Default::default()
-        },
-    )
-    .unwrap()
+    ShardedStore::open_with(dir, 1).unwrap()
 }
 
 fn build_key(
@@ -678,7 +669,7 @@ fn reappending_more_than_half_a_shard_compacts_it_by_the_next_flush() {
         }
     }
     // 20 of 40 frames superseded is not *more* than half; one further
-    // re-append crosses the ratio and queues the shard
+    // re-append crosses the ratio, and the flush compacts the shard
     store.append_raw(&keys[0], &[2.0, 0.0]).unwrap();
     store.flush().unwrap();
     let expected = |i: usize| vec![if i == 0 { 2.0 } else { 1.0 }, i as f64];
@@ -691,7 +682,7 @@ fn reappending_more_than_half_a_shard_compacts_it_by_the_next_flush() {
     let reopened = ShardedStore::open(&store_dir).unwrap();
     let shard0 = reopened.segment_stats()[0];
     assert_eq!(shard0.live, 20);
-    assert_eq!(shard0.superseded(), 0, "the flush drained the compaction");
+    assert_eq!(shard0.superseded(), 0, "the flush compacted the shard");
     for (i, key) in keys.iter().enumerate() {
         assert_eq!(reopened.get_raw(key), Some(expected(i)));
     }
