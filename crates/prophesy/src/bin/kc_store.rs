@@ -18,9 +18,8 @@
 //! byte.
 //!
 //! `inspect` prints a store's format, cell and sample counts, and
-//! per-shard layout for sharded stores.  `stat` (alias `index`)
-//! prints a sharded store's read-path view: per-shard frame counts,
-//! live cells, superseded ratios and index-sidecar freshness.
+//! per-shard layout for sharded stores.  `stat` prints a sharded
+//! store's per-shard frame counts, live cells and superseded ratios.
 //! `compact` rewrites a sharded store's segments with one record per
 //! live cell, dropping superseded appends.
 
@@ -39,9 +38,9 @@ const USAGE: &str = "usage: kc_store COMMAND ...\n\
      \x20     --shards N sets the segment count of a sharded DST\n\
      \x20 inspect SPEC\n\
      \x20     print format, cell/sample counts and shard layout\n\
-     \x20 stat PATH        (alias: index)\n\
-     \x20     print a sharded store's per-shard frame counts, superseded\n\
-     \x20     ratios and index-sidecar freshness\n\
+     \x20 stat PATH\n\
+     \x20     print a sharded store's per-shard frame counts, live cells\n\
+     \x20     and superseded ratios\n\
      \x20 compact PATH\n\
      \x20     drop superseded records from a sharded store's segments\n";
 
@@ -118,7 +117,7 @@ fn convert(Convert { stores, shards }: Convert) {
         .open()
         .unwrap_or_else(|e| fail(format!("cannot create {}: {e}", dst.display()))),
     };
-    let entries = source.entries();
+    let entries = read_all(&src.path, &*source).unwrap_or_else(|e| fail(e));
     let cells = entries.len();
     for (key, samples) in entries {
         target
@@ -136,9 +135,30 @@ fn convert(Convert { stores, shards }: Convert) {
     );
 }
 
+/// Every cell of `store`, or an error naming it when the read came
+/// back short.  `CellBackend::entries` has no error channel: a store
+/// whose segment read fails reports the failure to stderr and lists
+/// nothing, so the listing is checked against `len`, which counts
+/// the index and does no I/O.
+pub(crate) fn read_all(
+    path: &Path,
+    store: &dyn CellBackend,
+) -> Result<Vec<(String, Vec<f64>)>, String> {
+    let entries = store.entries();
+    let expected = store.len();
+    if entries.len() < expected {
+        return Err(format!(
+            "cannot read {}: listed {} of its {expected} cells",
+            path.display(),
+            entries.len()
+        ));
+    }
+    Ok(entries)
+}
+
 /// The lines every format's `inspect` report starts with.
 fn summary(path: &Path, store: &dyn CellBackend) -> String {
-    let entries = store.entries();
+    let entries = read_all(path, store).unwrap_or_else(|e| fail(e));
     let samples: usize = entries.iter().map(|(_, s)| s.len()).sum();
     format!(
         "path:    {}\nformat:  {}\ncells:   {}\nsamples: {samples}\n",
@@ -184,27 +204,21 @@ fn stat(path: &Path) {
     let store = ShardedStore::open(path)
         .unwrap_or_else(|e| fail(format!("cannot open {}: {e}", path.display())));
     let stats = store.segment_stats();
-    let reads = store.read_stats();
     println!("path:    {}", path.display());
     println!("shards:  {}", store.shards());
-    println!(
-        "indexes: {} loaded from sidecars, {} rebuilt by scan",
-        reads.sidecar_loads, reads.index_rebuilds
-    );
-    println!("  shard   bytes  frames    live  superseded  sidecar");
+    println!("  shard   bytes  frames    live  superseded");
     let mut frames = 0u64;
     let mut live = 0u64;
     let mut bytes = 0u64;
     for s in &stats {
         println!(
-            "  {:5} {:7} {:7} {:7}  {:4} ({:4.0}%)  {}",
+            "  {:5} {:7} {:7} {:7}  {:4} ({:4.0}%)",
             s.shard,
             s.bytes,
             s.frames,
             s.live,
             s.superseded(),
-            100.0 * s.superseded_ratio(),
-            s.sidecar
+            100.0 * s.superseded_ratio()
         );
         frames += s.frames;
         live += s.live;
@@ -253,7 +267,7 @@ fn operand<'a>(rest: &'a [String], what: &str) -> Result<&'a str, CliError> {
     }
 }
 
-fn run(args: &[String]) -> Result<(), CliError> {
+pub(crate) fn run(args: &[String]) -> Result<(), CliError> {
     let (command, rest) = cli::subcommand(args)?;
     match command {
         "convert" => convert(parse_convert(rest)?),
@@ -261,7 +275,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
             let spec = operand(rest, "inspect needs exactly one store spec")?;
             print!("{}", inspect(&spec.parse().map_err(CliError::Usage)?))
         }
-        "stat" | "index" => stat(Path::new(operand(rest, "stat needs exactly one PATH")?)),
+        "stat" => stat(Path::new(operand(rest, "stat needs exactly one PATH")?)),
         "compact" => compact(Path::new(operand(rest, "compact needs exactly one PATH")?)),
         other => return Err(CliError::Usage(format!("unknown command '{other}'"))),
     }

@@ -52,4 +52,4 @@ pub mod sharded;
 pub use backend::{detect_format, CellBackend, StoreFormat, StoreSpec};
 pub use cells::{history_sidecar, BackendStats, CellStore};
 pub use hot::HotTierStats;
-pub use sharded::{CompactionReport, ReadPathStats, SegmentStat, ShardedStore, SidecarState};
+pub use sharded::{CompactionReport, ReadPathStats, SegmentStat, ShardedStore};

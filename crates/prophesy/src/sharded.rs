@@ -10,7 +10,6 @@
 //! cells.kcs/
 //!   kcstore.json     manifest: {"format":"kc-cell-store/sharded","version":1,"shards":N}
 //!   shard-000.seg    segment of shard 0
-//!   shard-000.idx    optional index sidecar of shard 0 (advisory)
 //!   ...
 //!   shard-N-1.seg
 //! ```
@@ -45,17 +44,12 @@
 //! zero segment I/O (the map doubles as the existence filter), a
 //! present one costs a single positioned read of exactly that frame.
 //! The frame re-validates on read (length, checksum, key text), so a
-//! wrong or stale index entry — a digest collision, a sidecar raced
-//! by another writer — degrades to a full segment scan that also
+//! wrong index entry — a digest collision, or segment bytes changed
+//! under the handle — degrades to a full segment scan that also
 //! rebuilds the shard's index, never to a wrong answer.
 //!
-//! The index persists as an optional `shard-NNN.idx` sidecar
-//! (checksummed, written on flush and after compaction) so reopening
-//! a large store skips the segment scan.  Sidecars are **advisory**:
-//! one is loaded only if its checksum matches and its recorded
-//! segment length equals the file's, and every entry still
-//! re-validates against segment bytes on use.  Deleting every `.idx`
-//! file merely makes the next open scan segments again.
+//! The index lives only in memory: open builds it by scanning each
+//! segment, the same scan that repairs torn tails.
 //!
 //! # Torn tails
 //!
@@ -76,9 +70,9 @@
 //! at a time under its lock.  A shard with more than
 //! [`ShardedStore::AUTO_COMPACT_RATIO`] of its (at least
 //! [`ShardedStore::AUTO_COMPACT_MIN_FRAMES`]) frames superseded is
-//! compacted there; every other shard is fsynced and gets a fresh
-//! sidecar.  Only a handle that re-appends keys it already holds ever
-//! pays for a compaction; a campaign appends each cell once.  A failed
+//! compacted there; every other shard is fsynced.  Only a handle that
+//! re-appends keys it already holds ever pays for a compaction; a
+//! campaign appends each cell once.  A failed
 //! append, fsync or compaction poisons the store: every later `flush`
 //! reports it until [`ShardedStore::clear_write_error`].
 
@@ -98,9 +92,6 @@ use std::sync::Arc;
 /// Magic prefix of every segment file (the trailing `1` is the format
 /// version).
 const SEGMENT_MAGIC: &[u8; 8] = b"KCSHARD1";
-
-/// Magic prefix of every index sidecar.
-const INDEX_MAGIC: &[u8; 8] = b"KCSIDX01";
 
 /// Segment header: magic + u32 LE shard index.
 const SEGMENT_HEADER_LEN: usize = SEGMENT_MAGIC.len() + 4;
@@ -162,28 +153,6 @@ struct FrameLoc {
     len: u32,
 }
 
-/// Freshness of one shard's on-disk index sidecar.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SidecarState {
-    /// The sidecar on disk describes the segment exactly.
-    Fresh,
-    /// A sidecar exists on disk but no longer matches the segment
-    /// (appends since it was written, or a failed checksum).
-    Stale,
-    /// No sidecar on disk.
-    Missing,
-}
-
-impl std::fmt::Display for SidecarState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SidecarState::Fresh => "fresh",
-            SidecarState::Stale => "stale",
-            SidecarState::Missing => "missing",
-        })
-    }
-}
-
 /// A point-in-time view of one shard, as reported by
 /// [`ShardedStore::segment_stats`] (and `kc_store stat`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -196,8 +165,6 @@ pub struct SegmentStat {
     pub frames: u64,
     /// Live cells (distinct indexed digests).
     pub live: u64,
-    /// Sidecar freshness.
-    pub sidecar: SidecarState,
 }
 
 impl SegmentStat {
@@ -229,8 +196,6 @@ pub struct ReadPathStats {
     /// collision or an index entry that no longer validates); each
     /// fallback also rebuilds that shard's index.
     pub fallback_scans: u64,
-    /// Shards whose index was loaded from a fresh sidecar at open.
-    pub sidecar_loads: u64,
     /// Shards whose index was rebuilt by scanning the segment (at
     /// open, or by a fallback scan).
     pub index_rebuilds: u64,
@@ -243,7 +208,6 @@ struct ReadPathCounters {
     filtered_absent: AtomicU64,
     positioned_reads: AtomicU64,
     fallback_scans: AtomicU64,
-    sidecar_loads: AtomicU64,
     index_rebuilds: AtomicU64,
     auto_compactions: AtomicU64,
 }
@@ -254,7 +218,6 @@ impl ReadPathCounters {
             filtered_absent: self.filtered_absent.load(Ordering::Relaxed),
             positioned_reads: self.positioned_reads.load(Ordering::Relaxed),
             fallback_scans: self.fallback_scans.load(Ordering::Relaxed),
-            sidecar_loads: self.sidecar_loads.load(Ordering::Relaxed),
             index_rebuilds: self.index_rebuilds.load(Ordering::Relaxed),
             auto_compactions: self.auto_compactions.load(Ordering::Relaxed),
         }
@@ -283,15 +246,13 @@ struct Shard {
     frames: u64,
     /// Validated segment length in bytes (the append offset).
     len: u64,
-    /// What the on-disk sidecar currently describes.
-    sidecar: SidecarState,
 }
 
 impl Shard {
     /// Re-derive this shard's state from its segment bytes — the
-    /// correctness path; the in-memory index and any sidecar are pure
-    /// accelerators over it.  A torn or corrupt tail is truncated, so
-    /// future appends stay visible instead of landing behind garbage.
+    /// correctness path; the in-memory index is a pure accelerator
+    /// over it.  A torn or corrupt tail is truncated, so future
+    /// appends stay visible instead of landing behind garbage.
     /// Returns the scanned frames and the number of bytes truncated.
     fn rescan(
         &mut self,
@@ -304,29 +265,11 @@ impl Shard {
         if torn > 0 {
             self.appender.set_len(segment.valid_len)?;
         }
-        let frames = segment.frames.len() as u64;
-        if (segment.valid_len, frames) != (self.len, self.frames)
-            && self.sidecar == SidecarState::Fresh
-        {
-            self.sidecar = SidecarState::Stale;
-        }
         self.index = index_of(&segment.frames);
-        self.frames = frames;
+        self.frames = segment.frames.len() as u64;
         self.len = segment.valid_len;
         ReadPathCounters::bump(&counters.index_rebuilds);
         Ok((segment.frames, torn))
-    }
-
-    /// Rewrite the index sidecar to describe the shard as it is now.
-    /// Best-effort: a sidecar that could not be written is detected
-    /// as stale and rebuilt at the next open, never believed, and the
-    /// next flush tries again.
-    fn refresh_sidecar(&mut self, path: &Path, shard: u32) {
-        match write_sidecar(path, shard, self.len, self.frames, &self.index) {
-            Ok(()) => self.sidecar = SidecarState::Fresh,
-            Err(_) if self.sidecar == SidecarState::Fresh => self.sidecar = SidecarState::Stale,
-            Err(_) => {}
-        }
     }
 
     /// Whether ratio-triggered compaction is due (checked by `flush`
@@ -338,8 +281,8 @@ impl Shard {
     }
 
     /// Rewrite this shard's segment in `dir` with one frame per live
-    /// cell and swap it in by rename, refreshing the handles, the index
-    /// and the sidecar.
+    /// cell and swap it in by rename, refreshing the handles and the
+    /// index.
     fn compact(&mut self, dir: &Path, shard: u32) -> io::Result<CompactionReport> {
         let path = ShardedStore::segment_path(dir, shard);
         let segment = read_segment(&path, shard)?;
@@ -380,8 +323,6 @@ impl Shard {
         self.index = index;
         self.frames = report.records_after;
         self.len = report.bytes_after;
-        // the old sidecar describes the pre-compaction segment
-        self.refresh_sidecar(&ShardedStore::index_path(dir, shard), shard);
         Ok(report)
     }
 }
@@ -393,7 +334,7 @@ impl Shard {
 /// — absent keys answer without touching disk, present ones cost one
 /// positioned frame read (plus hot promotion).  Appends write one
 /// frame under the shard's lock, update the index and refresh the hot
-/// tier; `flush` does the rest (fsync, compaction, sidecars).  Because
+/// tier; `flush` does the rest (fsync, compaction).  Because
 /// the tier overwrites on slot collision, residency is best-effort —
 /// but a miss only costs an indexed read, never a wrong answer.
 pub struct ShardedStore {
@@ -444,11 +385,6 @@ impl ShardedStore {
         dir.join(format!("shard-{shard:03}.seg"))
     }
 
-    /// The index-sidecar path of one shard.
-    fn index_path(dir: &Path, shard: u32) -> PathBuf {
-        dir.join(format!("shard-{shard:03}.idx"))
-    }
-
     /// Create a fresh empty store at `dir` with `shards` segments.
     /// Fails if a store already lives there.
     pub fn create(dir: &Path, shards: u32) -> io::Result<Self> {
@@ -492,10 +428,8 @@ impl ShardedStore {
     /// segment read path; a size of 1 makes every distinct key evict
     /// the previous one.
     ///
-    /// Each shard's index loads from a fresh sidecar when one exists
-    /// (checksum intact, recorded segment length equal to the file's);
-    /// otherwise the segment is scanned — which is also when torn
-    /// tails are repaired — and the index rebuilt from the scan.
+    /// Each shard's index is built by scanning its segment, which is
+    /// also when torn tails are repaired.
     pub fn open_with(dir: &Path, hot_slots: usize) -> io::Result<Self> {
         let bad = |msg: String| io::Error::new(io::ErrorKind::InvalidData, msg);
         let manifest_text = std::fs::read_to_string(Self::manifest_path(dir))?;
@@ -533,31 +467,14 @@ impl ShardedStore {
                 // so appends have somewhere to land
                 create_segment(&path, shard)?;
             }
-            let index_path = Self::index_path(dir, shard);
             let mut s = Shard {
                 appender: OpenOptions::new().append(true).open(&path)?,
                 reader: File::open(&path)?,
                 index: HashMap::new(),
                 frames: 0,
                 len: 0,
-                sidecar: SidecarState::Missing,
             };
-            let file_len = s.appender.metadata()?.len();
-            match load_sidecar(&index_path, shard, file_len) {
-                Some((index, frames)) => {
-                    ReadPathCounters::bump(&read_path.sidecar_loads);
-                    s.index = index;
-                    s.frames = frames;
-                    s.len = file_len;
-                    s.sidecar = SidecarState::Fresh;
-                }
-                None => {
-                    if index_path.exists() {
-                        s.sidecar = SidecarState::Stale;
-                    }
-                    repaired_bytes += s.rescan(&path, shard, &read_path)?.1;
-                }
-            }
+            repaired_bytes += s.rescan(&path, shard, &read_path)?.1;
             state.push(Mutex::new(s));
         }
         Ok(Self {
@@ -593,7 +510,7 @@ impl ShardedStore {
         self.read_path.snapshot()
     }
 
-    /// Per-shard frame/byte/sidecar statistics (the `kc_store stat`
+    /// Per-shard frame and byte statistics (the `kc_store stat`
     /// view).
     pub fn segment_stats(&self) -> Vec<SegmentStat> {
         (0..self.shards)
@@ -604,7 +521,6 @@ impl ShardedStore {
                     bytes: s.len,
                     frames: s.frames,
                     live: s.index.len() as u64,
-                    sidecar: s.sidecar,
                 }
             })
             .collect()
@@ -709,8 +625,8 @@ impl ShardedStore {
     }
 
     /// Append one frame for `key`, update the shard index and refresh
-    /// the hot tier.  Nothing else: fsync, compaction and the sidecar
-    /// wait for `flush`.
+    /// the hot tier.  Nothing else: fsync and compaction wait for
+    /// `flush`.
     fn write(&self, key: &str, samples: &[f64]) -> io::Result<()> {
         let digest = fnv1a(key.as_bytes());
         let frame = encode_frame(key, samples);
@@ -739,9 +655,6 @@ impl ShardedStore {
                     len: frame.len() as u32,
                 },
             );
-            if s.sidecar == SidecarState::Fresh {
-                s.sidecar = SidecarState::Stale;
-            }
         }
         self.hot.insert(digest, key, samples);
         Ok(())
@@ -835,8 +748,7 @@ impl CellBackend for ShardedStore {
 
     /// The store's one upkeep point, shard by shard under each lock:
     /// a shard past the superseded ratio is compacted (the rewrite
-    /// syncs the new segment and writes its sidecar); any other is
-    /// fsynced and its sidecar refreshed if stale.
+    /// syncs the new segment); any other is fsynced.
     fn flush(&self) -> io::Result<()> {
         if let Some((kind, msg)) = &*self.write_error.lock() {
             // sticky: a store that lost a write keeps failing until
@@ -850,9 +762,6 @@ impl CellBackend for ShardedStore {
                 ReadPathCounters::bump(&self.read_path.auto_compactions);
             } else {
                 s.appender.sync_all().inspect_err(|e| self.poison(e))?;
-                if s.sidecar != SidecarState::Fresh {
-                    s.refresh_sidecar(&Self::index_path(&self.dir, shard), shard);
-                }
             }
         }
         Ok(())
@@ -1019,106 +928,6 @@ fn read_frame_at(reader: &File, loc: FrameLoc) -> io::Result<Option<(String, Vec
     Ok(decode_payload(payload))
 }
 
-/// Serialize one shard's index sidecar:
-///
-/// ```text
-/// KCSIDX01 | u64 LE fnv1a(body) | body
-/// body = u32 LE shard | u64 LE segment_len | u64 LE frames
-///      | u32 LE entries | entries × (u64 LE digest | u64 LE offset | u32 LE len)
-/// ```
-///
-/// `segment_len` is the freshness check: a sidecar is believed only
-/// when it equals the segment file's length at open, so any append or
-/// truncation since the write makes the sidecar invisible (and the
-/// open rescans).  Entries are digest-sorted so the bytes are
-/// deterministic.
-fn encode_sidecar(
-    shard: u32,
-    segment_len: u64,
-    frames: u64,
-    index: &HashMap<u64, FrameLoc>,
-) -> Vec<u8> {
-    let mut body = Vec::with_capacity(24 + index.len() * 20);
-    body.extend_from_slice(&shard.to_le_bytes());
-    body.extend_from_slice(&segment_len.to_le_bytes());
-    body.extend_from_slice(&frames.to_le_bytes());
-    body.extend_from_slice(&(index.len() as u32).to_le_bytes());
-    let mut entries: Vec<(&u64, &FrameLoc)> = index.iter().collect();
-    entries.sort_by_key(|(digest, _)| **digest);
-    for (digest, loc) in entries {
-        body.extend_from_slice(&digest.to_le_bytes());
-        body.extend_from_slice(&loc.offset.to_le_bytes());
-        body.extend_from_slice(&loc.len.to_le_bytes());
-    }
-    let mut out = Vec::with_capacity(INDEX_MAGIC.len() + 8 + body.len());
-    out.extend_from_slice(INDEX_MAGIC);
-    out.extend_from_slice(&fnv1a(&body).to_le_bytes());
-    out.extend_from_slice(&body);
-    out
-}
-
-/// Atomically (tmp + rename) write one shard's index sidecar.
-fn write_sidecar(
-    path: &Path,
-    shard: u32,
-    segment_len: u64,
-    frames: u64,
-    index: &HashMap<u64, FrameLoc>,
-) -> io::Result<()> {
-    let tmp = path.with_extension("idx.tmp");
-    std::fs::write(&tmp, encode_sidecar(shard, segment_len, frames, index))?;
-    std::fs::rename(&tmp, path)
-}
-
-/// Load one shard's sidecar, returning `(index, frames)` only when it
-/// is *believable*: magic and checksum intact, shard matching, its
-/// recorded segment length equal to the file's current length, and
-/// every entry inside the segment's bounds.  Anything else — missing
-/// file, torn write, appends since the sidecar — returns `None` and
-/// the caller rescans the segment.
-fn load_sidecar(
-    path: &Path,
-    shard: u32,
-    segment_len: u64,
-) -> Option<(HashMap<u64, FrameLoc>, u64)> {
-    let bytes = std::fs::read(path).ok()?;
-    let header = INDEX_MAGIC.len() + 8;
-    if bytes.len() < header + 24 || &bytes[..INDEX_MAGIC.len()] != INDEX_MAGIC {
-        return None;
-    }
-    let checksum = u64::from_le_bytes(bytes[INDEX_MAGIC.len()..header].try_into().ok()?);
-    let body = &bytes[header..];
-    if fnv1a(body) != checksum {
-        return None;
-    }
-    if u32::from_le_bytes(body[..4].try_into().ok()?) != shard {
-        return None;
-    }
-    if u64::from_le_bytes(body[4..12].try_into().ok()?) != segment_len {
-        return None; // the segment moved on: the sidecar is stale
-    }
-    let frames = u64::from_le_bytes(body[12..20].try_into().ok()?);
-    let entries = u32::from_le_bytes(body[20..24].try_into().ok()?) as usize;
-    let rest = &body[24..];
-    if rest.len() != entries.checked_mul(20)? || (entries as u64) > frames {
-        return None;
-    }
-    let mut index = HashMap::with_capacity(entries);
-    for chunk in rest.chunks_exact(20) {
-        let digest = u64::from_le_bytes(chunk[..8].try_into().ok()?);
-        let offset = u64::from_le_bytes(chunk[8..16].try_into().ok()?);
-        let len = u32::from_le_bytes(chunk[16..20].try_into().ok()?);
-        if offset < SEGMENT_HEADER_LEN as u64
-            || (len as usize) < FRAME_HEADER_LEN
-            || offset.checked_add(len as u64)? > segment_len
-        {
-            return None;
-        }
-        index.insert(digest, FrameLoc { offset, len });
-    }
-    Some((index, frames))
-}
-
 /// Decode one checksum-validated payload; `None` means the payload is
 /// internally inconsistent (which a checksum match makes vanishingly
 /// unlikely, but scans must not panic on hostile bytes).
@@ -1253,11 +1062,6 @@ mod tests {
 
         let store = ShardedStore::open(&dir).unwrap();
         assert!(store.repaired_bytes() > 0, "the torn tail was truncated");
-        assert_eq!(
-            store.read_stats().sidecar_loads,
-            0,
-            "the flushed sidecar no longer matches the torn segment"
-        );
         assert_eq!(store.get_raw("alpha"), Some(vec![1.0, 2.0]));
         assert_eq!(store.get_raw("beta"), None, "the torn frame is gone");
         // appends after repair are visible (not hidden behind garbage)
@@ -1365,48 +1169,60 @@ mod tests {
     }
 
     #[test]
-    fn a_fresh_sidecar_skips_the_open_time_scan() {
-        let dir = tmp("sidecar");
+    fn the_store_is_its_manifest_and_segments_and_old_index_files_are_inert() {
+        let dir = tmp("layout");
+        let listing = |dir: &Path| {
+            let mut names: Vec<String> = std::fs::read_dir(dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+        let cells: Vec<(String, Vec<f64>)> = (0..24)
+            .map(|i| (format!("cell-{i}"), vec![i as f64, 0.5]))
+            .collect();
         {
-            let store = ShardedStore::create(&dir, 2).unwrap();
-            store.append_raw("a", &[1.0]).unwrap();
-            store.append_raw("b", &[2.0]).unwrap();
+            let store = ShardedStore::create(&dir, 3).unwrap();
+            for (key, samples) in &cells {
+                store.append_raw(key, samples).unwrap();
+            }
             store.flush().unwrap();
         }
-        for shard in 0..2 {
-            assert!(
-                ShardedStore::index_path(&dir, shard).is_file(),
-                "flush writes each shard's sidecar"
-            );
-        }
-        let store = ShardedStore::open(&dir).unwrap();
-        let reads = store.read_stats();
-        assert_eq!(reads.sidecar_loads, 2, "both indexes loaded from sidecars");
-        assert_eq!(reads.index_rebuilds, 0);
-        assert_eq!(store.get_raw("a"), Some(vec![1.0]));
-        assert_eq!(store.get_raw("b"), Some(vec![2.0]));
-        for stat in store.segment_stats() {
-            assert_eq!(stat.sidecar, SidecarState::Fresh);
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
+        assert_eq!(
+            listing(&dir),
+            [
+                "kcstore.json",
+                "shard-000.seg",
+                "shard-001.seg",
+                "shard-002.seg"
+            ]
+        );
 
-    #[test]
-    fn deleted_sidecars_rebuild_without_changing_answers() {
-        let dir = tmp("sidecar_gone");
-        {
-            let store = ShardedStore::create(&dir, 2).unwrap();
-            store.append_raw("a", &[1.0]).unwrap();
-            store.flush().unwrap();
-        }
-        for shard in 0..2 {
-            std::fs::remove_file(ShardedStore::index_path(&dir, shard)).unwrap();
-        }
+        // the per-shard index file earlier builds wrote next to each
+        // segment (name spelled in pieces so a search for the retired
+        // format finds only history): never read, never rewritten
+        let junk = dir.join(concat!("shard-000.", "i", "dx"));
+        let junk_bytes = b"KCS junk an earlier build left behind".to_vec();
+        std::fs::write(&junk, &junk_bytes).unwrap();
+        let exact = |store: &ShardedStore| {
+            assert_eq!(store.get_raw("cell-0"), Some(vec![-1.0]));
+            assert_eq!(store.get_raw("late"), Some(vec![99.0]));
+            for (key, samples) in &cells[1..] {
+                assert_eq!(store.get_raw(key).as_ref(), Some(samples), "{key}");
+            }
+            assert_eq!(store.len(), cells.len() + 1);
+            assert_eq!(store.read_stats().fallback_scans, 0);
+        };
         let store = ShardedStore::open(&dir).unwrap();
-        let reads = store.read_stats();
-        assert_eq!(reads.sidecar_loads, 0);
-        assert_eq!(reads.index_rebuilds, 2, "missing sidecars mean a rescan");
-        assert_eq!(store.get_raw("a"), Some(vec![1.0]));
+        store.append_raw("cell-0", &[-1.0]).unwrap();
+        store.append_raw("late", &[99.0]).unwrap();
+        store.flush().unwrap();
+        store.compact().unwrap();
+        exact(&store);
+        drop(store);
+        exact(&ShardedStore::open(&dir).unwrap());
+        assert_eq!(std::fs::read(&junk).unwrap(), junk_bytes);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1457,19 +1273,14 @@ mod tests {
         let stat = store.segment_stats()[0];
         assert_eq!(stat.frames, 51);
         assert_eq!(store.read_stats().auto_compactions, 0);
-        assert_eq!(stat.sidecar, SidecarState::Stale);
         store.flush().unwrap();
         let stat = store.segment_stats()[0];
         assert_eq!(stat.frames, 2, "flush compacted the shard");
         assert_eq!(store.read_stats().auto_compactions, 1);
-        assert_eq!(stat.sidecar, SidecarState::Fresh);
         assert_eq!(store.get_raw("churner"), Some(vec![49.0]));
         assert_eq!(store.get_raw("stable"), Some(vec![0.5]));
         drop(store);
         let reopened = ShardedStore::open(&dir).unwrap();
-        let reads = reopened.read_stats();
-        assert_eq!(reads.sidecar_loads, 1, "the compaction's sidecar loads");
-        assert_eq!(reads.index_rebuilds, 0);
         assert_eq!(reopened.get_raw("churner"), Some(vec![49.0]));
         assert_eq!(reopened.get_raw("stable"), Some(vec![0.5]));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1578,45 +1389,6 @@ mod tests {
                 .any(|e| matches!(e, TelemetryEvent::StoreReadError { key, .. } if key == "key")),
             "the error surfaced as telemetry, got {events:?}"
         );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn sidecars_are_deterministic_and_round_trip() {
-        let mut index = HashMap::new();
-        index.insert(
-            7u64,
-            FrameLoc {
-                offset: 12,
-                len: 40,
-            },
-        );
-        index.insert(
-            3u64,
-            FrameLoc {
-                offset: 52,
-                len: 24,
-            },
-        );
-        let a = encode_sidecar(1, 100, 5, &index);
-        let b = encode_sidecar(1, 100, 5, &index);
-        assert_eq!(a, b, "sidecar bytes are deterministic");
-        let dir = tmp("sidecar_rt");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("shard-001.idx");
-        std::fs::write(&path, &a).unwrap();
-        let (loaded, frames) = load_sidecar(&path, 1, 100).expect("fresh sidecar loads");
-        assert_eq!(frames, 5);
-        assert_eq!(loaded, index);
-        assert!(
-            load_sidecar(&path, 1, 101).is_none(),
-            "a length mismatch means stale"
-        );
-        assert!(load_sidecar(&path, 2, 100).is_none(), "wrong shard");
-        let mut torn = a.clone();
-        torn[20] ^= 0xff;
-        std::fs::write(&path, &torn).unwrap();
-        assert!(load_sidecar(&path, 1, 100).is_none(), "checksum catches it");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -230,7 +230,7 @@ mod tests {
         // the true break at 2 is closer to the edge than min_segment
         // allows; the detector must place boundaries >= 3 apart
         for b in detect_changepoints(&xs, &p) {
-            assert!(b >= 3 && b <= 9);
+            assert!((3..=9).contains(&b));
         }
     }
 

@@ -348,6 +348,30 @@ fn kc_store_inspect_reports_the_torn_tail_its_open_repaired() {
     let _ = std::fs::remove_dir_all(dir.parent().unwrap());
 }
 
+/// A store that lists fewer cells than its index holds is a failed
+/// read, not a smaller store: `convert` and `inspect` must not copy or
+/// count what they could not read.
+#[test]
+fn kc_store_refuses_a_listing_shorter_than_the_index() {
+    let dir = temp_dir("short").join("cells.kcs");
+    let store = ShardedStore::create(&dir, 2).unwrap();
+    for i in 0..6 {
+        store
+            .append_raw(&format!("BT|cell{i}"), &[i as f64])
+            .unwrap();
+    }
+    store.flush().unwrap();
+    assert_eq!(kc_store_bin::read_all(&dir, &store).unwrap().len(), 6);
+
+    let segment = dir.join("shard-000.seg");
+    std::fs::remove_file(&segment).unwrap();
+    std::fs::create_dir(&segment).unwrap();
+    let err = kc_store_bin::read_all(&dir, &store).unwrap_err();
+    assert!(err.contains(&dir.display().to_string()), "{err}");
+    assert!(err.contains("of its 6 cells"), "{err}");
+    let _ = std::fs::remove_dir_all(dir.parent().unwrap());
+}
+
 #[test]
 fn subcommand_binaries_check_their_command_and_operands() {
     let regime = kc_regime_bin::parse_cli;
@@ -365,6 +389,12 @@ fn subcommand_binaries_check_their_command_and_operands() {
     assert_usage(&BINS[5], &["second.jsonl"], "unexpected argument");
     assert!(matches!(trace(&argv(&["render"])), Err(CliError::Usage(m)) if m.contains("TRACE")));
     assert!(matches!(trace(&argv(&["draw"])), Err(CliError::Usage(m)) if m.contains("'draw'")));
+
+    // `index` was a second spelling of `stat`
+    assert_eq!(
+        kc_store_bin::run(&argv(&["index", "cells.kcs"])),
+        Err(CliError::Usage("unknown command 'index'".to_string()))
+    );
 
     let loadgen = kc_loadgen_bin::parse_cli;
     assert!(matches!(

@@ -141,7 +141,6 @@ fn saturating_max_inflight_bounds_the_overload_rate() {
         ServerConfig {
             max_inflight: 4,
             max_batch: 2,
-            ..ServerConfig::default()
         },
     );
     let cfg = WorkloadConfig {
@@ -181,7 +180,6 @@ fn tight_deadlines_shed_instead_of_queueing_under_pressure() {
         ServerConfig {
             max_inflight: 64,
             max_batch: 1,
-            ..ServerConfig::default()
         },
     );
     // 15 ms budgets against a 30 ms/request engine: everything that

@@ -91,7 +91,7 @@ fn tcp_stack(
 /// or dropped a committed cell.
 fn assert_store_serves_warm(dir: &std::path::Path, specs: &[(usize, usize)]) {
     let store = StoreSpec::new(dir).open().unwrap();
-    assert!(store.len() > 0, "the store kept its cells");
+    assert!(!store.is_empty(), "the store kept its cells");
     let campaign = Arc::new(
         Campaign::builder(Runner::noise_free())
             .backend(Box::new(Arc::clone(&store)))
