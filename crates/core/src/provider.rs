@@ -18,7 +18,9 @@
 //!   any thread in any order.
 //! * [`CachedProvider`] — memoizes a provider behind a
 //!   `parking_lot`-guarded map, with an optional persistent
-//!   [`MeasurementBackend`] (the `kc-prophesy` cell store).
+//!   [`MeasurementBackend`] (the `kc-prophesy` cell store).  It is a
+//!   plain memo: the campaign scheduler, not the cache, makes sure two
+//!   threads never execute the same cell at once.
 //! * [`assemble_analysis`] — rebuilds a [`CouplingAnalysis`] from
 //!   provider-fetched cells; [`analysis_cells`] enumerates the cells
 //!   it will ask for, so campaigns can prefetch.
@@ -228,21 +230,16 @@ pub struct CacheStats {
 
 /// A thread-safe memoizing wrapper around a [`MeasurementProvider`].
 ///
-/// The first request for a key executes it (optionally consulting a
-/// persistent [`MeasurementBackend`] first); every later request is a
-/// cache hit.  The inner provider is *not* called under the cache
-/// lock, so misses for different keys execute concurrently — while
-/// concurrent misses for the *same* key are deduplicated through an
-/// in-flight table: one requester (the leader) executes, the rest
-/// block on the leader's slot and are served its result as hits.
-/// That makes overlapping prefetches from independent assembly
-/// threads safe: each unique cell still executes exactly once.
+/// A request is a cache hit, else a backend load, else an execution
+/// whose result is written back and cached.  The inner provider is
+/// *not* called under the cache lock, so misses for different keys
+/// execute concurrently.  Concurrent misses for the *same* key are not
+/// deduplicated here: each one executes.  Exactly-once execution is
+/// the campaign scheduler's job (`kc_experiments::CellScheduler` gives
+/// every queued cell one slot that concurrent drains share).
 pub struct CachedProvider<P> {
     inner: P,
     cache: Mutex<HashMap<MeasurementKey, Measurement>>,
-    /// Keys currently executing: followers block on the leader's slot
-    /// mutex and read the filled measurement when it releases.
-    inflight: Mutex<HashMap<MeasurementKey, Arc<Mutex<Option<Measurement>>>>>,
     backend: Option<Box<dyn MeasurementBackend>>,
     stats: Mutex<CacheStats>,
     sink: Option<Arc<dyn TelemetrySink>>,
@@ -254,7 +251,6 @@ impl<P: MeasurementProvider> CachedProvider<P> {
         Self {
             inner,
             cache: Mutex::new(HashMap::new()),
-            inflight: Mutex::new(HashMap::new()),
             backend: None,
             stats: Mutex::new(CacheStats::default()),
             sink: None,
@@ -302,73 +298,26 @@ impl<P: MeasurementProvider> CachedProvider<P> {
             worker: worker.clone(),
         });
         let started = Instant::now();
-        let (m, disposition) = self.measure_inner(key)?;
+        let outcome = self.measure_inner(key);
+        // only an execution can fail, so a failed request finishes as
+        // `Executed`: the span stream counts what `CacheStats` counts
         sink.record(TelemetryEvent::CellFinished {
             key: key.to_string(),
-            disposition,
+            disposition: outcome.as_ref().map_or(Disposition::Executed, |&(_, d)| d),
             duration_secs: started.elapsed().as_secs_f64(),
             worker,
         });
-        Ok((m, disposition))
+        outcome
     }
 
-    /// The cache lookup chain, reporting how the request was served.
-    ///
-    /// Concurrent misses for the same key elect one leader through the
-    /// in-flight table; followers block on the leader's slot mutex and
-    /// read its result as cache hits.  The slot is locked *before* it
-    /// is published, so a follower can never observe an empty slot
-    /// while the leader is still working — it parks until the leader
-    /// releases.  An empty slot after release means the leader failed;
-    /// the follower retries (and may become the next leader).
+    /// The cache lookup chain, reporting how the request was served:
+    /// memory hit, else backend load, else execute and write back.
     fn measure_inner(&self, key: &MeasurementKey) -> KcResult<(Measurement, Disposition)> {
         self.stats.lock().requests += 1;
-        loop {
-            if let Some(m) = self.cache.lock().get(key) {
-                self.stats.lock().hits += 1;
-                return Ok((m.clone(), Disposition::Hit));
-            }
-            let slot: Arc<Mutex<Option<Measurement>>> = Arc::new(Mutex::new(None));
-            let mut leader_guard = {
-                let mut inflight = self.inflight.lock();
-                if let Some(existing) = inflight.get(key) {
-                    let theirs = existing.clone();
-                    drop(inflight);
-                    // follower: park until the leader releases its slot
-                    let filled = theirs.lock().clone();
-                    if let Some(m) = filled {
-                        self.stats.lock().hits += 1;
-                        return Ok((m, Disposition::Hit));
-                    }
-                    continue;
-                }
-                // a leader may have finished between the cache check
-                // above and this lock; it fills the cache before it
-                // unregisters, so no entry here means its result (if
-                // any) is already cached
-                if let Some(m) = self.cache.lock().get(key) {
-                    self.stats.lock().hits += 1;
-                    return Ok((m.clone(), Disposition::Hit));
-                }
-                // leader: lock the slot while it is still unpublished
-                let guard = slot.lock();
-                inflight.insert(key.clone(), slot.clone());
-                guard
-            };
-            let outcome = self.execute_uncached(key);
-            if let Ok((m, _)) = &outcome {
-                *leader_guard = Some(m.clone());
-            }
-            // unregister before releasing the slot, so a failed key's
-            // next requester becomes a fresh leader, not a follower
-            self.inflight.lock().remove(key);
-            return outcome;
+        if let Some(m) = self.cache.lock().get(key) {
+            self.stats.lock().hits += 1;
+            return Ok((m.clone(), Disposition::Hit));
         }
-    }
-
-    /// Serve a miss no other thread is executing: consult the backend,
-    /// else run the inner provider and write back.
-    fn execute_uncached(&self, key: &MeasurementKey) -> KcResult<(Measurement, Disposition)> {
         if let Some(backend) = &self.backend {
             if let Some(m) = backend.load(key) {
                 self.stats.lock().backend_hits += 1;
@@ -385,19 +334,9 @@ impl<P: MeasurementProvider> CachedProvider<P> {
         Ok((m, Disposition::Executed))
     }
 
-    /// Insert a precomputed measurement (e.g. from a prior campaign).
-    pub fn prime(&self, key: MeasurementKey, m: Measurement) {
-        self.cache.lock().insert(key, m);
-    }
-
     /// Whether a cell is already cached in memory.
     pub fn contains(&self, key: &MeasurementKey) -> bool {
         self.cache.lock().contains_key(key)
-    }
-
-    /// Number of cells cached in memory.
-    pub fn cached_cells(&self) -> usize {
-        self.cache.lock().len()
     }
 
     /// A snapshot of the traffic counters.
@@ -493,6 +432,7 @@ mod tests {
     use crate::error::KcError;
     use crate::executor::ChainExecutor;
     use crate::synthetic::SyntheticExecutor;
+    use crate::telemetry::{summarize, MemorySink};
 
     /// A provider over a noise-free synthetic app: exact times from
     /// the executor's closed forms, call count per key for the tests.
@@ -584,98 +524,45 @@ mod tests {
         assert_eq!(s.hits, 1);
         assert_eq!(s.executed, 1);
         assert!(p.contains(&key));
-        assert_eq!(p.cached_cells(), 1);
     }
 
     #[test]
-    fn concurrent_same_key_misses_execute_once() {
-        /// Widens the execution window so the spawned requests really
-        /// do overlap with the leader's in-flight execution.
-        struct Slow(SyntheticProvider);
-        impl MeasurementProvider for Slow {
-            fn measure(&self, key: &MeasurementKey) -> KcResult<Measurement> {
-                std::thread::sleep(std::time::Duration::from_millis(25));
-                self.0.measure(key)
-            }
-        }
-        let p = CachedProvider::new(Slow(SyntheticProvider::new()));
-        let key = ctx().key(CellKind::Application, 1);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| p.measure(&key).unwrap());
-            }
-        });
-        assert_eq!(
-            p.inner().0.calls_for(&key),
-            1,
-            "one leader executes; followers are served its result"
-        );
-        let stats = p.stats();
-        assert_eq!(stats.requests, 8);
-        assert_eq!(stats.executed, 1);
-        assert_eq!(stats.hits, 7);
-    }
-
-    #[test]
-    fn follower_blocked_on_a_failing_leader_retries_as_the_next_leader() {
-        /// Fails the first execution, succeeds afterwards — the
-        /// injected "leader dies mid-flight" scenario.  The sleep
-        /// widens the window so other requesters really do block on
-        /// the failing leader's slot.
+    fn a_failed_execution_is_traced_and_counted_alike() {
+        /// Fails the first execution, succeeds afterwards.
         struct FailsFirst {
             attempts: Mutex<u32>,
         }
         impl MeasurementProvider for FailsFirst {
             fn measure(&self, key: &MeasurementKey) -> KcResult<Measurement> {
-                let attempt = {
-                    let mut a = self.attempts.lock();
-                    *a += 1;
-                    *a
-                };
-                std::thread::sleep(std::time::Duration::from_millis(20));
-                if attempt == 1 {
-                    return Err(KcError::Io("injected leader failure".into()));
+                let mut attempts = self.attempts.lock();
+                *attempts += 1;
+                if *attempts == 1 {
+                    return Err(KcError::Io("injected failure".into()));
                 }
                 Ok(Measurement::exact(key.procs as f64))
             }
         }
 
+        let sink = Arc::new(MemorySink::new());
         let p = CachedProvider::new(FailsFirst {
             attempts: Mutex::new(0),
-        });
+        })
+        .with_telemetry(sink.clone());
         let key = ctx().key(CellKind::Application, 1);
-        let results: Vec<KcResult<Measurement>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..6).map(|_| s.spawn(|| p.measure(&key))).collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
+        assert!(p.measure(&key).is_err());
+        assert!(!p.contains(&key), "a failure caches nothing");
+        assert_eq!(p.measure(&key).unwrap().mean(), 1.0);
+        assert_eq!(p.measure(&key).unwrap().mean(), 1.0);
 
-        let failures = results.iter().filter(|r| r.is_err()).count();
-        let successes: Vec<&Measurement> = results.iter().filter_map(|r| r.as_ref().ok()).collect();
-        assert_eq!(
-            failures, 1,
-            "only the failed leader's caller sees the error"
-        );
-        assert_eq!(successes.len(), 5);
-        assert!(successes.iter().all(|m| m.mean() == 1.0));
-        assert_eq!(
-            *p.inner().attempts.lock(),
-            2,
-            "the failed leader plus exactly one retry leader"
-        );
         let stats = p.stats();
-        assert_eq!(stats.requests, 6);
+        assert_eq!((stats.requests, stats.executed, stats.hits), (3, 2, 1));
+        let summary = summarize(&sink.events(), 5);
         assert_eq!(
-            stats.executed, 2,
-            "executed counts execution attempts: the failed leader and the retry leader"
+            summary.requests, stats.requests,
+            "the failed execution finishes its span like any other"
         );
-        assert_eq!(stats.backend_hits, 0);
-        assert_eq!(stats.hits, 4, "the four surviving followers are hits");
-        assert_eq!(
-            stats.hits + stats.backend_hits + stats.executed,
-            stats.requests,
-            "every request lands in exactly one disposition, even across a failure"
-        );
-        assert!(p.contains(&key), "the retry leader's result is cached");
+        assert_eq!(summary.executed, stats.executed);
+        assert_eq!(summary.hits, stats.hits);
     }
 
     #[test]
@@ -689,7 +576,7 @@ mod tests {
         p.measure(&k0).unwrap();
         p.measure(&k1).unwrap();
         assert_eq!(p.stats().executed, 2, "no cross-machine cache hits");
-        assert_eq!(p.cached_cells(), 2);
+        assert!(p.contains(&k0) && p.contains(&k1));
     }
 
     #[test]
@@ -745,15 +632,6 @@ mod tests {
             assemble_analysis(&p, &c, &set, 0, 10, 1),
             Err(KcError::Coupling(CouplingError::BadChainLength { .. }))
         ));
-    }
-
-    #[test]
-    fn priming_skips_execution() {
-        let p = CachedProvider::new(SyntheticProvider::new());
-        let key = ctx().key(CellKind::SerialOverhead, 1);
-        p.prime(key.clone(), Measurement::exact(7.5));
-        assert_eq!(p.measure(&key).unwrap().mean(), 7.5);
-        assert_eq!(p.inner().calls_for(&key), 0);
     }
 
     #[test]

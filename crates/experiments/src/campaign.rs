@@ -451,10 +451,10 @@ impl Campaign {
     }
 
     /// [`Campaign::prefetch`] carrying a serving deadline: the
-    /// uncached cells are submitted through
-    /// [`CellScheduler::drain_with_deadline`], so an urgent serve
-    /// batch's cells jump every deadline-free cell already queued by
-    /// table campaigns.  `None` is exactly [`Campaign::prefetch`].
+    /// uncached cells are submitted to [`CellScheduler::drain`] with
+    /// it, so an urgent serve batch's cells jump every deadline-free
+    /// cell already queued by table campaigns.  `None` is exactly
+    /// [`Campaign::prefetch`].
     pub fn prefetch_with_deadline(
         &self,
         specs: &[AnalysisSpec],
@@ -489,7 +489,7 @@ impl Campaign {
 
         let execute_started = Instant::now();
         let drained = self.phase(phases::EXECUTE, || {
-            let drained = self.scheduler.drain_with_deadline(todo, deadline_ms)?;
+            let drained = self.scheduler.drain(todo, deadline_ms)?;
             // one drain event per prefetch, emitted after every cell
             // event of this drain has reached the sinks — the stream
             // stays canonical under any jobs value (the fields are

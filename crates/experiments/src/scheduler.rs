@@ -13,8 +13,8 @@
 //! [`CellScheduler`] replaces that with one global priority queue
 //! drained by a fixed pool of `jobs` worker threads:
 //!
-//! * **Priority** — earliest deadline pops first (cells submitted via
-//!   [`CellScheduler::drain_with_deadline`] by an urgent serve batch
+//! * **Priority** — earliest deadline pops first (cells an urgent
+//!   serve batch submits to [`CellScheduler::drain`] with a deadline
 //!   jump every deadline-free cell), then highest cost (the
 //!   provider's `cost_estimate`; longest first, so the tail of the
 //!   execute phase is not one straggler), ties broken by canonical key
@@ -26,8 +26,11 @@
 //! * **Dedup at the queue** — each distinct cell owns one completion
 //!   slot; a drain that wants an already-queued cell shares
 //!   the slot instead of enqueueing a duplicate, so cross-experiment
-//!   duplicates collapse *before* execution rather than in
-//!   `CachedProvider`'s in-flight table.
+//!   duplicates collapse *before* execution.  This is the only
+//!   in-flight dedup: `CachedProvider` underneath is a plain memo.
+//! * **A panic is an error** — a cell whose execution panics fills its
+//!   slot with an error naming the key, so every drain waiting on it
+//!   returns, and the worker goes on serving the queue.
 //! * **Bounded concurrency** — at most `jobs` cells execute at any
 //!   instant, structurally: there are only `jobs` worker threads.
 //! * **Overlap preserved** — [`CellScheduler::drain`] blocks only on
@@ -43,12 +46,13 @@
 
 use kc_core::{Disposition, KcError, KcResult, MeasurementKey};
 use std::collections::{BinaryHeap, HashMap};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// Recover the guard from a poisoned lock: scheduler state is a queue
 /// plus completion slots, both valid at every instruction boundary,
-/// so a panicking execute closure must not wedge every other drain.
+/// so one panicking thread must not wedge every other drain.
 fn relock<'a, T>(
     r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
 ) -> MutexGuard<'a, T> {
@@ -220,22 +224,15 @@ impl CellScheduler {
 
     /// Submit `cells` (key, cost) and block until every one of them is
     /// done, then report how they were satisfied.  Cells already
-    /// queued by a concurrent drain are shared, not duplicated.  The
-    /// first failure among *this* drain's cells is propagated after
-    /// all of them settle.
-    pub fn drain(&self, cells: Vec<(MeasurementKey, f64)>) -> KcResult<DrainStats> {
-        self.drain_with_deadline(cells, None)
-    }
-
-    /// [`CellScheduler::drain`] with an urgency: cells submitted with
-    /// a deadline (milliseconds of client budget; smaller = more
-    /// urgent) pop ahead of every deadline-free cell in the queue,
-    /// regardless of cost.  `None` (and NaN, which is not a budget) is
-    /// treated as infinitely patient, making this identical to
-    /// [`CellScheduler::drain`] — the pure cost order.  A cell already
-    /// queued by a concurrent drain keeps its original priority; the
-    /// urgent drain shares the slot rather than re-prioritising it.
-    pub fn drain_with_deadline(
+    /// queued by a concurrent drain are shared, not duplicated, and
+    /// keep their original priority.  The first failure among *this*
+    /// drain's cells is propagated after all of them settle.
+    ///
+    /// Cells submitted with a deadline (milliseconds of client budget;
+    /// smaller = more urgent) pop ahead of every deadline-free cell in
+    /// the queue, regardless of cost.  `None` (and NaN, which is not a
+    /// budget) is infinitely patient: the pure cost order.
+    pub fn drain(
         &self,
         cells: Vec<(MeasurementKey, f64)>,
         deadline_ms: Option<f64>,
@@ -319,7 +316,15 @@ fn worker_loop(shared: &Shared) {
                 state = relock(shared.work_ready.wait(state));
             }
         };
-        let result = (shared.execute)(&queued.key);
+        // A panicking cell fails its drains like an erroring one, and
+        // the worker lives on to serve the rest of the queue.
+        let result = catch_unwind(AssertUnwindSafe(|| (shared.execute)(&queued.key)))
+            .unwrap_or_else(|_| {
+                Err(KcError::BadCell {
+                    key: queued.key.to_string(),
+                    reason: "execution panicked".to_string(),
+                })
+            });
         // Retire the slot before publishing the result: by the time a
         // waiter wakes, a successful cell is in the provider cache and
         // a failed cell is eligible for a fresh attempt.
@@ -364,7 +369,7 @@ mod tests {
             (key(1), 5.0),
             (key(3), f64::NAN),
         ];
-        let stats = sched.drain(cells).unwrap();
+        let stats = sched.drain(cells, None).unwrap();
         assert_eq!(stats.executed, 4);
         assert_eq!(stats.enqueued, 4);
         assert_eq!(stats.shared, 0);
@@ -403,11 +408,11 @@ mod tests {
             }),
         );
         std::thread::scope(|s| {
-            let decoy = s.spawn(|| sched.drain(vec![(key(99), 100.0)]));
+            let decoy = s.spawn(|| sched.drain(vec![(key(99), 100.0)], None));
             std::thread::sleep(std::time::Duration::from_millis(30));
-            let patient = s.spawn(|| sched.drain(vec![(key(0), 9.0), (key(1), 8.0)]));
+            let patient = s.spawn(|| sched.drain(vec![(key(0), 9.0), (key(1), 8.0)], None));
             std::thread::sleep(std::time::Duration::from_millis(30));
-            let urgent = s.spawn(|| sched.drain_with_deadline(vec![(key(2), 0.5)], Some(250.0)));
+            let urgent = s.spawn(|| sched.drain(vec![(key(2), 0.5)], Some(250.0)));
             std::thread::sleep(std::time::Duration::from_millis(30));
             *gate.0.lock().unwrap() = true;
             gate.1.notify_all();
@@ -434,7 +439,7 @@ mod tests {
             }),
         );
         let stats = sched
-            .drain_with_deadline(vec![(key(0), 2.0), (key(1), 5.0)], Some(f64::NAN))
+            .drain(vec![(key(0), 2.0), (key(1), 5.0)], Some(f64::NAN))
             .unwrap();
         assert_eq!(stats.executed, 2);
         assert_eq!(
@@ -460,7 +465,7 @@ mod tests {
             }),
         );
         let cells: Vec<_> = (0..24).map(|i| (key(i), i as f64)).collect();
-        let stats = sched.drain(cells).unwrap();
+        let stats = sched.drain(cells, None).unwrap();
         assert_eq!(stats.executed, 24);
         assert!(
             peak.load(Ordering::SeqCst) <= 3,
@@ -485,8 +490,8 @@ mod tests {
         let (sa, sb) = (sched.clone(), sched.clone());
         let (ca, cb) = (cells.clone(), cells);
         let (ra, rb) = std::thread::scope(|s| {
-            let ha = s.spawn(move || sa.drain(ca).unwrap());
-            let hb = s.spawn(move || sb.drain(cb).unwrap());
+            let ha = s.spawn(move || sa.drain(ca, None).unwrap());
+            let hb = s.spawn(move || sb.drain(cb, None).unwrap());
             (ha.join().unwrap(), hb.join().unwrap())
         });
         // every cell ran exactly once; each run is attributed to
@@ -514,18 +519,47 @@ mod tests {
                 }
             }),
         );
-        let err = sched.drain(vec![(key(0), 1.0)]).unwrap_err();
+        let err = sched.drain(vec![(key(0), 1.0)], None).unwrap_err();
         assert!(format!("{err}").contains("injected failure"));
-        let stats = sched.drain(vec![(key(0), 1.0)]).unwrap();
+        let stats = sched.drain(vec![(key(0), 1.0)], None).unwrap();
         assert_eq!(stats.executed, 1, "fresh drain retries the failed cell");
         assert_eq!(attempts.load(Ordering::SeqCst), 2);
+    }
+
+    #[test]
+    fn a_panicking_cell_fails_its_drain_and_the_worker_serves_on() {
+        let sched = Arc::new(CellScheduler::new(
+            1,
+            Box::new(|k| {
+                assert!(k != &key(0), "injected cell panic");
+                Ok(Disposition::Executed)
+            }),
+        ));
+        // each drain runs on its own thread, so a drain that hangs
+        // fails the test at the timeout instead of stalling the suite
+        let drain = |cells: Vec<(MeasurementKey, f64)>| {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let sched = sched.clone();
+            let handle = std::thread::spawn(move || {
+                let _ = tx.send(sched.drain(cells, None));
+            });
+            let result = rx
+                .recv_timeout(std::time::Duration::from_secs(10))
+                .expect("the drain must return, not hang");
+            handle.join().expect("drain thread");
+            result
+        };
+        let err = drain(vec![(key(0), 1.0)]).unwrap_err();
+        assert!(format!("{err}").contains(&key(0).to_string()), "{err}");
+        let stats = drain(vec![(key(1), 1.0)]).unwrap();
+        assert_eq!(stats.executed, 1, "the one worker survived the panic");
     }
 
     #[test]
     fn empty_drain_is_a_noop() {
         let sched = CellScheduler::new(4, Box::new(|_| Ok(Disposition::Executed)));
         assert_eq!(sched.jobs(), 4);
-        let stats = sched.drain(Vec::new()).unwrap();
+        let stats = sched.drain(Vec::new(), None).unwrap();
         assert_eq!(stats, DrainStats::default());
     }
 }

@@ -8,7 +8,7 @@ use crate::common::VerifyResult;
 use crate::kernel::{KernelSpec, Mode};
 use crate::state::RankState;
 use kc_core::{ChainExecutor, KernelId, KernelSet, Measurement};
-use kc_machine::{Cluster, MachineConfig, NoisyTimer, RankCtx};
+use kc_machine::{Cluster, MachineConfig, NoisyTimer, RankCtx, RunOutcome};
 
 /// Measurement-protocol parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -182,11 +182,18 @@ impl NpbExecutor {
     /// protocol; returns the *noise-free* total time of the timed
     /// region (seconds for `timed_iters` iterations).
     pub fn run_chain_raw(&self, chain: &[KernelId]) -> f64 {
+        self.run_chain(chain).results[0]
+    }
+
+    /// [`NpbExecutor::run_chain_raw`]'s whole run: every rank's timed
+    /// region as its result, and every rank's report (cache and
+    /// message totals over the run).
+    pub fn run_chain(&self, chain: &[KernelId]) -> RunOutcome<f64> {
         let kernels = self.resolve(chain);
         let spec = &self.spec;
         let cfg = self.cfg;
         let cold = cfg.cold_start.applies_to(chain.len());
-        let out = self.cluster.run(self.app.procs, |ctx| {
+        self.cluster.run(self.app.procs, |ctx| {
             let mut st = self.make_state(ctx, cfg.mode);
             for k in &spec.init {
                 (k.run)(&mut st, ctx, cfg.mode);
@@ -220,8 +227,7 @@ impl NpbExecutor {
             let elapsed = ctx.now() - t0;
             st.recycle();
             elapsed
-        });
-        out.results[0]
+        })
     }
 
     /// Noise-free total time of the one-off init + final kernels.

@@ -3,17 +3,24 @@
 //! counter, so `requests == hits + backend_hits + executed` must hold
 //! no matter how threads interleave — and the telemetry stream must
 //! tell the same story event for event.
+//!
+//! Exactly-once execution is the campaign scheduler's guarantee, not
+//! the cache's: the second test hammers one campaign with overlapping
+//! prefetches and counts executions per cell.
 
 use kernel_couplings::coupling::{
     summarize, CachedProvider, CellKind, KcResult, Measurement, MeasurementKey,
     MeasurementProvider, MemorySink, TelemetryEvent,
 };
+use kernel_couplings::experiments::{catalog, AnalysisSpec, Campaign, Runner};
+use kernel_couplings::loadgen::exactly_once_violations;
+use kernel_couplings::npb::{Benchmark, Class};
 use kernel_couplings::prophesy::CellStore;
-use std::sync::Arc;
+use std::collections::BTreeSet;
+use std::sync::{Arc, Barrier};
 
 /// A provider slow enough to widen race windows: first-touch requests
-/// overlap across threads, so the cache's in-flight deduplication
-/// (one leader executes, followers wait) actually gets exercised.
+/// for the same key overlap across threads.
 struct SlowProvider;
 
 impl MeasurementProvider for SlowProvider {
@@ -72,11 +79,6 @@ fn stats_invariant_holds_under_concurrent_hammering() {
         stats.hits + stats.backend_hits + stats.executed,
         "every request must land in exactly one disposition"
     );
-    // in-flight dedup: concurrent first-touch misses elect one leader
-    // per key, so each key costs exactly one execution (or one backend
-    // load); racing followers are served the leader's result as hits
-    assert_eq!(stats.executed, (KEYS - PRELOADED) as u64);
-    assert_eq!(stats.backend_hits, PRELOADED as u64);
 
     // the telemetry stream agrees with the counters exactly
     let events = sink.events();
@@ -91,4 +93,48 @@ fn stats_invariant_holds_under_concurrent_hammering() {
         .filter(|e| matches!(e, TelemetryEvent::CellStarted { .. }))
         .count() as u64;
     assert_eq!(started, stats.requests, "every request opens a span");
+}
+
+#[test]
+fn overlapping_cold_prefetches_execute_each_cell_once() {
+    const THREADS: usize = 8;
+
+    let campaign = Campaign::builder(Runner::noise_free()).jobs(4).build();
+    let tables = catalog::get("bt-s")
+        .unwrap()
+        .requests(&campaign.runner().machine);
+    let chain3 = AnalysisSpec::new(Benchmark::Bt, Class::S, 4, 3);
+    // every thread wants the table cells, in a different order; half
+    // also want the chain-3 windows
+    let per_thread: Vec<Vec<AnalysisSpec>> = (0..THREADS)
+        .map(|t| {
+            let mut specs = tables.clone();
+            specs.rotate_left(t % tables.len());
+            if t % 2 == 0 {
+                specs.push(chain3.clone());
+            }
+            specs
+        })
+        .collect();
+    let unique: BTreeSet<MeasurementKey> = tables
+        .iter()
+        .chain([&chain3])
+        .flat_map(|spec| campaign.cells(spec).unwrap())
+        .collect();
+
+    // released together, so every thread submits while the first
+    // cells are still executing
+    let start = Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for specs in &per_thread {
+            let (campaign, start) = (&campaign, &start);
+            s.spawn(move || {
+                start.wait();
+                campaign.prefetch(specs).unwrap()
+            });
+        }
+    });
+
+    assert_eq!(campaign.cache_stats().executed, unique.len() as u64);
+    assert_eq!(exactly_once_violations(&campaign.telemetry_events()), 0);
 }

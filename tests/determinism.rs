@@ -5,8 +5,8 @@
 use kernel_couplings::cachesim::AccessCounts;
 use kernel_couplings::coupling::{ChainExecutor, CouplingAnalysis};
 use kernel_couplings::experiments::{catalog, Campaign, Runner};
-use kernel_couplings::machine::{Cluster, MachineConfig, PerfContext};
-use kernel_couplings::npb::{Benchmark, Class, ExecConfig, NpbApp, NpbExecutor, RankState};
+use kernel_couplings::machine::{MachineConfig, PerfContext};
+use kernel_couplings::npb::{Benchmark, Class, ExecConfig, NpbApp, NpbExecutor};
 use proptest::prelude::*;
 
 #[test]
@@ -80,67 +80,13 @@ fn timer_noise_averages_toward_truth_with_repetitions() {
     assert!(m_noisy.std_dev() > 0.0);
 }
 
-/// `run_chain_raw`'s protocol replayed on `Cluster::run` with the
-/// public kernel table, because `run_chain_raw` hands back only the
-/// time: returns the timed region's bits and every rank's cache totals.
-fn replay_cell(app: NpbApp, machine: &MachineConfig, chain: &[&str]) -> (u64, Vec<AccessCounts>) {
-    let spec = app.benchmark.spec();
-    let cfg = ExecConfig::default();
-    let kernels: Vec<_> = chain
-        .iter()
-        .map(|name| {
-            *spec
-                .loop_kernels
-                .iter()
-                .find(|k| k.name == *name)
-                .expect("kernel is in the loop")
-        })
-        .collect();
-    let cold = cfg.cold_start.applies_to(kernels.len());
-    let out = Cluster::new(machine.clone()).run(app.procs, |ctx| {
-        let mut st = RankState::new(
-            app.benchmark,
-            app.physics(),
-            app.problem().dims(),
-            app.grid(),
-            ctx,
-            false,
-        );
-        for k in &spec.init {
-            (k.run)(&mut st, ctx, cfg.mode);
-        }
-        ctx.barrier();
-        let mut t0 = 0.0;
-        for iteration in 0..cfg.warmup_iters + cfg.timed_iters {
-            if iteration == cfg.warmup_iters {
-                ctx.barrier();
-                t0 = ctx.now();
-            }
-            if cold {
-                ctx.flush_caches();
-            }
-            for k in &kernels {
-                (k.run)(&mut st, ctx, cfg.mode);
-            }
-            ctx.barrier();
-        }
-        ctx.barrier();
-        let elapsed = ctx.now() - t0;
-        st.recycle();
-        elapsed
-    });
-    (
-        out.results[0].to_bits(),
-        out.reports.iter().map(|r| r.cache).collect(),
-    )
-}
-
 /// A cell's pinned outcome: the bits of its timed region and, per
 /// rank, `(hits per level, lines from memory)`.
 type Pinned = (u64, &'static [([u64; 4], u64)]);
 
-/// The simulator's exact work and exact clock on four small cells.
-/// The constants were captured at the commit before the span walker
+/// The simulator's exact work and exact clock on four small cells, run
+/// through `NpbExecutor::run_chain`, the protocol every chain cell is
+/// measured with.  The constants were captured at the commit before the span walker
 /// replaced the per-line path; a faster simulator must reproduce every
 /// one of them — the counts pin each replacement decision, the bits
 /// pin the order of the clock's f64 additions.
@@ -224,9 +170,9 @@ fn cache_work_and_virtual_time_are_pinned_exactly() {
             .map(|name| exec.kernel_set().id_of(name).expect("kernel name"))
             .collect();
         let label = format!("{} {chain:?} on {}", app.label(), machine.name);
-        assert_eq!(exec.run_chain_raw(&ids).to_bits(), bits, "{label}: time");
-        let (replayed, caches) = replay_cell(app, machine, chain);
-        assert_eq!(replayed, bits, "{label}: replayed time");
+        let run = exec.run_chain(&ids);
+        assert_eq!(run.results[0].to_bits(), bits, "{label}: time");
+        let caches: Vec<AccessCounts> = run.reports.iter().map(|r| r.cache).collect();
         let pinned: Vec<AccessCounts> = per_rank
             .iter()
             .map(|&(hits, memory)| AccessCounts { hits, memory })

@@ -21,9 +21,8 @@
 //! 5. **Deadline ordering is safe and conservative** (property-based)
 //!    — arbitrary cost/deadline mixes, NaN and infinities included,
 //!    never panic and never lose a cell; and a deadline-free drain
-//!    (`drain`, `drain_with_deadline(None)`, or a NaN deadline) pops
-//!    in *exactly* the pure cost order the scheduler had before
-//!    deadlines existed.
+//!    (a `None` or a NaN deadline) pops in *exactly* the pure cost
+//!    order the scheduler had before deadlines existed.
 
 use kernel_couplings::coupling::{
     CacheStats, CellContext, CellKind, Disposition, KernelId, MeasurementKey, MeasurementProvider,
@@ -267,7 +266,7 @@ proptest! {
                         .collect();
                     let scheduler = &scheduler;
                     let deadline = *deadline;
-                    s.spawn(move || scheduler.drain_with_deadline(cells, deadline))
+                    s.spawn(move || scheduler.drain(cells, deadline))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -289,10 +288,9 @@ proptest! {
     }
 
     /// Property 5b: without a deadline the scheduler is bit-identical
-    /// to its pre-deadline self.  For any cost vector, `drain`,
-    /// `drain_with_deadline(None)` and a NaN deadline all pop in
-    /// exactly the pure cost order (highest cost first under
-    /// `total_cmp`, ties by canonical key order).
+    /// to its pre-deadline self.  For any cost vector, a `None` and a
+    /// NaN deadline both pop in exactly the pure cost order (highest
+    /// cost first under `total_cmp`, ties by canonical key order).
     #[test]
     fn deadline_free_drains_pop_in_the_original_pure_cost_order(
         costs in prop::collection::vec(any_cost(), 1..12),
@@ -307,20 +305,17 @@ proptest! {
         let expected: Vec<MeasurementKey> =
             expected.into_iter().map(|(k, _)| k).collect();
 
-        for variant in 0..3u8 {
+        for deadline in [None, Some(f64::NAN)] {
             let (scheduler, order) = recording_scheduler(1);
-            let stats = match variant {
-                0 => scheduler.drain(cells.clone()),
-                1 => scheduler.drain_with_deadline(cells.clone(), None),
-                _ => scheduler.drain_with_deadline(cells.clone(), Some(f64::NAN)),
-            }
-            .expect("drain succeeds");
+            let stats = scheduler
+                .drain(cells.clone(), deadline)
+                .expect("drain succeeds");
             prop_assert_eq!(stats.executed, cells.len());
             prop_assert_eq!(
                 &*order.lock().unwrap(),
                 &expected,
-                "variant {} diverged from the pure cost order",
-                variant
+                "deadline {:?} diverged from the pure cost order",
+                deadline
             );
         }
     }
