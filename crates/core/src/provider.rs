@@ -297,16 +297,20 @@ impl<P: MeasurementProvider> CachedProvider<P> {
             key: key.to_string(),
             worker: worker.clone(),
         });
-        let started = Instant::now();
-        let outcome = self.measure_inner(key);
-        // only an execution can fail, so a failed request finishes as
-        // `Executed`: the span stream counts what `CacheStats` counts
-        sink.record(TelemetryEvent::CellFinished {
-            key: key.to_string(),
-            disposition: outcome.as_ref().map_or(Disposition::Executed, |&(_, d)| d),
-            duration_secs: started.elapsed().as_secs_f64(),
+        // only an execution can fail or unwind, so a failed or
+        // panicking request finishes as `Executed`: the span stream
+        // counts what `CacheStats` counts
+        let mut span = FinishSpan {
+            sink: &**sink,
+            key,
             worker,
-        });
+            started: Instant::now(),
+            disposition: Disposition::Executed,
+        };
+        let outcome = self.measure_inner(key);
+        if let Ok((_, disposition)) = &outcome {
+            span.disposition = *disposition;
+        }
         outcome
     }
 
@@ -342,6 +346,28 @@ impl<P: MeasurementProvider> CachedProvider<P> {
     /// A snapshot of the traffic counters.
     pub fn stats(&self) -> CacheStats {
         *self.stats.lock()
+    }
+}
+
+/// The open half of a cell span: records its `CellFinished` when
+/// dropped, so a request that unwinds out of the inner provider still
+/// closes its span (the panic itself propagates untouched).
+struct FinishSpan<'a> {
+    sink: &'a dyn TelemetrySink,
+    key: &'a MeasurementKey,
+    worker: String,
+    started: Instant,
+    disposition: Disposition,
+}
+
+impl Drop for FinishSpan<'_> {
+    fn drop(&mut self) {
+        self.sink.record(TelemetryEvent::CellFinished {
+            key: self.key.to_string(),
+            disposition: self.disposition,
+            duration_secs: self.started.elapsed().as_secs_f64(),
+            worker: std::mem::take(&mut self.worker),
+        });
     }
 }
 
@@ -563,6 +589,51 @@ mod tests {
         );
         assert_eq!(summary.executed, stats.executed);
         assert_eq!(summary.hits, stats.hits);
+    }
+
+    #[test]
+    fn a_panicking_execution_still_finishes_its_span() {
+        /// Panics on the application cell, measures everything else.
+        struct PanicsOnApplication;
+        impl MeasurementProvider for PanicsOnApplication {
+            fn measure(&self, key: &MeasurementKey) -> KcResult<Measurement> {
+                if key.cell == CellKind::Application {
+                    panic!("injected panic");
+                }
+                Ok(Measurement::exact(1.0))
+            }
+        }
+
+        let sink = Arc::new(MemorySink::new());
+        let p = CachedProvider::new(PanicsOnApplication).with_telemetry(sink.clone());
+        let overhead = ctx().key(CellKind::SerialOverhead, 1);
+        p.measure(&overhead).unwrap();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            p.measure(&ctx().key(CellKind::Application, 1))
+        }));
+        assert!(unwound.is_err(), "the panic propagates to the caller");
+        p.measure(&overhead).unwrap();
+
+        let events = sink.events();
+        let count = |started: bool| {
+            events
+                .iter()
+                .filter(|e| match e {
+                    TelemetryEvent::CellStarted { .. } => started,
+                    TelemetryEvent::CellFinished { .. } => !started,
+                    _ => false,
+                })
+                .count()
+        };
+        assert_eq!((count(true), count(false)), (3, 3));
+        let stats = p.stats();
+        let summary = summarize(&events, 5);
+        assert_eq!(
+            (summary.requests, summary.hits, summary.executed),
+            (stats.requests, stats.hits, stats.executed),
+            "the unwound execution is counted by both"
+        );
+        assert_eq!(stats.executed, 2);
     }
 
     #[test]

@@ -23,10 +23,12 @@
 //! sidecar on shutdown.  The store spec is a bare PATH — the format is
 //! auto-detected (JSON file or sharded binary directory) — or
 //! `sharded:PATH` / `json:PATH` to force the format for a fresh store.
-//! The sharded format appends each measured cell immediately, so a
-//! second instance over the same store directory sees this one's cells
-//! as they land.  `--trace` writes the canonical telemetry stream
-//! (cell spans + `RequestServed` events); `--metrics` prints
+//! The sharded format appends each measured cell immediately, but
+//! another process sees those cells only after it reopens the store:
+//! each process builds its frame index at open.  Two processes must
+//! not hold one sharded store at the same time.  `--trace` writes the
+//! canonical telemetry stream (cell spans + `RequestServed` events);
+//! `--metrics` prints
 //! request-latency percentiles, batch shape and cache hit rate to
 //! stderr at shutdown.
 

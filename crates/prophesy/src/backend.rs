@@ -15,8 +15,8 @@
 //!   store.  Human-readable, diffs well, loads everything up front.
 //! * [`crate::ShardedStore`] — a directory of compact binary
 //!   segments sharded by key digest, fronted by a lossy hot cache.
-//!   Append-only writes, torn-tail-tolerant loads, cheap enough to
-//!   share between concurrent `kc_served` instances.
+//!   Append-only writes and torn-tail-tolerant loads.  One process at
+//!   a time: another process sees the appends only once it reopens.
 //!
 //! [`StoreSpec::open`] is the one entry point binaries use: it
 //! auto-detects which format lives at a path (file ⇒ JSON, directory

@@ -4,8 +4,9 @@
 //! The binaries' own flag tables and parsers are compiled into this
 //! test (`#[path]`), so every row below runs the code the shipped
 //! binary runs: `kc_core::cli::parse` over that binary's table plus
-//! its positional handling.  Exiting is `cli::exit_on`'s job and is
-//! gated per binary in `scripts/verify.sh`.
+//! its positional handling.  Exiting is `cli::exit_on`'s job; the
+//! crates that own the binaries check it on the real executables
+//! (`crates/*/tests/exit_codes.rs`, `crates/prophesy/tests/kc_store.rs`).
 
 #[allow(dead_code)]
 #[path = "../crates/loadgen/src/bin/kc_loadgen.rs"]

@@ -10,7 +10,10 @@
 //! assert `executed == 0`, so a drift in the `MeasurementKey` schema
 //! (which would silently re-simulate instead of reusing committed
 //! cells) fails loudly, and every numeric value must match its
-//! snapshot within a relative tolerance of 1e-6.  One test re-simulates
+//! snapshot within a relative tolerance of 1e-6.  Each store is read
+//! twice: as the committed JSON file, and as a sharded store the test
+//! copies it into and reopens from disk, so the tables cannot depend on
+//! the backend format.  One test re-simulates
 //! the two cheapest tables from scratch, catching drift in the
 //! simulation itself; two more hold the catalogue to itself (an
 //! experiment reads exactly the cells it requests) and to the
@@ -22,14 +25,14 @@
 //! UPDATE_GOLDEN=1 cargo test --release --test golden_tables
 //! ```
 
-use kernel_couplings::coupling::{MemorySink, TelemetryEvent};
+use kernel_couplings::coupling::{MeasurementBackend, MemorySink, TelemetryEvent};
 use kernel_couplings::experiments::catalog::{self, Experiment};
 use kernel_couplings::experiments::render::Artifact;
 use kernel_couplings::experiments::{Campaign, Runner};
-use kernel_couplings::prophesy::CellStore;
+use kernel_couplings::prophesy::{CellBackend, CellStore, ShardedStore, StoreFormat};
 use serde_json::Value;
 use std::collections::BTreeSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 /// Per-value relative tolerance for table comparisons.
@@ -81,6 +84,20 @@ fn load_store(cells_file: &str) -> Arc<CellStore> {
         CellStore::load(&path)
             .unwrap_or_else(|e| panic!("missing golden cell store {}: {e}", path.display())),
     )
+}
+
+/// A fresh sharded store holding every cell of `store`: appended,
+/// flushed, dropped and reopened from `dir`, so reads go through the
+/// index that open rebuilds from the segments.
+fn sharded_copy(store: &CellStore, dir: &Path) -> Arc<dyn CellBackend> {
+    let _ = std::fs::remove_dir_all(dir);
+    let sharded = ShardedStore::create(dir, ShardedStore::DEFAULT_SHARDS).unwrap();
+    for (key, samples) in store.entries() {
+        sharded.append_raw(&key, &samples).unwrap();
+    }
+    sharded.flush().unwrap();
+    drop(sharded);
+    Arc::new(ShardedStore::open(dir).unwrap())
 }
 
 /// Walk two JSON values in lockstep, recording every mismatch.
@@ -154,19 +171,28 @@ fn check_artifact(artifact: &Artifact, diffs: &mut Vec<String>) {
 }
 
 /// Run one store's experiments through the catalogue over the
-/// committed cells and compare every table with its snapshot — or,
-/// under `UPDATE_GOLDEN`, simulate them from scratch and commit the
-/// snapshots with the raw cells they were built from.
-fn check_store_backed((cells_file, ids): GoldenStore) {
+/// committed cells, read in `format`, and compare every table with its
+/// snapshot — or, under `UPDATE_GOLDEN`, simulate them from scratch and
+/// commit the snapshots with the raw cells they were built from.
+fn check_store_backed((cells_file, ids): GoldenStore, format: StoreFormat) {
     let dir = golden_dir();
     let regenerate = updating();
     let store = if regenerate {
+        if format == StoreFormat::Sharded {
+            return; // the JSON run rewrites the snapshots
+        }
         Arc::new(CellStore::new())
     } else {
         load_store(cells_file)
     };
+    let scratch =
+        std::env::temp_dir().join(format!("kc_golden_{}_{cells_file}.kcs", std::process::id()));
+    let backend: Box<dyn MeasurementBackend> = match format {
+        StoreFormat::Json => Box::new(Arc::clone(&store)),
+        StoreFormat::Sharded => Box::new(sharded_copy(&store, &scratch)),
+    };
     let campaign = Campaign::builder(Runner::noise_free())
-        .backend(Box::new(Arc::clone(&store)))
+        .backend(backend)
         .build();
     let artifacts: Vec<Artifact> = ids
         .iter()
@@ -175,6 +201,7 @@ fn check_store_backed((cells_file, ids): GoldenStore) {
             output.artifact
         })
         .collect();
+    let _ = std::fs::remove_dir_all(&scratch);
 
     if regenerate {
         std::fs::create_dir_all(&dir).unwrap();
@@ -193,7 +220,7 @@ fn check_store_backed((cells_file, ids): GoldenStore) {
     let cache = campaign.cache_stats();
     assert_eq!(
         cache.executed, 0,
-        "cells missing from {cells_file} were re-simulated"
+        "cells missing from {cells_file} ({format}) were re-simulated"
     );
     assert!(cache.backend_hits > 0);
 
@@ -219,7 +246,7 @@ fn check_store_backed((cells_file, ids): GoldenStore) {
     }
     assert!(
         diffs.is_empty(),
-        "{} value(s) drifted from the golden tables of {cells_file}:\n  {}",
+        "{} value(s) drifted from the golden tables of {cells_file} ({format}):\n  {}",
         diffs.len(),
         diffs.join("\n  ")
     );
@@ -227,17 +254,32 @@ fn check_store_backed((cells_file, ids): GoldenStore) {
 
 #[test]
 fn golden_tables_match_store_backed_assembly() {
-    check_store_backed(GOLDEN_STORES[0]);
+    check_store_backed(GOLDEN_STORES[0], StoreFormat::Json);
 }
 
 #[test]
 fn extended_golden_tables_match_store_backed_assembly() {
-    check_store_backed(GOLDEN_STORES[1]);
+    check_store_backed(GOLDEN_STORES[1], StoreFormat::Json);
 }
 
 #[test]
 fn studies_golden_tables_match_store_backed_assembly() {
-    check_store_backed(GOLDEN_STORES[2]);
+    check_store_backed(GOLDEN_STORES[2], StoreFormat::Json);
+}
+
+#[test]
+fn golden_tables_match_through_a_sharded_store() {
+    check_store_backed(GOLDEN_STORES[0], StoreFormat::Sharded);
+}
+
+#[test]
+fn extended_golden_tables_match_through_a_sharded_store() {
+    check_store_backed(GOLDEN_STORES[1], StoreFormat::Sharded);
+}
+
+#[test]
+fn studies_golden_tables_match_through_a_sharded_store() {
+    check_store_backed(GOLDEN_STORES[2], StoreFormat::Sharded);
 }
 
 /// The catalogue cannot drift from itself: what an experiment
