@@ -75,7 +75,6 @@ pub mod cli;
 pub mod coefficients;
 pub mod error;
 pub mod executor;
-pub mod history;
 pub mod kernel;
 pub mod measurement;
 pub mod predict;
@@ -90,7 +89,6 @@ pub use analysis::CouplingAnalysis;
 pub use coefficients::Coefficients;
 pub use error::{CouplingError, KcError, KcResult};
 pub use executor::ChainExecutor;
-pub use history::{BackendCounters, HistoryRecord, RunHistory};
 pub use kernel::{KernelId, KernelSet};
 pub use measurement::Measurement;
 pub use predict::{Prediction, PredictionSet, Predictor};

@@ -3,7 +3,7 @@
 //! ```text
 //! kc_served [--listen ADDR] [--store SPEC]
 //!          [--noise-free] [--reps N] [--jobs N] [--max-inflight N]
-//!          [--max-batch N] [--trace FILE] [--metrics] [--history FILE]
+//!          [--max-batch N] [--trace FILE] [--metrics]
 //! ```
 //!
 //! Reads line-delimited JSON [`kc_serve::PredictRequest`]s — from
@@ -19,8 +19,7 @@
 //! execute exactly once and at most `--jobs` cells execute at any
 //! instant.  With `--store`, cells load from / save to a kc-prophesy
 //! cell store — a warm store answers every request with zero
-//! executions — and the run appends to the `PATH.history.jsonl`
-//! sidecar on shutdown.  The store spec is a bare PATH — the format is
+//! executions.  The store spec is a bare PATH — the format is
 //! auto-detected (JSON file or sharded binary directory) — or
 //! `sharded:PATH` / `json:PATH` to force the format for a fresh store.
 //! The sharded format appends each measured cell immediately, but
@@ -74,7 +73,6 @@ fn flags() -> Vec<Flag<Options>> {
         CampaignArgs::trace()
             .help("write the telemetry stream (cells + requests) as canonical JSON lines"),
         CampaignArgs::metrics().help("print serve + campaign aggregates to stderr at shutdown"),
-        CampaignArgs::history(),
     ]
 }
 
@@ -119,8 +117,7 @@ fn install_sigterm(_flag: Arc<std::sync::atomic::AtomicBool>) {}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut opts = cli::exit_on(parse_cli(&args), usage);
-    opts.campaign.default_history_to_sidecar();
+    let opts = cli::exit_on(parse_cli(&args), usage);
     let session = Session::open(&opts.campaign).unwrap_or_else(|e| cli::reject(e));
     let config = opts.serve.config();
     let server = session.server(config);

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! paper_tables [EXPERIMENT ...] [--noise-free] [--out DIR] [--reps N] [--store SPEC]
-//!              [--trace FILE] [--metrics] [--history FILE] [--jobs N]
+//!              [--trace FILE] [--metrics] [--jobs N]
 //!
 //! EXPERIMENT: an id of `kc_experiments::catalog` (classes, bt-s, …,
 //!             granularity; `--help` lists them) or `all`
@@ -25,14 +25,11 @@
 //! and `<id>.json` artifacts into DIR (consumed by EXPERIMENTS.md).
 //! With `--store SPEC`, raw cell measurements are loaded from and
 //! saved to a `kc-prophesy` cell store, so a re-run (or a run with
-//! more experiments) measures only what the store doesn't hold — and
-//! each run appends its `RunSummary`, backend counters and measured
-//! cell durations to the run-history sidecar `PATH.history.jsonl`
-//! (`--history` overrides the sidecar path, or enables it without a
-//! store).  SPEC is a bare PATH — the on-disk format is auto-detected
-//! (a JSON file or a sharded binary directory) and a fresh store is
-//! created as JSON — or `sharded:PATH` / `json:PATH` to force the
-//! format (`kc_prophesy::StoreSpec`).  Table values are byte-identical
+//! more experiments) measures only what the store doesn't hold.  SPEC
+//! is a bare PATH — the on-disk format is auto-detected (a JSON file
+//! or a sharded binary directory) and a fresh store is created as
+//! JSON — or `sharded:PATH` / `json:PATH` to force the format
+//! (`kc_prophesy::StoreSpec`).  Table values are byte-identical
 //! whichever format backs the run.
 //!
 //! With `--trace FILE`, the campaign's telemetry stream (cell spans,
@@ -75,7 +72,6 @@ fn flags() -> Vec<Flag<Options>> {
         CampaignArgs::store(),
         CampaignArgs::trace(),
         CampaignArgs::metrics(),
-        CampaignArgs::history(),
         CampaignArgs::jobs(),
     ]
 }
@@ -114,9 +110,7 @@ pub(crate) fn parse_cli(args: &[String]) -> Result<Options, CliError> {
 
 /// Run the campaign and print the tables; an `Err` is a run-time
 /// failure (exit 1).
-fn run(mut opts: Options) -> Result<(), String> {
-    // the sidecar rides along with --store unless --history overrides
-    opts.campaign.default_history_to_sidecar();
+fn run(opts: Options) -> Result<(), String> {
     let session = Session::open(&opts.campaign).unwrap_or_else(|e| cli::reject(e));
     let campaign: &Campaign = session.campaign();
 

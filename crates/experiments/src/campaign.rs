@@ -390,8 +390,8 @@ impl Campaign {
     /// [`SummaryOpts::recorded`], the computed `RunSummary` is also
     /// appended to the event stream (so attached sinks — and the
     /// trace — end with a summary line).  This is the one summary
-    /// type: the `--metrics` printer and the run-history sidecar both
-    /// serialize exactly what this returns.
+    /// type: the `--metrics` printer and the trace both show exactly
+    /// what this returns.
     pub fn summary(&self, opts: SummaryOpts) -> RunSummary {
         let s = summarize(&self.telemetry.events(), opts.top_n);
         if opts.record {

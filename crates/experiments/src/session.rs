@@ -5,19 +5,19 @@
 //! here, written once:
 //!
 //! * [`CampaignArgs`] — the `--store` / `--jobs` / `--reps` /
-//!   `--noise-free` / `--trace` / `--metrics` / `--history` group.
+//!   `--noise-free` / `--trace` / `--metrics` group.
 //!   Each flag is defined by one associated function; a binary lists
 //!   the ones it exposes in its own `kc_core::cli` table.
 //! * [`ServeArgs`] — `--max-inflight` / `--max-batch`.
 //! * [`Session`] — the prologue ([`Session::open`]: runner, store,
 //!   campaign, sinks) and the epilogue ([`Session::finish`]: the
-//!   `[cache]` / `[metrics]` / `[trace]` / `[store]` / `[history]`
-//!   stderr lines with the flushes that make them true).
+//!   `[cache]` / `[metrics]` / `[trace]` / `[store]` stderr lines
+//!   with the flushes that make them true).
 
 use crate::{Campaign, CampaignEngine, Runner, SummaryOpts};
 use kc_core::cli::{self, Flag};
-use kc_core::{HistoryRecord, JsonLinesSink, RunHistory, TelemetrySink};
-use kc_prophesy::{history_sidecar, CellBackend, StoreSpec};
+use kc_core::{JsonLinesSink, TelemetrySink};
+use kc_prophesy::{CellBackend, StoreSpec};
 use kc_serve::{Server, ServerConfig};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -46,8 +46,6 @@ pub struct CampaignArgs {
     pub trace: Option<PathBuf>,
     /// `--metrics`.
     pub metrics: bool,
-    /// `--history FILE`.
-    pub history: Option<PathBuf>,
 }
 
 impl CampaignArgs {
@@ -110,26 +108,6 @@ impl CampaignArgs {
             o.as_mut().metrics = true
         })
     }
-
-    /// `--history FILE`.
-    pub fn history<O: AsMut<Self> + 'static>() -> Flag<O> {
-        Flag::value(
-            "--history",
-            "FILE",
-            "append this run's summary + cell durations to FILE \
-             (default: STORE.history.jsonl when --store is given)",
-            cli::path,
-            |o, file| o.as_mut().history = Some(file),
-        )
-    }
-
-    /// The rule of the binaries that expose `--history`: without the
-    /// flag, the sidecar rides along with `--store`.
-    pub fn default_history_to_sidecar(&mut self) {
-        if self.history.is_none() {
-            self.history = self.store.as_ref().map(|s| history_sidecar(&s.path));
-        }
-    }
 }
 
 /// What the shared server flags configure.
@@ -179,7 +157,6 @@ pub struct Session {
     campaign: Arc<Campaign>,
     store: Option<(Arc<dyn CellBackend>, PathBuf)>,
     trace: Option<Arc<JsonLinesSink>>,
-    history: Option<PathBuf>,
     metrics: bool,
 }
 
@@ -221,7 +198,6 @@ impl Session {
             campaign,
             store,
             trace,
-            history: args.history.clone(),
             metrics: args.metrics,
         })
     }
@@ -242,10 +218,10 @@ impl Session {
     }
 
     /// End the run: report the cache traffic, print `extra_metrics`
-    /// and the summary under `--metrics`, flush the trace and the
-    /// store, and append the history record.  A write that fails is
-    /// returned, not panicked on; nothing is reported as written
-    /// before its flush succeeded.
+    /// and the summary under `--metrics`, and flush the trace and the
+    /// store.  The summary is computed only under `--metrics` or
+    /// `--trace`.  A write that fails is returned, not panicked on;
+    /// nothing is reported as written before its flush succeeded.
     pub fn finish(self, extra_metrics: &str) -> io::Result<()> {
         let campaign = &self.campaign;
         let cache = campaign.cache_stats();
@@ -254,7 +230,7 @@ impl Session {
             cache.requests, cache.hits, cache.backend_hits, cache.executed
         );
         // traces end with a summary line, so a traced summary is recorded
-        let summary = (self.metrics || self.trace.is_some() || self.history.is_some()).then(|| {
+        let summary = (self.metrics || self.trace.is_some()).then(|| {
             let opts = SummaryOpts::top(SUMMARY_TOP_N);
             campaign.summary(if self.trace.is_some() {
                 opts.recorded()
@@ -291,19 +267,6 @@ impl Session {
                 b.loads,
                 b.load_hits,
                 b.stores
-            );
-        }
-        if let (Some(path), Some(summary)) = (&self.history, summary) {
-            let mut record = HistoryRecord::from_events(summary, &campaign.telemetry_events())
-                .with_jobs(campaign.jobs() as u64);
-            if let Some((store, _)) = &self.store {
-                record = record.with_backend(store.stats().into());
-            }
-            RunHistory::append(path, &record).map_err(cannot("append run history", path))?;
-            eprintln!(
-                "[history] appended to {} ({} cell durations)",
-                path.display(),
-                record.cell_durations.len()
             );
         }
         Ok(())

@@ -39,21 +39,12 @@ pub struct BackendStats {
     pub read_errors: u64,
 }
 
-impl From<BackendStats> for kc_core::BackendCounters {
-    fn from(s: BackendStats) -> Self {
-        Self {
-            loads: s.loads,
-            load_hits: s.load_hits,
-            stores: s.stores,
-            read_errors: s.read_errors,
-        }
-    }
-}
-
-/// The run-history sidecar path of a cell-store file: the store path
-/// with `.history.jsonl` appended (`cells.json` →
-/// `cells.json.history.jsonl`), so the history always travels next to
-/// the cells it describes.
+/// The store path with `.history.jsonl` appended (`cells.json` →
+/// `cells.json.history.jsonl`): where binaries once appended a
+/// run-history record at exit.  No binary writes this file any more;
+/// the function stays only because the benchmark harness imports it
+/// to delete the file between warm re-runs, and ROADMAP item 3(a)
+/// removes both.
 pub fn history_sidecar(store_path: &Path) -> std::path::PathBuf {
     let mut os = store_path.as_os_str().to_os_string();
     os.push(".history.jsonl");
@@ -281,21 +272,6 @@ mod tests {
             history_sidecar(Path::new("s.json")),
             Path::new("s.json.history.jsonl")
         );
-    }
-
-    #[test]
-    fn backend_stats_convert_to_history_counters() {
-        let counters: kc_core::BackendCounters = BackendStats {
-            loads: 5,
-            load_hits: 3,
-            stores: 2,
-            read_errors: 1,
-        }
-        .into();
-        assert_eq!(counters.loads, 5);
-        assert_eq!(counters.load_hits, 3);
-        assert_eq!(counters.stores, 2);
-        assert_eq!(counters.read_errors, 1);
     }
 
     fn key(cell: CellKind, reps: u32) -> MeasurementKey {

@@ -15,8 +15,7 @@ pub fn run(exe: &str, args: &[&str]) -> Output {
 }
 
 /// `--help` prints the usage on stdout and exits 0 with stderr empty;
-/// an unknown flag prints `error: …` on stderr and exits 2 with stdout
-/// empty.
+/// an unknown flag is a usage error (see [`assert_usage_error`]).
 pub fn assert_help_and_usage_exits(name: &str, exe: &str) {
     let help = run(exe, &["--help"]);
     let stdout = String::from_utf8_lossy(&help.stdout);
@@ -31,16 +30,23 @@ pub fn assert_help_and_usage_exits(name: &str, exe: &str) {
         "{name} --help wrote to stderr"
     );
 
-    let bad = run(exe, &["--no-such-flag"]);
+    assert_usage_error(name, exe, &["--no-such-flag"]);
+}
+
+/// `args` are rejected at start-up: `error: …` on stderr, exit 2,
+/// stdout empty.
+pub fn assert_usage_error(name: &str, exe: &str, args: &[&str]) {
+    let bad = run(exe, args);
+    let line = format!("{name} {}", args.join(" "));
     let stderr = String::from_utf8_lossy(&bad.stderr);
-    assert_eq!(bad.status.code(), Some(2), "{name} --no-such-flag");
+    assert_eq!(bad.status.code(), Some(2), "{line}");
     assert!(
         stderr.starts_with("error: "),
-        "{name} --no-such-flag printed no error on stderr:\n{stderr}"
+        "{line} printed no error on stderr:\n{stderr}"
     );
     assert_eq!(
         String::from_utf8_lossy(&bad.stdout),
         "",
-        "{name} --no-such-flag wrote to stdout"
+        "{line} wrote to stdout"
     );
 }
