@@ -49,6 +49,8 @@
 //! assert!(c.hits_at(1) > 0);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod contention;
 pub mod counts;
 pub mod hierarchy;

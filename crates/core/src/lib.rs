@@ -70,6 +70,8 @@
 //! assert!((coupled - actual).abs() < (summed - actual).abs());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analysis;
 pub mod cli;
 pub mod coefficients;

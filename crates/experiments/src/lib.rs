@@ -36,6 +36,8 @@
 //! cargo run --release -p kc-experiments --bin paper_tables -- all --out out/
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod ablations;
 pub mod analytic;
 pub mod campaign;

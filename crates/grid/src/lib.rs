@@ -21,6 +21,8 @@
 //! paths (`Field3` indexing, face copies) are `#[inline]` and used from
 //! the numeric kernels in `kc-npb`.
 
+#![forbid(unsafe_code)]
+
 pub mod array;
 pub mod decomp;
 pub mod face;

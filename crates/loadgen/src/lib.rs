@@ -27,6 +27,7 @@
 //!   any bound is violated, which is what makes a load run a *gate*
 //!   rather than a dashboard.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod report;

@@ -1,28 +1,26 @@
-//! The cluster runner: executes one program closure per simulated
-//! rank on pooled worker threads (see [`crate::pool`]) and collects
-//! per-rank virtual times and results.
+//! The cluster runner: builds a fresh message mesh and collective
+//! state for each run, executes one program closure per simulated rank
+//! on the calling thread's parked rank workers and collects per-rank
+//! virtual times and results.
 
 use crate::comm::{CommEndpoint, CommEvent, CommStats, Message};
 use crate::config::MachineConfig;
 use crate::perf::PerfContext;
-use crate::pool::{self, RankPool};
-use crossbeam::channel::{Receiver, Sender};
+use crate::pool::{self, Task};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use kc_cachesim::{AccessCounts, RegionId};
 use parking_lot::Mutex;
 use std::sync::Barrier;
 
-/// Shared state backing the collectives (barrier / allreduce).
-///
-/// Reused across pooled runs: `exchange` deposits before it folds, so
-/// every slot is overwritten before it is read, and `std::sync::Barrier`
-/// resets itself after each wait.
-pub(crate) struct CollectiveState {
+/// Shared state backing the collectives (barrier / allreduce) of one
+/// run; every run builds its own.
+struct CollectiveState {
     slots: Vec<Mutex<f64>>,
     gate: Barrier,
 }
 
 impl CollectiveState {
-    pub(crate) fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         Self {
             slots: (0..n).map(|_| Mutex::new(0.0)).collect(),
             gate: Barrier::new(n),
@@ -47,7 +45,7 @@ impl CollectiveState {
 /// performance model and communication.
 pub struct RankCtx<'a> {
     perf: PerfContext,
-    comm: CommEndpoint,
+    comm: CommEndpoint<'a>,
     coll: &'a CollectiveState,
 }
 
@@ -237,9 +235,9 @@ impl Cluster {
     /// Run `program` on `p` ranks and collect the per-rank outcomes.
     /// Panics in any rank propagate.
     ///
-    /// This is a thin wrapper over [`Cluster::run_on`] with the calling
-    /// thread's persistent [`RankPool`], so consecutive cells executed
-    /// by the same scheduler worker reuse the same `p` parked rank
+    /// The ranks run on the calling thread's parked workers (worker
+    /// *r* carries rank *r* of every run), so consecutive cells
+    /// executed by the same scheduler worker reuse the same rank
     /// threads instead of paying spawn + join per cell.  The virtual
     /// timeline is a pure function of the program and machine config,
     /// not of which threads carry the ranks.
@@ -248,18 +246,7 @@ impl Cluster {
         T: Send,
         F: Fn(&mut RankCtx) -> T + Sync,
     {
-        pool::with_local_pool(|local| self.run_on(local, p, &program))
-    }
-
-    /// Run `program` on `p` ranks drawn from `pool`'s parked workers
-    /// (building them on first use).  See [`crate::pool`] for the rig
-    /// lifecycle: keying, reset between runs, and poisoning.
-    pub fn run_on<T, F>(&self, rank_pool: &RankPool, p: usize, program: F) -> RunOutcome<T>
-    where
-        T: Send,
-        F: Fn(&mut RankCtx) -> T + Sync,
-    {
-        pool::run_on(self, rank_pool, p, &program)
+        self.run_with(p, &program, pool::run_parked)
     }
 
     /// Run `program` on `p` freshly spawned scoped threads: the
@@ -271,60 +258,61 @@ impl Cluster {
         T: Send,
         F: Fn(&mut RankCtx) -> T + Sync,
     {
+        self.run_with(p, &program, |p, task| {
+            std::thread::scope(|scope| {
+                for rank in 0..p {
+                    scope.spawn(move || task(rank));
+                }
+            })
+        })
+    }
+
+    /// Build a fresh message mesh and collective state for one run,
+    /// let `dispatch` call the rank task once per rank, and collect the
+    /// outcomes.  `run` and `run_spawned` differ only in `dispatch`.
+    fn run_with<T, F>(&self, p: usize, program: &F, dispatch: fn(usize, &Task<'_>)) -> RunOutcome<T>
+    where
+        T: Send,
+        F: Fn(&mut RankCtx) -> T + Sync,
+    {
         assert!(p > 0, "need at least one rank");
         let coll = CollectiveState::new(p);
-        let mut senders = Vec::with_capacity(p);
-        let mut receivers = Vec::with_capacity(p);
-        for _ in 0..p {
-            let (s, r) = crossbeam::channel::unbounded::<Message>();
-            senders.push(s);
-            receivers.push(r);
-        }
-
-        let mut outcomes: Vec<Option<(RankReport, T)>> = (0..p).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(p);
-            for (rank, receiver) in receivers.into_iter().enumerate() {
-                let senders = senders.clone();
-                let coll = &coll;
-                let config = &self.config;
-                let program = &program;
-                handles.push(scope.spawn(move || {
-                    execute_rank(config, p, rank, senders, receiver, coll, program)
-                }));
-            }
-            for (rank, h) in handles.into_iter().enumerate() {
-                outcomes[rank] = Some(h.join().expect("rank thread panicked"));
-            }
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..p).map(|_| unbounded::<Message>()).unzip();
+        let outcomes: Vec<Mutex<Option<(RankReport, T)>>> =
+            (0..p).map(|_| Mutex::new(None)).collect();
+        dispatch(p, &|rank| {
+            let out = execute_rank(
+                &self.config,
+                rank,
+                &senders,
+                &receivers[rank],
+                &coll,
+                program,
+            );
+            *outcomes[rank].lock() = Some(out);
         });
-
-        let mut reports = Vec::with_capacity(p);
-        let mut results = Vec::with_capacity(p);
-        for o in outcomes {
-            let (rep, res) = o.expect("rank produced no outcome");
-            reports.push(rep);
-            results.push(res);
-        }
+        let (reports, results) = outcomes
+            .into_iter()
+            .map(|slot| slot.into_inner().expect("rank produced no outcome"))
+            .unzip();
         RunOutcome { reports, results }
     }
 }
 
 /// Execute one rank's program against fresh per-run contexts (perf
 /// clock, comm endpoint) over the given channels and collective state.
-/// Shared by the pooled path and its spawned test reference so their
-/// virtual timelines are computed by literally the same code.
-pub(crate) fn execute_rank<T, F>(
+fn execute_rank<T, F>(
     config: &MachineConfig,
-    p: usize,
     rank: usize,
-    senders: Vec<Sender<Message>>,
-    receiver: Receiver<Message>,
+    senders: &[Sender<Message>],
+    receiver: &Receiver<Message>,
     coll: &CollectiveState,
     program: &F,
 ) -> (RankReport, T)
 where
     F: Fn(&mut RankCtx) -> T,
 {
+    let p = senders.len();
     // A rank of a multicore machine sees its *effective* share of the
     // node's shared cache (uniprocessor configs return themselves
     // unchanged).  Cell keys still fingerprint the declared config.

@@ -68,13 +68,14 @@ pub struct CommStats {
     pub recv_messages: u64,
 }
 
-/// One rank's endpoint: senders to every rank plus its own receiver.
-pub struct CommEndpoint {
+/// One rank's endpoint: senders to every rank plus its own receiver,
+/// borrowed from the run's mesh so every queue outlives every rank.
+pub struct CommEndpoint<'a> {
     rank: usize,
     size: usize,
     net: NetModel,
-    senders: Vec<Sender<Message>>,
-    receiver: Receiver<Message>,
+    senders: &'a [Sender<Message>],
+    receiver: &'a Receiver<Message>,
     /// Messages that arrived before anyone asked for them.
     pending: Vec<Message>,
     /// Virtual time until which this rank's NIC is busy serializing
@@ -84,14 +85,14 @@ pub struct CommEndpoint {
     trace: Option<Vec<CommEvent>>,
 }
 
-impl CommEndpoint {
+impl<'a> CommEndpoint<'a> {
     /// Assemble an endpoint (called by the cluster runner).
     pub(crate) fn new(
         rank: usize,
         size: usize,
         net: NetModel,
-        senders: Vec<Sender<Message>>,
-        receiver: Receiver<Message>,
+        senders: &'a [Sender<Message>],
+        receiver: &'a Receiver<Message>,
     ) -> Self {
         Self {
             rank,
@@ -230,18 +231,23 @@ mod tests {
     use crate::config::MachineConfig;
     use crossbeam::channel::unbounded;
 
-    fn pair() -> (CommEndpoint, CommEndpoint, NetModel) {
+    type Mesh = (Vec<Sender<Message>>, Vec<Receiver<Message>>);
+
+    fn mesh() -> Mesh {
+        (0..2).map(|_| unbounded()).unzip()
+    }
+
+    fn pair((senders, receivers): &Mesh) -> (CommEndpoint<'_>, CommEndpoint<'_>, NetModel) {
         let net = MachineConfig::test_tiny().net;
-        let (s0, r0) = unbounded();
-        let (s1, r1) = unbounded();
-        let e0 = CommEndpoint::new(0, 2, net, vec![s0.clone(), s1.clone()], r0);
-        let e1 = CommEndpoint::new(1, 2, net, vec![s0, s1], r1);
+        let e0 = CommEndpoint::new(0, 2, net, senders, &receivers[0]);
+        let e1 = CommEndpoint::new(1, 2, net, senders, &receivers[1]);
         (e0, e1, net)
     }
 
     #[test]
     fn send_recv_carries_data_and_time() {
-        let (mut e0, mut e1, net) = pair();
+        let mesh = mesh();
+        let (mut e0, mut e1, net) = pair(&mesh);
         let cfg = MachineConfig::test_tiny();
         let mut p0 = PerfContext::new(cfg.clone());
         let mut p1 = PerfContext::new(cfg);
@@ -256,7 +262,8 @@ mod tests {
 
     #[test]
     fn out_of_order_tags_are_buffered() {
-        let (mut e0, mut e1, _) = pair();
+        let mesh = mesh();
+        let (mut e0, mut e1, _) = pair(&mesh);
         let cfg = MachineConfig::test_tiny();
         let mut p0 = PerfContext::new(cfg.clone());
         let mut p1 = PerfContext::new(cfg);
@@ -271,7 +278,8 @@ mod tests {
 
     #[test]
     fn nic_serialization_delays_bursts() {
-        let (mut e0, _e1, net) = pair();
+        let mesh = mesh();
+        let (mut e0, _e1, net) = pair(&mesh);
         let cfg = MachineConfig::test_tiny();
         let mut p0 = PerfContext::new(cfg);
         // two large back-to-back messages: second must wait for the
@@ -285,7 +293,8 @@ mod tests {
 
     #[test]
     fn stats_accumulate() {
-        let (mut e0, mut e1, _) = pair();
+        let mesh = mesh();
+        let (mut e0, mut e1, _) = pair(&mesh);
         let cfg = MachineConfig::test_tiny();
         let mut p0 = PerfContext::new(cfg.clone());
         let mut p1 = PerfContext::new(cfg);
@@ -301,7 +310,8 @@ mod tests {
     #[test]
     #[should_panic]
     fn self_send_panics() {
-        let (mut e0, _e1, _) = pair();
+        let mesh = mesh();
+        let (mut e0, _e1, _) = pair(&mesh);
         let mut p0 = PerfContext::new(MachineConfig::test_tiny());
         e0.send_sized(&mut p0, 0, 1, 8, vec![]);
     }

@@ -46,16 +46,18 @@
 //! assert!(out.elapsed() > 0.0);
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod cluster;
 pub mod comm;
 pub mod config;
 pub mod perf;
-pub mod pool;
+#[allow(unsafe_code)]
+mod pool;
 pub mod timer;
 
 pub use cluster::{Cluster, RankCtx, RunOutcome};
 pub use comm::{CommEvent, Message};
 pub use config::{CpuModel, MachineConfig, MemTiming, NetModel, NodeModel, TimerModel};
 pub use perf::PerfContext;
-pub use pool::RankPool;
 pub use timer::NoisyTimer;

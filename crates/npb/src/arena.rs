@@ -2,12 +2,13 @@
 //!
 //! A numeric cell execution allocates one [`crate::state::RankState`]
 //! per rank — three `Field3` fields, four halo buffers and the solver
-//! scratch — and drops it all when the cell finishes.  With persistent
-//! rank pools (`kc_machine::pool`), consecutive cells of a sweep run on
-//! the *same* long-lived worker threads, so those allocations can be
-//! handed back to a thread-local free list instead of the allocator:
-//! the next `RankState::new` on the same thread pops a buffer, zeroes
-//! it and resizes it to the new shape.
+//! scratch — and drops it all when the cell finishes.  `kc-machine`
+//! keeps its rank threads parked between runs: rank *r* of every cell
+//! a scheduler worker executes runs on that worker's parked thread *r*,
+//! whatever the cell's rank count.  So those allocations can be handed
+//! back to a thread-local free list instead of the allocator: the next
+//! `RankState::new` on the same thread pops a buffer, zeroes it and
+//! resizes it to the new shape.
 //!
 //! Buffers are always fully zeroed on checkout, so a recycled state is
 //! bit-for-bit the state a fresh allocation would produce — recycling

@@ -45,6 +45,7 @@
 //! `kc_core::ChainExecutor` on top of it, which is everything the
 //! coupling framework needs.
 
+#![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // indexed loops mirror the Fortran stencils
 
 pub mod app;

@@ -146,7 +146,7 @@ impl RankState {
         let (u, rhs, forcing, halo, ctil, dtil, etil);
         if numeric {
             // draw the big scratch arrays from this thread's arena so
-            // consecutive cells on a pooled rank thread reuse them
+            // consecutive cells on the same parked rank thread reuse them
             u = Field3::zeros_in(nx, ny, nz, arena::raw_f64());
             rhs = Field3::zeros_in(nx, ny, nz, arena::raw_f64());
             forcing = Field3::zeros_in(nx, ny, nz, arena::raw_f64());

@@ -44,6 +44,8 @@
 //! # let _ = std::fs::remove_dir_all(&dir);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod backend;
 pub mod cells;
 mod hot;

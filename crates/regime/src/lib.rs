@@ -35,6 +35,8 @@
 //!
 //! [`Campaign`]: kc_experiments::Campaign
 
+#![forbid(unsafe_code)]
+
 pub mod detect;
 pub mod map;
 pub mod spec;

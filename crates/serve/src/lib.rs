@@ -32,6 +32,7 @@
 //! reported only through [`ServeMetrics`] and redacted
 //! `RequestServed` telemetry.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod metrics;
