@@ -93,7 +93,7 @@ pub use error::{CouplingError, KcError, KcResult};
 pub use executor::ChainExecutor;
 pub use kernel::{KernelId, KernelSet};
 pub use measurement::Measurement;
-pub use predict::{Prediction, PredictionSet, Predictor};
+pub use predict::{Prediction, Predictor};
 pub use provider::{
     analysis_cells, assemble_analysis, CacheStats, CachedProvider, CellContext, CellKind,
     MeasurementBackend, MeasurementKey, MeasurementProvider,

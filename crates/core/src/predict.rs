@@ -62,75 +62,6 @@ impl Prediction {
     }
 }
 
-/// A set of predictions for the same predictor across configurations
-/// (e.g. one per processor count), supporting the paper's
-/// "average relative error" summaries.
-#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
-pub struct PredictionSet {
-    predictions: Vec<Prediction>,
-}
-
-impl PredictionSet {
-    /// An empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a prediction.
-    pub fn push(&mut self, p: Prediction) {
-        self.predictions.push(p);
-    }
-
-    /// All predictions in insertion order.
-    pub fn iter(&self) -> impl Iterator<Item = &Prediction> {
-        self.predictions.iter()
-    }
-
-    /// Number of predictions.
-    pub fn len(&self) -> usize {
-        self.predictions.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.predictions.is_empty()
-    }
-
-    /// Average relative error across the set (paper's summary metric).
-    pub fn avg_rel_err(&self) -> f64 {
-        assert!(!self.predictions.is_empty(), "no predictions to average");
-        self.predictions
-            .iter()
-            .map(Prediction::rel_err)
-            .sum::<f64>()
-            / self.predictions.len() as f64
-    }
-
-    /// Worst relative error in the set.
-    pub fn worst_rel_err(&self) -> f64 {
-        self.predictions
-            .iter()
-            .map(Prediction::rel_err)
-            .fold(0.0, f64::max)
-    }
-
-    /// Best relative error in the set.
-    pub fn best_rel_err(&self) -> f64 {
-        self.predictions
-            .iter()
-            .map(Prediction::rel_err)
-            .fold(f64::INFINITY, f64::min)
-    }
-}
-
-impl FromIterator<Prediction> for PredictionSet {
-    fn from_iter<I: IntoIterator<Item = Prediction>>(iter: I) -> Self {
-        Self {
-            predictions: iter.into_iter().collect(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,35 +85,5 @@ mod tests {
         assert!((over.rel_err() - 0.1).abs() < 1e-12);
         assert!((under.rel_err() - 0.1).abs() < 1e-12);
         assert!((over.rel_err_pct() - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn set_summaries() {
-        let set: PredictionSet = [
-            Prediction {
-                predicted: 110.0,
-                actual: 100.0,
-            },
-            Prediction {
-                predicted: 100.0,
-                actual: 100.0,
-            },
-            Prediction {
-                predicted: 70.0,
-                actual: 100.0,
-            },
-        ]
-        .into_iter()
-        .collect();
-        assert_eq!(set.len(), 3);
-        assert!((set.avg_rel_err() - (0.1 + 0.0 + 0.3) / 3.0).abs() < 1e-12);
-        assert!((set.worst_rel_err() - 0.3).abs() < 1e-12);
-        assert_eq!(set.best_rel_err(), 0.0);
-    }
-
-    #[test]
-    #[should_panic]
-    fn empty_average_panics() {
-        PredictionSet::new().avg_rel_err();
     }
 }

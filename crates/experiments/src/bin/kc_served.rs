@@ -3,7 +3,7 @@
 //! ```text
 //! kc_served [--listen ADDR] [--store SPEC]
 //!          [--noise-free] [--reps N] [--jobs N] [--max-inflight N]
-//!          [--max-batch N] [--trace FILE] [--metrics]
+//!          [--trace FILE] [--metrics]
 //! ```
 //!
 //! Reads line-delimited JSON [`kc_serve::PredictRequest`]s — from
@@ -69,7 +69,6 @@ fn flags() -> Vec<Flag<Options>> {
         CampaignArgs::reps(),
         CampaignArgs::jobs(),
         ServeArgs::max_inflight(),
-        ServeArgs::max_batch(),
         CampaignArgs::trace()
             .help("write the telemetry stream (cells + requests) as canonical JSON lines"),
         CampaignArgs::metrics().help("print serve + campaign aggregates to stderr at shutdown"),

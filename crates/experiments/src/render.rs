@@ -31,12 +31,6 @@ impl Artifact {
         s
     }
 
-    /// Markdown rendering (the tables inside fenced blocks, with the
-    /// experiment id as a heading).
-    pub fn render_markdown(&self) -> String {
-        format!("## {}\n\n```text\n{}```\n", self.id, self.render_text())
-    }
-
     /// JSON rendering.
     pub fn render_json(&self) -> String {
         serde_json::to_string_pretty(self).expect("tables are serializable")
@@ -133,13 +127,6 @@ mod tests {
         let v: serde_json::Value = serde_json::from_str(&j).unwrap();
         assert_eq!(v["id"], "demo");
         assert_eq!(v["couplings"][0]["rows"][0]["values"][0], 0.9);
-    }
-
-    #[test]
-    fn markdown_has_heading_and_fence() {
-        let m = sample().render_markdown();
-        assert!(m.starts_with("## demo"));
-        assert!(m.contains("```text"));
     }
 
     #[test]

@@ -21,29 +21,6 @@ use kc_npb::{Benchmark, Class};
 use kc_serve::{KernelContribution, PredictRequest, PredictionEngine, PredictionReport};
 use std::sync::Arc;
 
-/// Parse a benchmark name (`bt`, `sp`, `lu`; case-insensitive).
-pub fn parse_benchmark(name: &str) -> Result<Benchmark, String> {
-    match name.to_lowercase().as_str() {
-        "bt" => Ok(Benchmark::Bt),
-        "sp" => Ok(Benchmark::Sp),
-        "lu" => Ok(Benchmark::Lu),
-        other => Err(format!(
-            "unknown benchmark `{other}` (expected bt, sp or lu)"
-        )),
-    }
-}
-
-/// Parse a class letter (`S`, `W`, `A`, `B`; case-insensitive).
-pub fn parse_class(name: &str) -> Result<Class, String> {
-    match name.to_uppercase().as_str() {
-        "S" => Ok(Class::S),
-        "W" => Ok(Class::W),
-        "A" => Ok(Class::A),
-        "B" => Ok(Class::B),
-        other => Err(format!("unknown class `{other}` (expected S, W, A or B)")),
-    }
-}
-
 /// A [`PredictionEngine`] over one shared [`Campaign`].
 pub struct CampaignEngine {
     campaign: Arc<Campaign>,
@@ -64,8 +41,18 @@ impl CampaignEngine {
     /// Validate one request into an analysis spec, without touching
     /// the measurement layer.
     pub fn validate(&self, request: &PredictRequest) -> Result<AnalysisSpec, String> {
-        let benchmark = parse_benchmark(&request.benchmark)?;
-        let class = parse_class(&request.class)?;
+        let benchmark = Benchmark::from_name(&request.benchmark).ok_or_else(|| {
+            format!(
+                "unknown benchmark `{}` (expected bt, sp or lu)",
+                request.benchmark.to_lowercase()
+            )
+        })?;
+        let class = Class::from_name(&request.class).ok_or_else(|| {
+            format!(
+                "unknown class `{}` (expected S, W, A or B)",
+                request.class.to_uppercase()
+            )
+        })?;
         if request.procs == 0 || !benchmark.valid_procs(request.procs) {
             let shape = match benchmark {
                 Benchmark::Bt | Benchmark::Sp => "a perfect square",

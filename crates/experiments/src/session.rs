@@ -8,7 +8,7 @@
 //!   `--noise-free` / `--trace` / `--metrics` group.
 //!   Each flag is defined by one associated function; a binary lists
 //!   the ones it exposes in its own `kc_core::cli` table.
-//! * [`ServeArgs`] — `--max-inflight` / `--max-batch`.
+//! * [`ServeArgs`] — `--max-inflight`.
 //! * [`Session`] — the prologue ([`Session::open`]: runner, store,
 //!   campaign, sinks) and the epilogue ([`Session::finish`]: the
 //!   `[cache]` / `[metrics]` / `[trace]` / `[store]` stderr lines
@@ -115,8 +115,6 @@ impl CampaignArgs {
 pub struct ServeArgs {
     /// `--max-inflight N`, at least 1.
     pub max_inflight: Option<usize>,
-    /// `--max-batch N`, at least 1.
-    pub max_batch: Option<usize>,
 }
 
 impl ServeArgs {
@@ -131,23 +129,12 @@ impl ServeArgs {
         )
     }
 
-    /// `--max-batch N`.
-    pub fn max_batch<O: AsMut<Self> + 'static>() -> Flag<O> {
-        Flag::value(
-            "--max-batch",
-            "N",
-            "max requests resolved per engine batch (default 64)",
-            cli::positive,
-            |o, n| o.as_mut().max_batch = Some(n),
-        )
-    }
-
     /// The server limits: defaults overridden by the given flags.
     pub fn config(&self) -> ServerConfig {
         let defaults = ServerConfig::default();
         ServerConfig {
             max_inflight: self.max_inflight.unwrap_or(defaults.max_inflight),
-            max_batch: self.max_batch.unwrap_or(defaults.max_batch),
+            ..defaults
         }
     }
 }

@@ -1,108 +1,11 @@
-//! Dense 3-D arrays, scalar ([`Array3`]) and multi-component ([`Field3`]).
+//! Dense 3-D multi-component arrays ([`Field3`]).
 //!
 //! Layout follows the NPB Fortran convention translated to row-major
-//! Rust: for `Array3` the `i` index is fastest; for `Field3` the
-//! component index is fastest (`u(1:5, i, j, k)` in the Fortran source
-//! becomes `field.at(i, j, k)[0..5]` here), so one grid cell's
-//! components are always contiguous — exactly the access unit the 5x5
-//! block solvers consume.
-
-/// A dense 3-D array of `f64` with `i`-fastest layout.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Array3 {
-    nx: usize,
-    ny: usize,
-    nz: usize,
-    data: Vec<f64>,
-}
-
-impl Array3 {
-    /// Create a zero-filled array of the given extents.
-    pub fn zeros(nx: usize, ny: usize, nz: usize) -> Self {
-        Self {
-            nx,
-            ny,
-            nz,
-            data: vec![0.0; nx * ny * nz],
-        }
-    }
-
-    /// Create an array filled with `value`.
-    pub fn filled(nx: usize, ny: usize, nz: usize, value: f64) -> Self {
-        Self {
-            nx,
-            ny,
-            nz,
-            data: vec![value; nx * ny * nz],
-        }
-    }
-
-    /// Extents as `(nx, ny, nz)`.
-    #[inline]
-    pub fn dims(&self) -> (usize, usize, usize) {
-        (self.nx, self.ny, self.nz)
-    }
-
-    /// Total number of elements.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether the array holds no elements.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    #[inline]
-    fn idx(&self, i: usize, j: usize, k: usize) -> usize {
-        debug_assert!(i < self.nx && j < self.ny && k < self.nz);
-        (k * self.ny + j) * self.nx + i
-    }
-
-    /// Read element `(i, j, k)`.
-    #[inline]
-    pub fn get(&self, i: usize, j: usize, k: usize) -> f64 {
-        self.data[self.idx(i, j, k)]
-    }
-
-    /// Write element `(i, j, k)`.
-    #[inline]
-    pub fn set(&mut self, i: usize, j: usize, k: usize, v: f64) {
-        let n = self.idx(i, j, k);
-        self.data[n] = v;
-    }
-
-    /// Mutable reference to element `(i, j, k)`.
-    #[inline]
-    pub fn get_mut(&mut self, i: usize, j: usize, k: usize) -> &mut f64 {
-        let n = self.idx(i, j, k);
-        &mut self.data[n]
-    }
-
-    /// The raw backing slice.
-    #[inline]
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
-    /// The raw backing slice, mutably.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
-    /// Fill every element with `value`.
-    pub fn fill(&mut self, value: f64) {
-        self.data.fill(value);
-    }
-
-    /// Sum of squares of all elements (used by residual norms).
-    pub fn norm_sq(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum()
-    }
-}
+//! Rust: the component index is fastest, then `i`, `j`, `k`
+//! (`u(1:5, i, j, k)` in the Fortran source becomes
+//! `field.at(i, j, k)[0..5]` here), so one grid cell's components are
+//! always contiguous — exactly the access unit the 5x5 block solvers
+//! consume.
 
 /// A dense 3-D array of `NC`-component cells (component-fastest layout).
 ///
@@ -127,27 +30,6 @@ impl<const NC: usize> Field3<NC> {
         }
     }
 
-    /// Create a zero-filled field of the given cell extents, reusing
-    /// `buf`'s allocation (cleared, zeroed and resized to fit).  The
-    /// recycling counterpart of [`Field3::zeros`]: pair with
-    /// [`Field3::into_vec`] to keep one backing allocation alive
-    /// across fields of varying shape.
-    pub fn zeros_in(nx: usize, ny: usize, nz: usize, mut buf: Vec<f64>) -> Self {
-        buf.clear();
-        buf.resize(nx * ny * nz * NC, 0.0);
-        Self {
-            nx,
-            ny,
-            nz,
-            data: buf,
-        }
-    }
-
-    /// Consume the field, returning its backing storage for reuse.
-    pub fn into_vec(self) -> Vec<f64> {
-        self.data
-    }
-
     /// Cell extents as `(nx, ny, nz)`.
     #[inline]
     pub fn dims(&self) -> (usize, usize, usize) {
@@ -158,12 +40,6 @@ impl<const NC: usize> Field3<NC> {
     #[inline]
     pub fn cells(&self) -> usize {
         self.nx * self.ny * self.nz
-    }
-
-    /// Number of components per cell.
-    #[inline]
-    pub fn components(&self) -> usize {
-        NC
     }
 
     /// Total bytes of the backing storage; used by the performance model
@@ -220,12 +96,6 @@ impl<const NC: usize> Field3<NC> {
         &self.data
     }
 
-    /// The raw backing slice, mutably.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// Fill every scalar element with `value`.
     pub fn fill(&mut self, value: f64) {
         self.data.fill(value);
@@ -268,34 +138,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn array3_roundtrip() {
-        let mut a = Array3::zeros(3, 4, 5);
-        assert_eq!(a.dims(), (3, 4, 5));
-        assert_eq!(a.len(), 60);
-        a.set(2, 3, 4, 7.5);
-        assert_eq!(a.get(2, 3, 4), 7.5);
-        *a.get_mut(0, 0, 0) = -1.0;
-        assert_eq!(a.get(0, 0, 0), -1.0);
-    }
-
-    #[test]
-    fn array3_layout_is_i_fastest() {
-        let mut a = Array3::zeros(2, 2, 2);
-        a.set(1, 0, 0, 1.0);
-        assert_eq!(a.as_slice()[1], 1.0);
-        a.set(0, 1, 0, 2.0);
-        assert_eq!(a.as_slice()[2], 2.0);
-        a.set(0, 0, 1, 3.0);
-        assert_eq!(a.as_slice()[4], 3.0);
-    }
-
-    #[test]
-    fn array3_norm_sq() {
-        let a = Array3::filled(2, 2, 2, 2.0);
-        assert_eq!(a.norm_sq(), 8.0 * 4.0);
-    }
-
-    #[test]
     fn field3_components_contiguous() {
         let mut f = Field3::<5>::zeros(2, 2, 2);
         for c in 0..5 {
@@ -333,22 +175,6 @@ mod tests {
         a.add_assign(&b);
         assert_eq!(a.get(0, 0, 0, 0), 3.0);
         assert_eq!(a.max_abs_diff(&b), 1.0);
-    }
-
-    #[test]
-    fn field3_zeros_in_reuses_and_rezeroes_the_allocation() {
-        let mut f = Field3::<5>::zeros(3, 3, 3);
-        f.fill(7.0);
-        let buf = f.into_vec();
-        let cap = buf.capacity();
-        // smaller shape: same allocation, fully zeroed
-        let g = Field3::<5>::zeros_in(2, 2, 2, buf);
-        assert_eq!(g.dims(), (2, 2, 2));
-        assert!(g.as_slice().iter().all(|&v| v == 0.0));
-        assert_eq!(g.into_vec().capacity(), cap);
-        // a fresh (empty) buffer works too
-        let h = Field3::<2>::zeros_in(2, 1, 1, Vec::new());
-        assert_eq!(h.as_slice(), &[0.0; 4]);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! the array types, block domain decompositions and process-grid
 //! topologies those benchmarks are built on:
 //!
-//! * [`Array3`] / [`Field3`] — contiguous 3-D arrays, scalar and
-//!   multi-component, with Fortran-like `(i, j, k)` indexing.
+//! * [`Field3`] — a contiguous 3-D array of multi-component cells,
+//!   with Fortran-like `(i, j, k)` indexing.
 //! * [`Decomp1d`] — balanced block partition of one dimension over a
 //!   number of parts, including the remainder handling NPB uses.
 //! * [`ProcGrid`] — a 2-D logical process grid with neighbour lookup,
@@ -29,7 +29,7 @@ pub mod face;
 pub mod subdomain;
 pub mod topology;
 
-pub use array::{Array3, Field3};
+pub use array::Field3;
 pub use decomp::{Decomp1d, OwnedRange};
 pub use face::{Face, FaceBuffer};
 pub use subdomain::Subdomain;

@@ -7,7 +7,7 @@
 //!            [--fault-stalls N] [--fault-stall-ms N]
 //!            [--connect ADDR | --store SPEC]
 //!            [--noise-free] [--reps N] [--jobs N] [--max-inflight N]
-//!            [--max-batch N] [--warm] [--slo SPEC]
+//!            [--warm] [--slo SPEC]
 //! ```
 //!
 //! Generates a deterministic open-loop request schedule (hot/cold mix,
@@ -196,7 +196,6 @@ fn flags() -> Vec<Flag<Options>> {
         CampaignArgs::jobs().help("in-process scheduler worker-pool size, >= 1"),
         ServeArgs::max_inflight()
             .help("in-process admission bound before overload responses (default 256)"),
-        ServeArgs::max_batch().help("in-process max requests per engine batch (default 64)"),
         Flag::switch(
             "--warm",
             "resolve every distinct spec once before the timed window, \

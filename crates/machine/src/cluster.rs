@@ -134,15 +134,6 @@ impl<'a> RankCtx<'a> {
         self.perf.advance(self.collective_cost());
     }
 
-    /// All-reduce `value` with max; synchronizes clocks like a barrier.
-    pub fn allreduce_max(&mut self, value: f64) -> f64 {
-        let clock = self.coll.exchange(self.rank(), self.now(), f64::max);
-        let v = self.coll.exchange(self.rank(), value, f64::max);
-        self.perf.advance_to(clock);
-        self.perf.advance(self.collective_cost());
-        v
-    }
-
     /// All-reduce `value` with sum; synchronizes clocks like a barrier.
     pub fn allreduce_sum(&mut self, value: f64) -> f64 {
         let clock = self.coll.exchange(self.rank(), self.now(), f64::max);
@@ -389,14 +380,9 @@ mod tests {
 
     #[test]
     fn allreduce_sum_and_max() {
-        let out = cluster().run(3, |ctx| {
-            let s = ctx.allreduce_sum(ctx.rank() as f64 + 1.0);
-            let m = ctx.allreduce_max(ctx.rank() as f64);
-            (s, m)
-        });
-        for (s, m) in out.results {
+        let out = cluster().run(3, |ctx| ctx.allreduce_sum(ctx.rank() as f64 + 1.0));
+        for s in out.results {
             assert_eq!(s, 6.0);
-            assert_eq!(m, 2.0);
         }
     }
 

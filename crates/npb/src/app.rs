@@ -84,6 +84,14 @@ impl Benchmark {
             Benchmark::Lu => "lu",
         }
     }
+
+    /// The benchmark a user typed, matching [`Benchmark::name`] in any
+    /// case (`bt`, `BT`, `Bt`, ...).
+    pub fn from_name(name: &str) -> Option<Benchmark> {
+        Self::ALL
+            .into_iter()
+            .find(|b| b.name().eq_ignore_ascii_case(name))
+    }
 }
 
 impl fmt::Display for Benchmark {
@@ -192,6 +200,20 @@ mod tests {
             assert!(Benchmark::Lu.valid_procs(p));
         }
         assert!(!Benchmark::Lu.valid_procs(9));
+    }
+
+    #[test]
+    fn user_names_match_in_any_case() {
+        assert_eq!(Benchmark::from_name("bt"), Some(Benchmark::Bt));
+        assert_eq!(Benchmark::from_name("Sp"), Some(Benchmark::Sp));
+        assert_eq!(Benchmark::from_name("LU"), Some(Benchmark::Lu));
+        assert_eq!(Benchmark::from_name("ft"), None);
+        assert_eq!(Benchmark::from_name(""), None);
+        assert_eq!(Class::from_name("w"), Some(Class::W));
+        assert_eq!(Class::from_name("B"), Some(Class::B));
+        assert_eq!(Class::from_name("c"), None);
+        assert_eq!(Class::from_name("SS"), None);
+        assert_eq!(Class::from_name(""), None);
     }
 
     #[test]

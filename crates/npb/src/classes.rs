@@ -34,6 +34,16 @@ impl Class {
             Class::B => 'B',
         }
     }
+
+    /// The class a user typed, matching [`Class::letter`] in either
+    /// case (`w` or `W`).
+    pub fn from_name(name: &str) -> Option<Class> {
+        let &[byte] = name.as_bytes() else {
+            return None;
+        };
+        let letter = char::from(byte.to_ascii_uppercase());
+        Self::ALL.into_iter().find(|c| c.letter() == letter)
+    }
 }
 
 impl fmt::Display for Class {

@@ -224,9 +224,7 @@ impl NpbExecutor {
                 }
             }
             ctx.barrier();
-            let elapsed = ctx.now() - t0;
-            st.recycle();
-            elapsed
+            ctx.now() - t0
         })
     }
 
@@ -240,9 +238,7 @@ impl NpbExecutor {
                 (k.run)(&mut st, ctx, cfg.mode);
             }
             ctx.barrier();
-            let elapsed = ctx.now();
-            st.recycle();
-            elapsed
+            ctx.now()
         });
         out.results[0]
     }
@@ -284,7 +280,6 @@ impl NpbExecutor {
             let loop_total = per_iter * iterations as f64;
             let warm_start = t0 - per_iter * cfg.warmup_iters as f64;
             let serial = warm_start + (ctx.now() - t1);
-            st.recycle();
             serial + loop_total
         });
         out.results[0]
@@ -310,13 +305,11 @@ impl NpbExecutor {
                 (k.run)(&mut st, ctx, Mode::Numeric);
             }
             ctx.barrier();
-            let out = (
+            (
                 ctx.now(),
                 st.verify.take().unwrap_or_default(),
                 st.iters_run,
-            );
-            st.recycle();
-            out
+            )
         });
         let (t, verify, iters_executed) = out.results[0];
         AppRunSummary {

@@ -38,6 +38,10 @@
 //!   performance events (flops, region touches, messages), so
 //!   class-B-sized measurement campaigns run in milliseconds.
 //!
+//! Each rank's [`RankState`] is allocated when its cell starts and
+//! freed when the cell ends; profile mode skips the numeric arrays.
+//! Nothing here depends on which OS thread runs a rank.
+//!
 //! ## Entry points
 //!
 //! [`app::NpbApp`] describes a benchmark instance (benchmark × class ×
@@ -49,7 +53,6 @@
 #![allow(clippy::needless_range_loop)] // indexed loops mirror the Fortran stencils
 
 pub mod app;
-pub(crate) mod arena;
 pub mod blocks;
 pub mod bt;
 pub mod classes;

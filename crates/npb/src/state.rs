@@ -2,7 +2,6 @@
 //! memory regions the performance model charges against.
 
 use crate::app::Benchmark;
-use crate::arena;
 use crate::blocks::{Block, Vec5};
 use crate::physics::Physics;
 use kc_cachesim::RegionId;
@@ -33,10 +32,10 @@ pub struct HaloSet {
 impl HaloSet {
     fn sized(nx: usize, ny: usize, nz: usize) -> Self {
         Self {
-            west: arena::zeroed_f64(ny * nz * 5),
-            east: arena::zeroed_f64(ny * nz * 5),
-            south: arena::zeroed_f64(nx * nz * 5),
-            north: arena::zeroed_f64(nx * nz * 5),
+            west: vec![0.0; ny * nz * 5],
+            east: vec![0.0; ny * nz * 5],
+            south: vec![0.0; nx * nz * 5],
+            north: vec![0.0; nx * nz * 5],
         }
     }
 
@@ -143,48 +142,26 @@ impl RankState {
             halo: ctx.register_region("halo", halo_bytes),
             lhs: ctx.register_region("lhs", cells * lhs_bytes_per_cell(benchmark)),
         };
-        let (u, rhs, forcing, halo, ctil, dtil, etil);
-        if numeric {
-            // draw the big scratch arrays from this thread's arena so
-            // consecutive cells on the same parked rank thread reuse them
-            u = Field3::zeros_in(nx, ny, nz, arena::raw_f64());
-            rhs = Field3::zeros_in(nx, ny, nz, arena::raw_f64());
-            forcing = Field3::zeros_in(nx, ny, nz, arena::raw_f64());
-            halo = HaloSet::sized(nx, ny, nz);
-            ctil = if benchmark == Benchmark::Bt {
-                arena::zeroed_blocks(cells)
-            } else {
-                Vec::new()
-            };
-            if benchmark == Benchmark::Sp {
-                dtil = arena::zeroed_f64(cells);
-                etil = arena::zeroed_f64(cells);
-            } else {
-                dtil = Vec::new();
-                etil = Vec::new();
-            }
-        } else {
-            u = Field3::zeros(1, 1, 1);
-            rhs = Field3::zeros(1, 1, 1);
-            forcing = Field3::zeros(1, 1, 1);
-            halo = HaloSet::default();
-            ctil = Vec::new();
-            dtil = Vec::new();
-            etil = Vec::new();
-        }
+        // profile runs keep one-cell fields and empty halos and scratch
+        let (fx, fy, fz) = if numeric { (nx, ny, nz) } else { (1, 1, 1) };
+        let scratch = |used: bool| if numeric && used { cells } else { 0 };
         Self {
             benchmark,
             phys,
             sub,
             grid,
-            u,
-            rhs,
-            forcing,
-            halo,
+            u: Field3::zeros(fx, fy, fz),
+            rhs: Field3::zeros(fx, fy, fz),
+            forcing: Field3::zeros(fx, fy, fz),
+            halo: if numeric {
+                HaloSet::sized(nx, ny, nz)
+            } else {
+                HaloSet::default()
+            },
             reg,
-            ctil,
-            dtil,
-            etil,
+            ctil: vec![[[0.0; 5]; 5]; scratch(benchmark == Benchmark::Bt)],
+            dtil: vec![0.0; scratch(benchmark == Benchmark::Sp)],
+            etil: vec![0.0; scratch(benchmark == Benchmark::Sp)],
             iters_run: 0,
             perturb_amp: 0.0,
             verify: None,
@@ -193,22 +170,11 @@ impl RankState {
         }
     }
 
-    /// Hand the numeric scratch back to this thread's arena (see
-    /// `crate::arena`); the next `RankState::new` on the same thread
-    /// reuses the allocations.  Call once the state's outputs
-    /// (`verify`, `iters_run`, ...) have been read out.
-    pub fn recycle(self) {
-        arena::recycle_f64(self.u.into_vec());
-        arena::recycle_f64(self.rhs.into_vec());
-        arena::recycle_f64(self.forcing.into_vec());
-        arena::recycle_f64(self.halo.west);
-        arena::recycle_f64(self.halo.east);
-        arena::recycle_f64(self.halo.south);
-        arena::recycle_f64(self.halo.north);
-        arena::recycle_blocks(self.ctil);
-        arena::recycle_f64(self.dtil);
-        arena::recycle_f64(self.etil);
-    }
+    /// Does nothing: the state's buffers are ordinary allocations,
+    /// freed when it drops.  The method stays only because the
+    /// benchmark harness (`benchmark/src/probes/npb.rs`) calls it, and
+    /// ROADMAP item 3(a) removes both.
+    pub fn recycle(self) {}
 
     /// Local extents.
     #[inline]

@@ -162,15 +162,6 @@ pub fn fmt_bytes(bytes: u64) -> String {
 }
 
 impl RegimeMap {
-    /// Total boundaries detected across chains of `machine`.
-    pub fn boundary_count(&self, machine: &str) -> usize {
-        self.chains
-            .iter()
-            .filter(|c| c.machine == machine)
-            .map(|c| c.boundaries.len())
-            .sum()
-    }
-
     /// The most-segmented chain of `machine`, if any.
     pub fn busiest_chain(&self, machine: &str) -> Option<&RegimeChain> {
         self.chains
@@ -283,7 +274,6 @@ mod tests {
         assert_eq!(chain.segments[0].cache_levels, "L1");
         assert_eq!(chain.segments[1].cache_levels, "L2");
         let map = build_map("t", "BT", 2, &[c], &DetectParams::default());
-        assert_eq!(map.boundary_count("m"), 1);
         assert_eq!(map.busiest_chain("m").unwrap().chain, "{a, b}");
         // render + json round out deterministically
         let text = map.render();

@@ -77,29 +77,6 @@ pub const MACHINE_NAMES: [&str; 4] = [
     "test-tiny",
 ];
 
-fn parse_benchmark(s: &str) -> Result<Benchmark, SpecError> {
-    match s.to_ascii_lowercase().as_str() {
-        "bt" => Ok(Benchmark::Bt),
-        "sp" => Ok(Benchmark::Sp),
-        "lu" => Ok(Benchmark::Lu),
-        other => Err(SpecError(format!(
-            "unknown benchmark '{other}' (expected BT, SP or LU)"
-        ))),
-    }
-}
-
-fn parse_class(s: &str) -> Result<Class, SpecError> {
-    match s.to_ascii_uppercase().as_str() {
-        "S" => Ok(Class::S),
-        "W" => Ok(Class::W),
-        "A" => Ok(Class::A),
-        "B" => Ok(Class::B),
-        other => Err(SpecError(format!(
-            "unknown class '{other}' (expected S, W, A or B)"
-        ))),
-    }
-}
-
 impl SweepSpec {
     /// Parse a spec from JSON and validate it.
     pub fn parse(json: &str) -> Result<Self, SpecError> {
@@ -153,12 +130,27 @@ impl SweepSpec {
 
     /// The benchmark this spec sweeps.
     pub fn benchmark(&self) -> Result<Benchmark, SpecError> {
-        parse_benchmark(&self.benchmark)
+        Benchmark::from_name(&self.benchmark).ok_or_else(|| {
+            SpecError(format!(
+                "unknown benchmark '{}' (expected BT, SP or LU)",
+                self.benchmark.to_ascii_lowercase()
+            ))
+        })
     }
 
     /// The classes, in spec order.
     pub fn class_list(&self) -> Result<Vec<Class>, SpecError> {
-        self.classes.iter().map(|c| parse_class(c)).collect()
+        self.classes
+            .iter()
+            .map(|c| {
+                Class::from_name(c).ok_or_else(|| {
+                    SpecError(format!(
+                        "unknown class '{}' (expected S, W, A or B)",
+                        c.to_ascii_uppercase()
+                    ))
+                })
+            })
+            .collect()
     }
 
     /// The machine configs, in spec order, with the spec's noise

