@@ -235,8 +235,8 @@ pub struct CacheStats {
 /// *not* called under the cache lock, so misses for different keys
 /// execute concurrently.  Concurrent misses for the *same* key are not
 /// deduplicated here: each one executes.  Exactly-once execution is
-/// the campaign scheduler's job (`kc_experiments::CellScheduler` gives
-/// every queued cell one slot that concurrent drains share).
+/// the campaign scheduler's job (`kc_experiments::CellScheduler` runs
+/// one drain at a time, so a later drain finds a shared cell cached).
 pub struct CachedProvider<P> {
     inner: P,
     cache: Mutex<HashMap<MeasurementKey, Measurement>>,

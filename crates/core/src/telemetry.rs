@@ -104,21 +104,17 @@ pub enum TelemetryEvent {
         worker: String,
     },
     /// One prefetch's drain through the campaign's bounded cell
-    /// scheduler: how many cells it pushed through the shared queue,
-    /// how many were already queued or running for another prefetch,
-    /// the queue depth it saw, and the worker-pool size.  Emitted
-    /// exactly once per prefetch (even when nothing was scheduled),
-    /// so trace content stays deterministic; every field is
-    /// schedule-dependent and zeroed by [`TelemetryEvent::redacted`].
+    /// scheduler: how many cells it queued and the worker-pool size.
+    /// Emitted exactly once per prefetch (even when nothing was
+    /// scheduled), so trace content stays deterministic; both fields
+    /// depend on the schedule (what a concurrent prefetch cached
+    /// first, the `--jobs` value) and are zeroed by
+    /// [`TelemetryEvent::redacted`].
     SchedulerDrain {
-        /// Cells this drain enqueued on the shared queue.
+        /// Distinct uncached cells this drain queued.  Drains run one
+        /// at a time, so this is the queue depth the drain started
+        /// with.
         enqueued: u64,
-        /// Cells already queued or running on behalf of a concurrent
-        /// prefetch (collapsed at the queue, not re-enqueued).
-        shared: u64,
-        /// Pending-queue depth right after this drain's submit — the
-        /// drain's peak contribution to scheduler backlog.
-        queue_depth: u64,
         /// Fixed worker-pool size (`--jobs`) the queue drains into.
         jobs: u64,
     },
@@ -213,8 +209,6 @@ impl TelemetryEvent {
             },
             TelemetryEvent::SchedulerDrain { .. } => TelemetryEvent::SchedulerDrain {
                 enqueued: 0,
-                shared: 0,
-                queue_depth: 0,
                 jobs: 0,
             },
             TelemetryEvent::RequestServed {
@@ -293,12 +287,8 @@ pub struct RunSummary {
     /// drains.
     #[serde(default)]
     pub scheduler_enqueued: u64,
-    /// Cells a drain found already queued or running for a concurrent
-    /// prefetch (cross-experiment duplicates collapsed at the queue).
-    #[serde(default)]
-    pub scheduler_shared: u64,
-    /// Peak pending-queue depth any drain observed — how saturated
-    /// the worker pool was.
+    /// Cells in the largest single drain — the peak queue depth, since
+    /// drains never overlap.
     #[serde(default)]
     pub scheduler_peak_queue_depth: u64,
     /// Persistent-store reads that failed with an I/O error and were
@@ -320,7 +310,6 @@ impl RunSummary {
             slowest: Vec::new(),
             scheduler_jobs: 0,
             scheduler_enqueued: 0,
-            scheduler_shared: 0,
             scheduler_peak_queue_depth: 0,
             ..self.clone()
         }
@@ -359,11 +348,8 @@ impl fmt::Display for RunSummary {
         if self.scheduler_jobs > 0 {
             writeln!(
                 f,
-                "scheduler  {} cells queued ({} shared across experiments), peak queue depth {}, {} job slot(s)",
-                self.scheduler_enqueued,
-                self.scheduler_shared,
-                self.scheduler_peak_queue_depth,
-                self.scheduler_jobs,
+                "scheduler  {} cells queued, peak queue depth {}, {} job slot(s)",
+                self.scheduler_enqueued, self.scheduler_peak_queue_depth, self.scheduler_jobs,
             )?;
         }
         if self.store_read_errors > 0 {
@@ -415,15 +401,9 @@ pub fn summarize(events: &[TelemetryEvent], top_n: usize) -> RunSummary {
             } if phase == phases::EXECUTE => {
                 s.execute_wall_secs += duration_secs;
             }
-            TelemetryEvent::SchedulerDrain {
-                enqueued,
-                shared,
-                queue_depth,
-                jobs,
-            } => {
+            TelemetryEvent::SchedulerDrain { enqueued, jobs } => {
                 s.scheduler_enqueued += enqueued;
-                s.scheduler_shared += shared;
-                s.scheduler_peak_queue_depth = s.scheduler_peak_queue_depth.max(*queue_depth);
+                s.scheduler_peak_queue_depth = s.scheduler_peak_queue_depth.max(*enqueued);
                 s.scheduler_jobs = s.scheduler_jobs.max(*jobs);
             }
             TelemetryEvent::StoreReadError { .. } => {
@@ -887,8 +867,6 @@ mod tests {
         events.push(finished("k1", Disposition::Executed, 0.25, "w1"));
         events.push(TelemetryEvent::SchedulerDrain {
             enqueued: 3,
-            shared: 1,
-            queue_depth: 2,
             jobs: 4,
         });
         events.push(TelemetryEvent::RunSummary(summarize(&events, 3)));
@@ -969,21 +947,18 @@ mod tests {
 
     #[test]
     fn scheduler_drains_aggregate_into_the_summary_and_redact_away() {
-        let drain = |enqueued, shared, queue_depth, jobs| TelemetryEvent::SchedulerDrain {
-            enqueued,
-            shared,
-            queue_depth,
-            jobs,
-        };
+        let drain = |enqueued, jobs| TelemetryEvent::SchedulerDrain { enqueued, jobs };
         let events = vec![
-            drain(5, 0, 5, 4),
+            drain(5, 4),
             finished("a", Disposition::Executed, 0.5, "kc-worker-0"),
-            drain(2, 3, 7, 4),
+            drain(2, 4),
         ];
         let s = summarize(&events, 3);
         assert_eq!(s.scheduler_enqueued, 7, "enqueued sums across drains");
-        assert_eq!(s.scheduler_shared, 3);
-        assert_eq!(s.scheduler_peak_queue_depth, 7, "depth keeps the peak");
+        assert_eq!(
+            s.scheduler_peak_queue_depth, 5,
+            "depth is the largest single drain"
+        );
         assert_eq!(s.scheduler_jobs, 4);
         assert!(s.to_string().contains("7 cells queued"));
         assert!(s.to_string().contains("4 job slot(s)"));
@@ -994,13 +969,12 @@ mod tests {
         assert_eq!(events[0].cell_key(), None);
         assert_eq!(
             events[2].redacted(),
-            drain(0, 0, 0, 0),
+            drain(0, 0),
             "drain payloads vary with the schedule"
         );
         let r = s.redacted();
         assert_eq!(r.scheduler_jobs, 0);
         assert_eq!(r.scheduler_enqueued, 0);
-        assert_eq!(r.scheduler_shared, 0);
         assert_eq!(r.scheduler_peak_queue_depth, 0);
         assert!(!r.to_string().contains("job slot"));
     }

@@ -14,10 +14,12 @@
 //! SIGTERM stops accepting and drains).
 //!
 //! Requests resolve through one shared [`kc_experiments::Campaign`]: each server
-//! batch prefetches its cells as a single set through the bounded
-//! cell scheduler, so duplicate cells across in-flight requests
-//! execute exactly once and at most `--jobs` cells execute at any
-//! instant.  With `--store`, cells load from / save to a kc-prophesy
+//! batch prefetches its cells as one drain of the bounded cell
+//! scheduler, from the server's single batcher thread, so duplicate
+//! cells across a batch's requests execute exactly once and at most
+//! `--jobs` cells execute at any instant.  Request deadlines order
+//! and shed requests in batch formation; a batch's cells then run
+//! longest first.  With `--store`, cells load from / save to a kc-prophesy
 //! cell store — a warm store answers every request with zero
 //! executions.  The store spec is a bare PATH — the format is
 //! auto-detected (JSON file or sharded binary directory) — or

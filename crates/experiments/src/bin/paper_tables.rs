@@ -9,20 +9,17 @@
 //! ```
 //!
 //! All selected experiments (duplicates dropped, order preserved) run
-//! as ONE measurement campaign over a shared cell cache, and the
-//! campaign is *pipelined*: each experiment gets its own worker thread
-//! that enqueues its cells on the campaign-global bounded scheduler
-//! and assembles its tables as soon as they are ready, so assembly of
-//! finished experiments overlaps the ongoing execute phase of the
-//! others.  The scheduler's fixed worker pool (`--jobs N`, default:
-//! available parallelism) caps how many cells execute concurrently no
-//! matter how many experiments are selected; its queue collapses
-//! cross-experiment duplicates, and per-cell noise seeding keeps every
-//! table bit-identical under any `--jobs` value or schedule.  Output
-//! is buffered and printed in experiment order.
+//! as ONE measurement campaign over a shared cell cache: the union of
+//! their analyses is prefetched once — every distinct cell executed
+//! once, longest first, on the scheduler's fixed worker pool (`--jobs
+//! N`, default: available parallelism) — and then each experiment
+//! assembles its tables from the cache, in order, on the main thread.
+//! Per-cell noise seeding keeps every table bit-identical under any
+//! `--jobs` value.
 //!
-//! With `--out DIR`, each experiment additionally writes `<id>.txt`
-//! and `<id>.json` artifacts into DIR (consumed by EXPERIMENTS.md).
+//! With `--out DIR`, each experiment that has tables additionally
+//! writes `<id>.txt`, `<id>.json` and `<id>.csv` into DIR, where
+//! `<id>` is its catalogue artifact name (consumed by EXPERIMENTS.md).
 //! With `--store SPEC`, raw cell measurements are loaded from and
 //! saved to a `kc-prophesy` cell store, so a re-run (or a run with
 //! more experiments) measures only what the store doesn't hold.  SPEC
@@ -33,14 +30,16 @@
 //! whichever format backs the run.
 //!
 //! With `--trace FILE`, the campaign's telemetry stream (cell spans,
-//! phases, end-of-run summary) is written as canonical JSON lines —
-//! identical in content across thread counts, only durations vary.
+//! phases, end-of-run summary) is written as canonical JSON lines.
+//! Phases never interleave, and two traces of one selection are
+//! identical after `canonicalize` + `redacted` whatever `--jobs` is
+//! (`tests/tables_trace.rs`).
 //! With `--metrics`, the end-of-run aggregates (cache hit rate,
 //! per-benchmark cell counts, parallel efficiency, slowest cells) are
 //! printed to stderr.
 
 use kc_core::cli::{self, CliError, Flag};
-use kc_experiments::catalog::{self, Experiment, Output};
+use kc_experiments::catalog::{self, Experiment};
 use kc_experiments::{Campaign, CampaignArgs, CampaignStats, Session};
 use std::path::PathBuf;
 
@@ -64,7 +63,7 @@ fn flags() -> Vec<Flag<Options>> {
         Flag::value(
             "--out",
             "DIR",
-            "write <id>.txt / <id>.json artifacts into DIR",
+            "write <id>.txt / .json / .csv artifacts into DIR",
             cli::path,
             |o, dir| o.out = Some(dir),
         ),
@@ -87,8 +86,8 @@ fn usage() -> String {
 
 /// Parse the command line: experiments are positional, `all` (or
 /// none) selects every one, and repeats are dropped keeping
-/// first-occurrence order — `paper_tables bt-s bt-s` must not spawn
-/// duplicate workers or print the table twice.
+/// first-occurrence order — `paper_tables bt-s bt-s` must not print
+/// the table twice.
 pub(crate) fn parse_cli(args: &[String]) -> Result<Options, CliError> {
     let every = || catalog::all().iter().collect();
     let mut o = cli::parse(args, &flags(), |o: &mut Options, arg| {
@@ -114,36 +113,25 @@ fn run(opts: Options) -> Result<(), String> {
     let session = Session::open(&opts.campaign).unwrap_or_else(|e| cli::reject(e));
     let campaign: &Campaign = session.campaign();
 
-    // Pipelined campaign: one thread per experiment, all feeding the
-    // campaign-global bounded scheduler.  Each experiment enqueues its
-    // own cells and blocks only on their completion, then assembles
-    // its tables the moment they are ready — assembly of finished
-    // experiments overlaps the ongoing execute phase of the rest,
-    // while at most `jobs` cells execute at any instant and the queue
-    // collapses cells two experiments race for.  Output is buffered
-    // per experiment and printed in experiment order below.
-    let outputs: Vec<(Output, CampaignStats, f64)> = std::thread::scope(|s| {
-        let handles: Vec<_> = opts
-            .experiments
-            .iter()
-            .map(|exp| {
-                s.spawn(move || {
-                    let started = std::time::Instant::now();
-                    let (output, stats) = exp.run(campaign)?;
-                    Ok((output, stats, started.elapsed().as_secs_f64()))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("experiment worker panicked"))
-            .collect::<kc_core::KcResult<_>>()
-    })
-    .map_err(|e| format!("campaign failed: {e}"))?;
-
-    let mut merged = CampaignStats::default();
-    for ((output, stats, secs), exp) in outputs.iter().zip(&opts.experiments) {
-        merged.absorb(stats);
+    // One prefetch over every selected experiment's analyses, then
+    // assembly from the warm cache in catalogue order.
+    let requests: Vec<_> = opts
+        .experiments
+        .iter()
+        .flat_map(|exp| exp.requests(&campaign.runner().machine))
+        .collect();
+    // the data-set tables read no analysis: nothing to measure
+    let stats = if requests.is_empty() {
+        CampaignStats::default()
+    } else {
+        campaign
+            .prefetch(&requests)
+            .map_err(|e| format!("campaign failed: {e}"))?
+    };
+    for exp in &opts.experiments {
+        let output = exp
+            .assemble(campaign)
+            .map_err(|e| format!("campaign failed: {e}"))?;
         for note in &output.notes {
             println!("{note}");
         }
@@ -153,15 +141,9 @@ fn run(opts: Options) -> Result<(), String> {
                 a.write_to(dir)
                     .map_err(|e| format!("cannot write artifacts to {}: {e}", dir.display()))?;
             }
-            eprintln!("[{}] done in {secs:.1}s", exp.id);
         }
     }
-    eprintln!(
-        "[campaign] {merged} (per-experiment sums over disjoint dispositions; \
-         a cell shared across experiments counts once, for the experiment \
-         that enqueued it; jobs: {})",
-        campaign.jobs()
-    );
+    eprintln!("[campaign] {stats} (jobs: {})", campaign.jobs());
     session.finish("").map_err(|e| e.to_string())
 }
 

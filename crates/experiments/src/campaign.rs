@@ -13,10 +13,10 @@
 //!    so the sharing the `kc-prophesy` planner reasons about falls out
 //!    of key equality;
 //! 3. unique, not-yet-cached cells are submitted to the
-//!    campaign-global [`crate::CellScheduler`]: one
-//!    cost-ordered queue (longest first) drained by a fixed pool of
-//!    `jobs` workers, so total executor concurrency is bounded no
-//!    matter how many experiments prefetch concurrently.  Each cell
+//!    campaign-global [`crate::CellScheduler`] as one drain, executed
+//!    longest first by a fixed pool of `jobs` workers.  Drains run
+//!    one at a time, so a concurrent prefetch waits for the running
+//!    one and finds the cells they share already cached.  Each cell
 //!    runs on its own freshly built simulated cluster with a per-cell
 //!    noise seed, so results are bit-identical regardless of `jobs`
 //!    or schedule;
@@ -28,9 +28,9 @@
 //! cached vs backend-served vs executed, and the naive run count a
 //! table-at-a-time campaign would have paid) plus wall-clock per
 //! phase.  Counts are derived from per-cell dispositions, so cells
-//! served by the persistent backend or executed on behalf of a
-//! concurrent prefetch are never misreported as this prefetch's
-//! executions: across concurrent prefetches over one campaign, the
+//! served by the persistent backend or executed by an earlier
+//! prefetch are never misreported as this prefetch's executions:
+//! across concurrent prefetches over one campaign, the
 //! `cells_executed` sum equals `CacheStats::executed` exactly.
 
 use crate::runner::Runner;
@@ -111,8 +111,7 @@ pub struct CampaignStats {
     pub cells_unique: usize,
     /// Unique cells served from the in-memory cache: already cached
     /// before this prefetch, or brought into the cache by a
-    /// concurrent prefetch of the same campaign while this one
-    /// waited.
+    /// concurrent prefetch whose drain ran first.
     pub cache_hits: usize,
     /// Unique cells served by the persistent backend store (loaded,
     /// not executed).
@@ -137,21 +136,6 @@ fn campaign_runs(kernels: usize) -> usize {
     kernels // isolated
         + kernels // windows
         + 2 // overhead + ground truth
-}
-
-impl CampaignStats {
-    /// Merge another prefetch's counters into this one (wall-clock
-    /// adds; the cell arithmetic sums phase by phase).
-    pub fn absorb(&mut self, other: &CampaignStats) {
-        self.cells_requested += other.cells_requested;
-        self.cells_unique += other.cells_unique;
-        self.cache_hits += other.cache_hits;
-        self.backend_hits += other.backend_hits;
-        self.cells_executed += other.cells_executed;
-        self.naive_runs += other.naive_runs;
-        self.enumerate_secs += other.enumerate_secs;
-        self.execute_secs += other.execute_secs;
-    }
 }
 
 impl fmt::Display for CampaignStats {
@@ -208,9 +192,7 @@ impl SummaryOpts {
     }
 }
 
-/// Configures and builds a [`Campaign`] — the one construction path
-/// (the old `new` / `with_backend` / `noise_free` constructor zoo is
-/// deprecated shims over this).
+/// Configures and builds a [`Campaign`] — the one construction path.
 ///
 /// ```
 /// use kc_experiments::{Campaign, Runner};
@@ -441,25 +423,12 @@ impl Campaign {
 
     /// Enumerate, dedupe and execute every cell the given analyses
     /// need.  Unique uncached cells are submitted to the
-    /// campaign-global bounded scheduler (most expensive first, at
-    /// most `jobs` executing at once); results land in the shared
-    /// cache, so subsequent [`Campaign::analysis`] calls for these
-    /// specs measure nothing.  The call blocks only on *these* specs'
-    /// cells, so concurrent prefetches overlap freely.
+    /// campaign-global bounded scheduler as one drain (most expensive
+    /// first, at most `jobs` executing at once); results land in the
+    /// shared cache, so subsequent [`Campaign::analysis`] calls for
+    /// these specs measure nothing.  A concurrent prefetch's drain
+    /// waits for this one to finish (see [`crate::scheduler`]).
     pub fn prefetch(&self, specs: &[AnalysisSpec]) -> KcResult<CampaignStats> {
-        self.prefetch_with_deadline(specs, None)
-    }
-
-    /// [`Campaign::prefetch`] carrying a serving deadline: the
-    /// uncached cells are submitted to [`CellScheduler::drain`] with
-    /// it, so an urgent serve batch's cells jump every deadline-free
-    /// cell already queued by table campaigns.  `None` is exactly
-    /// [`Campaign::prefetch`].
-    pub fn prefetch_with_deadline(
-        &self,
-        specs: &[AnalysisSpec],
-        deadline_ms: Option<f64>,
-    ) -> KcResult<CampaignStats> {
         let enumerate_started = Instant::now();
         let mut stats = CampaignStats::default();
         let mut unique: BTreeSet<MeasurementKey> = BTreeSet::new();
@@ -489,27 +458,23 @@ impl Campaign {
 
         let execute_started = Instant::now();
         let drained = self.phase(phases::EXECUTE, || {
-            let drained = self.scheduler.drain(todo, deadline_ms)?;
+            let drained = self.scheduler.drain(todo)?;
             // one drain event per prefetch, emitted after every cell
             // event of this drain has reached the sinks — the stream
             // stays canonical under any jobs value (the fields are
             // schedule-dependent and redact away)
             self.fanout.record(TelemetryEvent::SchedulerDrain {
-                enqueued: drained.enqueued as u64,
-                shared: drained.shared as u64,
-                queue_depth: drained.queue_depth as u64,
+                enqueued: (drained.executed + drained.backend_hits + drained.hits) as u64,
                 jobs: self.scheduler.jobs() as u64,
             });
             Ok::<_, kc_core::KcError>(drained)
         })?;
-        // attribution: every unique cell is enqueued by exactly one
-        // drain, which owns its disposition; cells another drain got
-        // to first count as cache hits here (shared slots, plus
-        // in-cache `Hit`s for cells a concurrent drain completed
-        // between our dedupe scan and the worker's pop)
+        // attribution: cells a concurrent prefetch's drain completed
+        // between our dedupe scan and our own drain come back as
+        // in-cache `Hit`s, so they count as cache hits here
         stats.cells_executed = drained.executed;
         stats.backend_hits = drained.backend_hits;
-        stats.cache_hits += drained.shared + drained.hits;
+        stats.cache_hits += drained.hits;
         stats.execute_secs = execute_started.elapsed().as_secs_f64();
         Ok(stats)
     }

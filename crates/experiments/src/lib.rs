@@ -23,8 +23,10 @@
 //!
 //! A builder reads its analyses from a [`Campaign`] and measures
 //! nothing itself: [`catalog::Experiment::run`] prefetches an
-//! experiment's analyses as one batch, and a caller that uses a
-//! builder directly prefetches the matching `*_requests` first.
+//! experiment's analyses as one batch, `paper_tables` prefetches the
+//! union over every selected experiment once and then calls
+//! [`catalog::Experiment::assemble`] for each, and a caller that uses
+//! a builder directly prefetches the matching `*_requests` first.
 //! Everything funnels through [`runner::Runner`], which owns the
 //! machine model and measurement protocol, and produces the typed
 //! tables of `kc_core::report` (renderable as text, markdown and

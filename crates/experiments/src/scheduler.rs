@@ -1,58 +1,46 @@
 //! The campaign-global bounded cell scheduler.
 //!
-//! PR 3's pipelined `paper_tables` gave every experiment its own
-//! worker thread, and each worker's `prefetch` executed its whole cell
-//! set in parallel on its own.  With sixteen experiments that is
-//! sixteen free-running drains competing for the same cores — total
-//! executor concurrency scaled with the number of
-//! *experiments selected*, not with the machine (the ROADMAP's
-//! oversubscription item).  Wichmann et al.'s overlapping-kernel model
-//! makes the same point analytically: coupled kernel measurements want
-//! a bounded, cost-aware schedule, not a free-for-all.
+//! [`CellScheduler`] executes a campaign's cells on a fixed pool of
+//! `jobs` worker threads, one drain at a time (a drain is one
+//! [`CellScheduler::drain`] call):
 //!
-//! [`CellScheduler`] replaces that with one global priority queue
-//! drained by a fixed pool of `jobs` worker threads:
-//!
-//! * **Priority** — earliest deadline pops first (cells an urgent
-//!   serve batch submits to [`CellScheduler::drain`] with a deadline
-//!   jump every deadline-free cell), then highest cost (the
-//!   provider's `cost_estimate`; longest first, so the tail of the
-//!   execute phase is not one straggler), ties broken by canonical key
-//!   order.  Deadline-free drains all carry the same infinite
-//!   deadline, so their schedule is the original pure cost order.
-//!   Ordering uses `f64::total_cmp`, so a NaN cost skews the schedule
-//!   instead of panicking — and since cells are bit-identical under
-//!   any schedule, a skewed schedule is merely slower, never wrong.
-//! * **Dedup at the queue** — each distinct cell owns one completion
-//!   slot; a drain that wants an already-queued cell shares
-//!   the slot instead of enqueueing a duplicate, so cross-experiment
-//!   duplicates collapse *before* execution.  This is the only
-//!   in-flight dedup: `CachedProvider` underneath is a plain memo.
-//! * **A panic is an error** — a cell whose execution panics fills its
-//!   slot with an error naming the key, so every drain waiting on it
-//!   returns, and the worker goes on serving the queue.
+//! * **One drain at a time** — a drain holds the scheduler's queue
+//!   from submission until its last cell settles, so a concurrent
+//!   caller waits its turn.  The cells it shares with the earlier
+//!   drain are then in the provider cache and come back as cheap
+//!   `Hit`s, which keeps every cell executed exactly once under any
+//!   number of callers without a table of in-flight cells.
+//!   `CachedProvider` underneath is a plain memo.
+//! * **Order** — each drain dedupes its cells by key and sorts them
+//!   once: highest cost first (the provider's `cost_estimate`, so the
+//!   tail of the execute phase is not one straggler), ties in
+//!   canonical key order.  Ordering uses `f64::total_cmp`, so a NaN
+//!   cost skews the schedule instead of panicking — and since cells
+//!   are bit-identical under any schedule, a skewed schedule is
+//!   merely slower, never wrong.
+//! * **A panic is an error** — a cell whose execution panics settles
+//!   with an error naming the key, so its drain returns, and the
+//!   worker goes on serving the queue.
 //! * **Bounded concurrency** — at most `jobs` cells execute at any
 //!   instant, structurally: there are only `jobs` worker threads.
-//! * **Overlap preserved** — [`CellScheduler::drain`] blocks only on
-//!   the cells the *caller* submitted, so an experiment still starts
-//!   assembling the moment its own cells are done while other
-//!   experiments' cells keep flowing.
+//!   They persist for the scheduler's lifetime because each keeps the
+//!   parked rank threads `kc-machine` holds per calling thread.
 //!
 //! Each drain reports [`DrainStats`]: how its cells were satisfied
-//! (executed / backend hit / cache hit / shared with a concurrent
-//! drain) plus the queue depth it observed — the raw material for the
+//! (executed / backend hit / cache hit) — the raw material for the
 //! `SchedulerDrain` telemetry event and the `--metrics` saturation
 //! report.
 
 use kc_core::{Disposition, KcError, KcResult, MeasurementKey};
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::HashSet;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
-/// Recover the guard from a poisoned lock: scheduler state is a queue
-/// plus completion slots, both valid at every instruction boundary,
-/// so one panicking thread must not wedge every other drain.
+/// Recover the guard from a poisoned lock: the queue is a channel
+/// end, valid at every instruction boundary, so one panicking thread
+/// must not wedge every later drain.
 fn relock<'a, T>(
     r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
 ) -> MutexGuard<'a, T> {
@@ -63,126 +51,34 @@ fn relock<'a, T>(
 /// it pops, and the closure reports how the cache satisfied it.
 pub type ExecuteFn = dyn Fn(&MeasurementKey) -> KcResult<Disposition> + Send + Sync;
 
-/// How one [`CellScheduler::drain`] call's cells were satisfied.
+/// How one [`CellScheduler::drain`] call's distinct cells were
+/// satisfied: each is counted exactly once.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DrainStats {
-    /// Cells this drain enqueued that ran on a fresh cluster.
+    /// Cells that ran on a fresh cluster.
     pub executed: usize,
-    /// Cells this drain enqueued that the persistent backend served.
+    /// Cells the persistent backend served.
     pub backend_hits: usize,
-    /// Cells this drain enqueued that were already in the in-memory
-    /// cache by the time a worker popped them.
+    /// Cells already in the in-memory cache by the time a worker
+    /// popped them.
     pub hits: usize,
-    /// Cells already queued by a concurrent drain; this drain waited
-    /// on the shared slot instead of enqueueing a duplicate.
-    pub shared: usize,
-    /// Cells this drain newly enqueued (`executed + backend_hits +
-    /// hits`).
-    pub enqueued: usize,
-    /// Queue depth observed right after this drain submitted its
-    /// cells (its own included).
-    pub queue_depth: usize,
 }
 
-/// One in-queue (or in-flight) cell: every drain waiting on the cell
-/// parks on `done` until a worker fills `result`.
-struct CellSlot {
-    result: Mutex<Option<Result<Disposition, KcError>>>,
-    done: Condvar,
-}
-
-impl CellSlot {
-    fn new() -> Arc<Self> {
-        Arc::new(Self {
-            result: Mutex::new(None),
-            done: Condvar::new(),
-        })
-    }
-
-    fn fill(&self, result: Result<Disposition, KcError>) {
-        *relock(self.result.lock()) = Some(result);
-        self.done.notify_all();
-    }
-
-    fn wait(&self) -> Result<Disposition, KcError> {
-        let mut guard = relock(self.result.lock());
-        while guard.is_none() {
-            guard = relock(self.done.wait(guard));
-        }
-        guard.clone().expect("slot filled")
-    }
-}
-
-/// A queued cell, ordered so the `BinaryHeap` pops the most urgent
-/// deadline first, then the most expensive cell, then canonical key
-/// order (smallest key first) — the schedule is deterministic for
-/// given costs and deadlines.
-struct Queued {
-    /// Caller-supplied urgency, `f64::INFINITY` when the drain carries
-    /// no deadline.  Smaller pops first; all-infinite (the
-    /// deadline-free case) makes this field a no-op and the ordering
-    /// collapses to the original pure cost order.
-    deadline: f64,
-    cost: f64,
+/// One queued cell: its position in the drain's schedule, its key,
+/// and where its worker reports the result.
+struct Job {
+    index: usize,
     key: MeasurementKey,
-    slot: Arc<CellSlot>,
+    settled: Sender<(usize, KcResult<Disposition>)>,
 }
 
-impl PartialEq for Queued {
-    fn eq(&self, other: &Self) -> bool {
-        self.deadline.total_cmp(&other.deadline).is_eq()
-            && self.cost.total_cmp(&other.cost).is_eq()
-            && self.key == other.key
-    }
-}
-
-impl Eq for Queued {}
-
-impl PartialOrd for Queued {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for Queued {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // max-heap: greater = popped first.  Earliest deadline wins
-        // (reversed comparison: smaller deadline = greater priority),
-        // then highest cost, then the *smallest* key (reversed again).
-        // Every stage is total_cmp or Ord, so NaN deadlines or costs
-        // order deterministically instead of panicking — and since
-        // cells are bit-identical under any schedule, a skewed
-        // schedule is merely slower, never wrong.
-        other
-            .deadline
-            .total_cmp(&self.deadline)
-            .then_with(|| self.cost.total_cmp(&other.cost))
-            .then_with(|| other.key.cmp(&self.key))
-    }
-}
-
-/// Queue state guarded by one mutex: the priority heap plus the slot
-/// table that dedups concurrent submissions of the same cell.
-struct State {
-    queue: BinaryHeap<Queued>,
-    /// Every cell currently queued or executing, by key.  A slot
-    /// leaves the table the moment its worker finishes — succeeded
-    /// cells are in the provider cache (a re-submission is a cheap
-    /// `Hit`), failed cells get a fresh attempt from the next drain.
-    slots: HashMap<MeasurementKey, Arc<CellSlot>>,
-    shutdown: bool,
-}
-
-struct Shared {
-    state: Mutex<State>,
-    work_ready: Condvar,
-    execute: Box<ExecuteFn>,
-}
-
-/// The campaign-global bounded scheduler: a cost-ordered queue drained
-/// by exactly `jobs` worker threads (see the module docs).
+/// The campaign-global bounded scheduler: drains run one at a time
+/// through exactly `jobs` worker threads (see the module docs).
 pub struct CellScheduler {
-    shared: Arc<Shared>,
+    /// The queue's sending end.  A drain holds this lock until its
+    /// last cell settles, which is what serialises drains; `None`
+    /// only while the scheduler shuts down.
+    queue: Mutex<Option<Sender<Job>>>,
     jobs: usize,
     workers: Vec<JoinHandle<()>>,
 }
@@ -192,26 +88,20 @@ impl CellScheduler {
     /// through `execute`.
     pub fn new(jobs: usize, execute: Box<ExecuteFn>) -> Self {
         let jobs = jobs.max(1);
-        let shared = Arc::new(Shared {
-            state: Mutex::new(State {
-                queue: BinaryHeap::new(),
-                slots: HashMap::new(),
-                shutdown: false,
-            }),
-            work_ready: Condvar::new(),
-            execute,
-        });
+        let (queue, popped) = mpsc::channel();
+        let popped = Arc::new(Mutex::new(popped));
+        let execute: Arc<ExecuteFn> = Arc::from(execute);
         let workers = (0..jobs)
             .map(|i| {
-                let shared = shared.clone();
+                let (popped, execute) = (popped.clone(), execute.clone());
                 std::thread::Builder::new()
                     .name(format!("kc-worker-{i}"))
-                    .spawn(move || worker_loop(&shared))
+                    .spawn(move || worker_loop(&popped, execute.as_ref()))
                     .expect("spawn scheduler worker")
             })
             .collect();
         Self {
-            shared,
+            queue: Mutex::new(Some(queue)),
             jobs,
             workers,
         }
@@ -222,67 +112,42 @@ impl CellScheduler {
         self.jobs
     }
 
-    /// Submit `cells` (key, cost) and block until every one of them is
-    /// done, then report how they were satisfied.  Cells already
-    /// queued by a concurrent drain are shared, not duplicated, and
-    /// keep their original priority.  The first failure among *this*
-    /// drain's cells is propagated after all of them settle.
-    ///
-    /// Cells submitted with a deadline (milliseconds of client budget;
-    /// smaller = more urgent) pop ahead of every deadline-free cell in
-    /// the queue, regardless of cost.  `None` (and NaN, which is not a
-    /// budget) is infinitely patient: the pure cost order.
-    pub fn drain(
-        &self,
-        cells: Vec<(MeasurementKey, f64)>,
-        deadline_ms: Option<f64>,
-    ) -> KcResult<DrainStats> {
-        let deadline = match deadline_ms {
-            Some(d) if !d.is_nan() => d,
-            _ => f64::INFINITY,
-        };
-        let mut stats = DrainStats::default();
-        // Submit everything under one lock acquisition: a jobs=1
-        // worker cannot start draining mid-submission, so the pop
-        // order over this batch is exactly the deadline-then-cost
-        // order.
-        let tickets: Vec<(Arc<CellSlot>, bool)> = {
-            let mut state = relock(self.shared.state.lock());
-            let tickets = cells
-                .into_iter()
-                .map(|(key, cost)| {
-                    if let Some(slot) = state.slots.get(&key) {
-                        return (slot.clone(), false);
-                    }
-                    let slot = CellSlot::new();
-                    state.slots.insert(key.clone(), slot.clone());
-                    state.queue.push(Queued {
-                        deadline,
-                        cost,
-                        key,
-                        slot: slot.clone(),
-                    });
-                    (slot, true)
-                })
-                .collect();
-            stats.queue_depth = state.queue.len();
-            tickets
-        };
-        self.shared.work_ready.notify_all();
+    /// Execute `cells` (key, cost), waiting for any drain already
+    /// running to finish first, and block until every one of them is
+    /// done; then report how they were satisfied.  A key given twice
+    /// runs once, at the position of its costliest copy.  The first
+    /// failure in schedule order is propagated after all cells
+    /// settle.
+    pub fn drain(&self, mut cells: Vec<(MeasurementKey, f64)>) -> KcResult<DrainStats> {
+        cells.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+        let mut seen = HashSet::new();
+        cells.retain(|(key, _)| seen.insert(key.clone()));
 
+        let queue = relock(self.queue.lock());
+        let queue = queue.as_ref().expect("scheduler is running");
+        let (settled, results) = mpsc::channel();
+        for (index, (key, _)) in cells.into_iter().enumerate() {
+            let job = Job {
+                index,
+                key,
+                settled: settled.clone(),
+            };
+            queue.send(job).expect("scheduler workers are running");
+        }
+        // the iterator ends once every job has reported and dropped
+        // its sender
+        drop(settled);
+        let mut results: Vec<_> = results.iter().collect();
+        results.sort_by_key(|(index, _)| *index);
+
+        let mut stats = DrainStats::default();
         let mut first_error = None;
-        for (slot, mine) in tickets {
-            match (slot.wait(), mine) {
-                (Ok(disposition), true) => {
-                    stats.enqueued += 1;
-                    match disposition {
-                        Disposition::Executed => stats.executed += 1,
-                        Disposition::BackendHit => stats.backend_hits += 1,
-                        Disposition::Hit => stats.hits += 1,
-                    }
-                }
-                (Ok(_), false) => stats.shared += 1,
-                (Err(e), _) => first_error = first_error.or(Some(e)),
+        for (_, result) in results {
+            match result {
+                Ok(Disposition::Executed) => stats.executed += 1,
+                Ok(Disposition::BackendHit) => stats.backend_hits += 1,
+                Ok(Disposition::Hit) => stats.hits += 1,
+                Err(e) => first_error = first_error.or(Some(e)),
             }
         }
         match first_error {
@@ -294,42 +159,28 @@ impl CellScheduler {
 
 impl Drop for CellScheduler {
     fn drop(&mut self) {
-        relock(self.shared.state.lock()).shutdown = true;
-        self.shared.work_ready.notify_all();
+        // closing the queue ends every worker's loop
+        relock(self.queue.lock()).take();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
     }
 }
 
-fn worker_loop(shared: &Shared) {
+fn worker_loop(popped: &Mutex<Receiver<Job>>, execute: &ExecuteFn) {
     loop {
-        let queued = {
-            let mut state = relock(shared.state.lock());
-            loop {
-                if state.shutdown {
-                    return;
-                }
-                if let Some(q) = state.queue.pop() {
-                    break q;
-                }
-                state = relock(shared.work_ready.wait(state));
-            }
+        let Ok(job) = relock(popped.lock()).recv() else {
+            return;
         };
-        // A panicking cell fails its drains like an erroring one, and
+        // A panicking cell fails its drain like an erroring one, and
         // the worker lives on to serve the rest of the queue.
-        let result = catch_unwind(AssertUnwindSafe(|| (shared.execute)(&queued.key)))
-            .unwrap_or_else(|_| {
-                Err(KcError::BadCell {
-                    key: queued.key.to_string(),
-                    reason: "execution panicked".to_string(),
-                })
-            });
-        // Retire the slot before publishing the result: by the time a
-        // waiter wakes, a successful cell is in the provider cache and
-        // a failed cell is eligible for a fresh attempt.
-        relock(shared.state.lock()).slots.remove(&queued.key);
-        queued.slot.fill(result);
+        let result = catch_unwind(AssertUnwindSafe(|| execute(&job.key))).unwrap_or_else(|_| {
+            Err(KcError::BadCell {
+                key: job.key.to_string(),
+                reason: "execution panicked".to_string(),
+            })
+        });
+        let _ = job.settled.send((job.index, result));
     }
 }
 
@@ -350,17 +201,23 @@ mod tests {
         .key(CellKind::Chain(vec![kc_core::KernelId(i as u32)]), 5)
     }
 
-    #[test]
-    fn jobs_one_pops_in_cost_order_with_key_tiebreak() {
+    /// A scheduler whose execute closure records pop order.
+    fn recording(jobs: usize) -> (CellScheduler, Arc<Mutex<Vec<MeasurementKey>>>) {
         let order = Arc::new(Mutex::new(Vec::new()));
         let seen = order.clone();
         let sched = CellScheduler::new(
-            1,
+            jobs,
             Box::new(move |k| {
                 seen.lock().unwrap().push(k.clone());
                 Ok(Disposition::Executed)
             }),
         );
+        (sched, order)
+    }
+
+    #[test]
+    fn jobs_one_pops_in_cost_order_with_key_tiebreak() {
+        let (sched, order) = recording(1);
         // costs: 2.0, 5.0, 5.0, NaN — NaN orders above everything
         // under total_cmp; the 5.0 tie breaks by key order
         let cells = vec![
@@ -369,11 +226,8 @@ mod tests {
             (key(1), 5.0),
             (key(3), f64::NAN),
         ];
-        let stats = sched.drain(cells, None).unwrap();
+        let stats = sched.drain(cells).unwrap();
         assert_eq!(stats.executed, 4);
-        assert_eq!(stats.enqueued, 4);
-        assert_eq!(stats.shared, 0);
-        assert_eq!(stats.queue_depth, 4);
         let k12 = {
             let mut pair = [key(1), key(2)];
             pair.sort();
@@ -387,66 +241,16 @@ mod tests {
     }
 
     #[test]
-    fn deadlined_cells_jump_deadline_free_ones_regardless_of_cost() {
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let (seen, g) = (order.clone(), gate.clone());
-        // the decoy cell (key 99) holds the single worker at the gate
-        // so later submissions pile up in the heap and pop in priority
-        // order once the gate opens
-        let sched = CellScheduler::new(
-            1,
-            Box::new(move |k| {
-                if k == &key(99) {
-                    let mut open = relock(g.0.lock());
-                    while !*open {
-                        open = relock(g.1.wait(open));
-                    }
-                }
-                seen.lock().unwrap().push(k.clone());
-                Ok(Disposition::Executed)
-            }),
-        );
-        std::thread::scope(|s| {
-            let decoy = s.spawn(|| sched.drain(vec![(key(99), 100.0)], None));
-            std::thread::sleep(std::time::Duration::from_millis(30));
-            let patient = s.spawn(|| sched.drain(vec![(key(0), 9.0), (key(1), 8.0)], None));
-            std::thread::sleep(std::time::Duration::from_millis(30));
-            let urgent = s.spawn(|| sched.drain(vec![(key(2), 0.5)], Some(250.0)));
-            std::thread::sleep(std::time::Duration::from_millis(30));
-            *gate.0.lock().unwrap() = true;
-            gate.1.notify_all();
-            decoy.join().unwrap().unwrap();
-            patient.join().unwrap().unwrap();
-            urgent.join().unwrap().unwrap();
-        });
-        assert_eq!(
-            order.lock().unwrap()[1..],
-            [key(2), key(0), key(1)],
-            "the cheap-but-urgent cell pops ahead of expensive patient cells"
-        );
-    }
-
-    #[test]
-    fn nan_deadline_is_treated_as_no_deadline() {
-        let order = Arc::new(Mutex::new(Vec::new()));
-        let seen = order.clone();
-        let sched = CellScheduler::new(
-            1,
-            Box::new(move |k| {
-                seen.lock().unwrap().push(k.clone());
-                Ok(Disposition::Executed)
-            }),
-        );
-        let stats = sched
-            .drain(vec![(key(0), 2.0), (key(1), 5.0)], Some(f64::NAN))
-            .unwrap();
-        assert_eq!(stats.executed, 2);
-        assert_eq!(
-            *order.lock().unwrap(),
-            vec![key(1), key(0)],
-            "NaN is not a budget: pure cost order, no panic"
-        );
+    fn a_key_given_twice_in_one_drain_executes_once() {
+        let (sched, order) = recording(2);
+        let cells = vec![(key(0), 1.0), (key(1), 3.0), (key(0), 7.0)];
+        let stats = sched.drain(cells).unwrap();
+        assert_eq!(stats.executed, 2, "one queued cell per distinct key");
+        let mut ran = order.lock().unwrap().clone();
+        ran.sort();
+        let mut want = vec![key(0), key(1)];
+        want.sort();
+        assert_eq!(ran, want, "each key executed exactly once");
     }
 
     #[test]
@@ -465,44 +269,13 @@ mod tests {
             }),
         );
         let cells: Vec<_> = (0..24).map(|i| (key(i), i as f64)).collect();
-        let stats = sched.drain(cells, None).unwrap();
+        let stats = sched.drain(cells).unwrap();
         assert_eq!(stats.executed, 24);
         assert!(
             peak.load(Ordering::SeqCst) <= 3,
             "at most jobs=3 cells in flight, saw {}",
             peak.load(Ordering::SeqCst)
         );
-    }
-
-    #[test]
-    fn concurrent_drains_share_queued_cells_instead_of_duplicating() {
-        let runs = Arc::new(AtomicUsize::new(0));
-        let r = runs.clone();
-        let sched = Arc::new(CellScheduler::new(
-            2,
-            Box::new(move |_| {
-                r.fetch_add(1, Ordering::SeqCst);
-                std::thread::sleep(std::time::Duration::from_millis(10));
-                Ok(Disposition::Executed)
-            }),
-        ));
-        let cells: Vec<_> = (0..8).map(|i| (key(i), 1.0)).collect();
-        let (sa, sb) = (sched.clone(), sched.clone());
-        let (ca, cb) = (cells.clone(), cells);
-        let (ra, rb) = std::thread::scope(|s| {
-            let ha = s.spawn(move || sa.drain(ca, None).unwrap());
-            let hb = s.spawn(move || sb.drain(cb, None).unwrap());
-            (ha.join().unwrap(), hb.join().unwrap())
-        });
-        // every cell ran exactly once; each run is attributed to
-        // exactly one drain, the other drain shared the slot (unless
-        // one drain finished before the other submitted, in which
-        // case the late drain re-enqueued already-popped cells — the
-        // execute closure here never caches, so re-enqueues re-run;
-        // with a real CachedProvider they'd be Hits)
-        assert_eq!(ra.executed + rb.executed, runs.load(Ordering::SeqCst));
-        assert_eq!(ra.shared + ra.enqueued, 8);
-        assert_eq!(rb.shared + rb.enqueued, 8);
     }
 
     #[test]
@@ -519,9 +292,9 @@ mod tests {
                 }
             }),
         );
-        let err = sched.drain(vec![(key(0), 1.0)], None).unwrap_err();
+        let err = sched.drain(vec![(key(0), 1.0)]).unwrap_err();
         assert!(format!("{err}").contains("injected failure"));
-        let stats = sched.drain(vec![(key(0), 1.0)], None).unwrap();
+        let stats = sched.drain(vec![(key(0), 1.0)]).unwrap();
         assert_eq!(stats.executed, 1, "fresh drain retries the failed cell");
         assert_eq!(attempts.load(Ordering::SeqCst), 2);
     }
@@ -541,7 +314,7 @@ mod tests {
             let (tx, rx) = std::sync::mpsc::channel();
             let sched = sched.clone();
             let handle = std::thread::spawn(move || {
-                let _ = tx.send(sched.drain(cells, None));
+                let _ = tx.send(sched.drain(cells));
             });
             let result = rx
                 .recv_timeout(std::time::Duration::from_secs(10))
@@ -559,7 +332,7 @@ mod tests {
     fn empty_drain_is_a_noop() {
         let sched = CellScheduler::new(4, Box::new(|_| Ok(Disposition::Executed)));
         assert_eq!(sched.jobs(), 4);
-        let stats = sched.drain(Vec::new(), None).unwrap();
+        let stats = sched.drain(Vec::new()).unwrap();
         assert_eq!(stats, DrainStats::default());
     }
 }

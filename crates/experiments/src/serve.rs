@@ -4,7 +4,7 @@
 //! [`kc_serve::PredictionEngine`] trait: each server batch is
 //! validated into [`AnalysisSpec`]s, prefetched **as one set** through
 //! the campaign's shared cache and bounded cell scheduler — so
-//! duplicate cells across concurrent requests execute exactly once
+//! duplicate cells across a batch's requests execute exactly once
 //! and executor concurrency stays bounded by the campaign's `--jobs`
 //! pool — then assembled per request into a
 //! [`kc_serve::PredictionReport`] with the coupling-composed
@@ -145,18 +145,11 @@ impl PredictionEngine for CampaignEngine {
             .collect();
         if !specs.is_empty() {
             // one batch-wide prefetch: every valid request's cells
-            // dedupe against each other at the shared scheduler queue;
-            // a prefetch failure surfaces per request during assembly,
-            // which repeats the (then mostly cached) prefetch.  The
-            // batch's tightest deadline rides into the scheduler so
-            // urgent cells jump queued deadline-free table work; a
-            // batch with no deadlines takes the pure-cost path.
-            let deadline_ms = batch
-                .iter()
-                .filter_map(|r| r.deadline_ms)
-                .filter(|d| !d.is_nan())
-                .min_by(f64::total_cmp);
-            let _ = self.campaign.prefetch_with_deadline(&specs, deadline_ms);
+            // dedupe against each other in one drain; a prefetch
+            // failure surfaces per request during assembly, which
+            // repeats the (then mostly cached) prefetch.  Deadlines
+            // act earlier, in the server's batch formation.
+            let _ = self.campaign.prefetch(&specs);
         }
         validated
             .into_iter()

@@ -179,8 +179,9 @@ pub fn spawn_faults(addr: &str, faults: &FaultConfig) -> Vec<JoinHandle<()>> {
 
 /// Count exactly-once violations in a telemetry stream: the number of
 /// extra executions beyond the first, summed over every cell key.
-/// The campaign scheduler's slot dedup guarantees this is 0; a load
-/// run asserts the guarantee holds under concurrent traffic.
+/// The campaign scheduler's one-drain-at-a-time dedup guarantees this
+/// is 0; a load run asserts the guarantee holds under concurrent
+/// traffic.
 pub fn exactly_once_violations(events: &[TelemetryEvent]) -> u64 {
     let mut counts: std::collections::HashMap<&str, u64> = std::collections::HashMap::new();
     for event in events {

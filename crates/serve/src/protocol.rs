@@ -110,9 +110,9 @@ pub struct PredictRequest {
     /// still queued when its deadline passes is shed with a
     /// [`status::DEADLINE`] response instead of occupying batch
     /// capacity, and queued requests with earlier deadlines are
-    /// batched first (the deadline also rides into the cell
-    /// scheduler, where an urgent batch's cells jump the cost-ordered
-    /// queue).  Absent (`null`) by default — deadline-free streams
+    /// batched first.  The deadline stops at batch formation: a
+    /// batch's cells run in the engine's usual order.  Absent
+    /// (`null`) by default — deadline-free streams
     /// batch strictly FIFO and their responses stay byte-identical
     /// across `--jobs` values and batch splits.
     #[serde(default)]

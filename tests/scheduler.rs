@@ -1,6 +1,6 @@
 //! Integration: the campaign-global bounded cell scheduler.
 //!
-//! Four properties:
+//! Five properties:
 //!
 //! 1. **Ordering** — a cold `Campaign::prefetch` executes cells by
 //!    descending `cost_estimate`, ties in key order (with `jobs = 1`
@@ -18,11 +18,11 @@
 //!    shared cache attribute every cell to exactly one disposition:
 //!    their `cells_executed` / `backend_hits` sums equal the
 //!    `CacheStats` counters exactly (the ISSUE 4 accounting fix).
-//! 5. **Deadline ordering is safe and conservative** (property-based)
-//!    — arbitrary cost/deadline mixes, NaN and infinities included,
-//!    never panic and never lose a cell; and a deadline-free drain
-//!    (a `None` or a NaN deadline) pops in *exactly* the pure cost
-//!    order the scheduler had before deadlines existed.
+//! 5. **Exactly once under any costs** (property-based) — concurrent
+//!    drains over overlapping, duplicated keys with arbitrary costs,
+//!    NaN and infinities included, all settle, and each drain accounts
+//!    for each distinct key exactly once; a single drain pops in
+//!    *exactly* the pure cost order.
 
 use kernel_couplings::coupling::{
     CacheStats, CellContext, CellKind, Disposition, KernelId, MeasurementKey, MeasurementProvider,
@@ -202,7 +202,7 @@ fn cell_key(i: usize) -> MeasurementKey {
     .key(CellKind::Chain(vec![KernelId(i as u32)]), 5)
 }
 
-/// A jobs=1 scheduler whose execute closure records pop order.
+/// A scheduler whose execute closure records pop order.
 fn recording_scheduler(jobs: usize) -> (CellScheduler, Arc<Mutex<Vec<MeasurementKey>>>) {
     let order = Arc::new(Mutex::new(Vec::new()));
     let seen = order.clone();
@@ -227,70 +227,51 @@ fn any_cost() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// Any deadline a serve batch (or a hostile client) could carry.
-fn any_deadline() -> impl Strategy<Value = Option<f64>> {
-    prop_oneof![
-        3 => Just(None),
-        3 => (0.001f64..1e6).prop_map(Some),
-        1 => Just(Some(f64::NAN)),
-        1 => Just(Some(f64::INFINITY)),
-        1 => Just(Some(50.0)), // a value groups can share: equal deadlines
-    ]
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Property 5a: the deadline-then-cost-then-key ordering is total.
-    /// Concurrent drains with arbitrary deadlines over overlapping,
-    /// duplicated key sets — NaN costs, NaN deadlines, infinities —
-    /// all settle: no panic, no deadlock, and every drain accounts
-    /// for every cell it submitted (enqueued + shared, with each
-    /// enqueued cell in exactly one disposition).
+    /// Property 5a: exactly-once without a table of in-flight cells.
+    /// Concurrent drains over overlapping, duplicated key sets with
+    /// arbitrary costs — NaN and infinities included — all settle: no
+    /// panic, no deadlock, and every drain accounts for each distinct
+    /// key it submitted exactly once (one queued cell per key, in
+    /// exactly one disposition).
     #[test]
     fn arbitrary_deadline_mixes_never_panic_or_lose_cells(
         costs in prop::collection::vec(any_cost(), 1..10),
-        deadlines in prop::collection::vec(any_deadline(), 1..4),
+        drains in 1usize..4,
     ) {
         let (scheduler, order) = recording_scheduler(2);
+        // overlapping keys across drains (i % 5) plus in-drain
+        // duplicates, each drain with its own rotation of the costs
+        let distinct = costs.len().min(5);
         let results: Vec<_> = std::thread::scope(|s| {
-            let handles: Vec<_> = deadlines
-                .iter()
-                .map(|deadline| {
-                    // overlapping keys across groups (i % 5) plus
-                    // in-group duplicates exercise slot sharing
-                    let cells: Vec<_> = costs
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &c)| (cell_key(i % 5), c))
+            let handles: Vec<_> = (0..drains)
+                .map(|d| {
+                    let cells: Vec<_> = (0..costs.len())
+                        .map(|i| (cell_key(i % 5), costs[(i + d) % costs.len()]))
                         .collect();
                     let scheduler = &scheduler;
-                    let deadline = *deadline;
-                    s.spawn(move || scheduler.drain(cells, deadline))
+                    s.spawn(move || scheduler.drain(cells))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         for stats in results {
             let stats = stats.expect("a drain never fails on healthy cells");
-            prop_assert_eq!(stats.enqueued + stats.shared, costs.len());
             prop_assert_eq!(
                 stats.executed + stats.backend_hits + stats.hits,
-                stats.enqueued
+                distinct
             );
         }
-        let executed = order.lock().unwrap().len();
-        let unique = costs.len().min(5);
-        prop_assert!(
-            executed >= unique,
-            "every distinct key executes at least once ({executed} < {unique})"
-        );
+        // the recording closure never caches, so every drain runs
+        // each of its distinct keys once
+        prop_assert_eq!(order.lock().unwrap().len(), drains * distinct);
     }
 
-    /// Property 5b: without a deadline the scheduler is bit-identical
-    /// to its pre-deadline self.  For any cost vector, a `None` and a
-    /// NaN deadline both pop in exactly the pure cost order (highest
-    /// cost first under `total_cmp`, ties by canonical key order).
+    /// Property 5b: one drain pops in exactly the pure cost order
+    /// (highest cost first under `total_cmp`, ties by canonical key
+    /// order) for any cost vector.
     #[test]
     fn deadline_free_drains_pop_in_the_original_pure_cost_order(
         costs in prop::collection::vec(any_cost(), 1..12),
@@ -305,18 +286,9 @@ proptest! {
         let expected: Vec<MeasurementKey> =
             expected.into_iter().map(|(k, _)| k).collect();
 
-        for deadline in [None, Some(f64::NAN)] {
-            let (scheduler, order) = recording_scheduler(1);
-            let stats = scheduler
-                .drain(cells.clone(), deadline)
-                .expect("drain succeeds");
-            prop_assert_eq!(stats.executed, cells.len());
-            prop_assert_eq!(
-                &*order.lock().unwrap(),
-                &expected,
-                "deadline {:?} diverged from the pure cost order",
-                deadline
-            );
-        }
+        let (scheduler, order) = recording_scheduler(1);
+        let stats = scheduler.drain(cells.clone()).expect("drain succeeds");
+        prop_assert_eq!(stats.executed, cells.len());
+        prop_assert_eq!(&*order.lock().unwrap(), &expected);
     }
 }
