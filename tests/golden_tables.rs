@@ -86,6 +86,16 @@ fn load_store(cells_file: &str) -> Arc<CellStore> {
     )
 }
 
+/// The directory a store-backed test of `cells_file` read in `format`
+/// may use.  Each format has its own: the JSON and sharded tests of one
+/// store run concurrently, and neither may remove the other's files.
+fn scratch_dir(cells_file: &str, format: StoreFormat) -> PathBuf {
+    std::env::temp_dir().join(format!(
+        "kc_golden_{}_{cells_file}_{format}.kcs",
+        std::process::id()
+    ))
+}
+
 /// A fresh sharded store holding every cell of `store`: appended,
 /// flushed, dropped and reopened from `dir`, so reads go through the
 /// index that open rebuilds from the segments.
@@ -185,8 +195,7 @@ fn check_store_backed((cells_file, ids): GoldenStore, format: StoreFormat) {
     } else {
         load_store(cells_file)
     };
-    let scratch =
-        std::env::temp_dir().join(format!("kc_golden_{}_{cells_file}.kcs", std::process::id()));
+    let scratch = scratch_dir(cells_file, format);
     let backend: Box<dyn MeasurementBackend> = match format {
         StoreFormat::Json => Box::new(Arc::clone(&store)),
         StoreFormat::Sharded => Box::new(sharded_copy(&store, &scratch)),
@@ -265,6 +274,17 @@ fn extended_golden_tables_match_store_backed_assembly() {
 #[test]
 fn studies_golden_tables_match_store_backed_assembly() {
     check_store_backed(GOLDEN_STORES[2], StoreFormat::Json);
+}
+
+#[test]
+fn store_formats_use_distinct_scratch_dirs() {
+    for (cells_file, _) in GOLDEN_STORES {
+        assert_ne!(
+            scratch_dir(cells_file, StoreFormat::Json),
+            scratch_dir(cells_file, StoreFormat::Sharded),
+            "{cells_file}: the JSON test would remove the sharded test's live store"
+        );
+    }
 }
 
 #[test]
