@@ -483,6 +483,14 @@ impl Campaign {
     /// (measuring — in parallel — whatever is not yet cached).
     pub fn analysis(&self, spec: &AnalysisSpec) -> KcResult<CouplingAnalysis> {
         self.prefetch(std::slice::from_ref(spec))?;
+        self.assemble(spec)
+    }
+
+    /// The coupling analysis for one spec whose cells a successful
+    /// [`Campaign::prefetch`] already brought into the cache: the
+    /// assembly half of [`Campaign::analysis`], with no drain of its
+    /// own.
+    pub(crate) fn assemble(&self, spec: &AnalysisSpec) -> KcResult<CouplingAnalysis> {
         let ctx = self.context(spec);
         let set = spec.kernel_set();
         let iters = spec.benchmark.problem(spec.class).iterations;

@@ -77,6 +77,9 @@ pub fn drive_server(server: &Server, slots: &[Slot]) -> DriveResult {
 /// answers in input order per connection).
 pub fn drive_tcp(addr: &str, slots: &[Slot]) -> std::io::Result<DriveResult> {
     let mut stream = TcpStream::connect(addr)?;
+    // each request goes out as one whole line at its scheduled time;
+    // Nagle would hold it back behind the previous one's ACK
+    stream.set_nodelay(true)?;
     let reader_stream = stream.try_clone()?;
     let sent: Arc<Mutex<VecDeque<Instant>>> = Arc::new(Mutex::new(VecDeque::new()));
     let sent_reader = sent.clone();
@@ -103,12 +106,13 @@ pub fn drive_tcp(addr: &str, slots: &[Slot]) -> std::io::Result<DriveResult> {
     let start = Instant::now();
     for slot in slots {
         pace(start, slot.offset);
-        let line = match &slot.frame {
+        let mut line = match &slot.frame {
             Frame::Request(request) => serde_json::to_string(request).expect("requests serialize"),
             Frame::Malformed(line) => line.clone(),
         };
+        line.push('\n');
         sent.lock().unwrap().push_back(Instant::now());
-        writeln!(stream, "{line}")?;
+        stream.write_all(line.as_bytes())?;
     }
     stream.flush()?;
     stream.shutdown(Shutdown::Write)?;
