@@ -103,6 +103,7 @@ pub use reuse::{predict_with_reused_coefficients, ReuseCell, ReuseStudy};
 pub use synthetic::SyntheticExecutor;
 pub use telemetry::{
     canonicalize, quantile, read_jsonl, summarize, worker_label, write_jsonl, Disposition,
-    FanoutSink, JsonLinesSink, MemorySink, RunSummary, SlowCell, TelemetryEvent, TelemetrySink,
+    FanoutSink, JsonLinesSink, MemorySink, RunSummary, SlowCell, SummarySink, TelemetryEvent,
+    TelemetrySink,
 };
 pub use windows::ChainWindow;

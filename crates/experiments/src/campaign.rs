@@ -37,9 +37,9 @@ use crate::runner::Runner;
 use crate::scheduler::CellScheduler;
 use kc_core::telemetry::phases;
 use kc_core::{
-    analysis_cells, assemble_analysis, summarize, CacheStats, CachedProvider, CellContext,
-    CouplingAnalysis, FanoutSink, KcResult, KernelSet, MeasurementBackend, MeasurementKey,
-    MeasurementProvider, MemorySink, RunSummary, TelemetryEvent, TelemetrySink,
+    analysis_cells, assemble_analysis, CacheStats, CachedProvider, CellContext, CouplingAnalysis,
+    FanoutSink, KcResult, KernelSet, MeasurementBackend, MeasurementKey, MeasurementProvider,
+    RunSummary, SummarySink, TelemetryEvent, TelemetrySink,
 };
 use kc_machine::MachineConfig;
 use kc_npb::{Benchmark, Class, NpbApp, NpbProvider};
@@ -237,7 +237,9 @@ impl CampaignBuilder {
         self
     }
 
-    /// Attach an external telemetry sink from the first event on.
+    /// Attach an external telemetry sink from the first event on
+    /// (e.g. a `kc_core::MemorySink` for a test that inspects the
+    /// stream: the campaign itself keeps no events).
     pub fn sink(mut self, sink: Arc<dyn TelemetrySink>) -> Self {
         self.sinks.push(sink);
         self
@@ -254,9 +256,9 @@ impl CampaignBuilder {
 
     /// Build the campaign.
     pub fn build(self) -> Campaign {
-        let telemetry = Arc::new(MemorySink::new());
+        let summary = Arc::new(SummarySink::new());
         let fanout = Arc::new(FanoutSink::new());
-        fanout.add(telemetry.clone());
+        fanout.add(summary.clone());
         for sink in self.sinks {
             fanout.add(sink);
         }
@@ -281,7 +283,7 @@ impl CampaignBuilder {
             runner: self.runner,
             scheduler: CellScheduler::new(jobs, Box::new(execute)),
             provider,
-            telemetry,
+            summary,
             fanout,
         }
     }
@@ -298,10 +300,14 @@ pub struct Campaign {
     /// The campaign-global bounded executor every prefetch drains
     /// through (see [`crate::scheduler`]).
     scheduler: CellScheduler,
-    /// Always-on in-memory collector of this campaign's events.
-    telemetry: Arc<MemorySink>,
-    /// Broadcast point every emitter records into; external sinks
-    /// (e.g. a `JsonLinesSink`) attach here at any time.
+    /// This campaign's aggregates, folded from its events as they
+    /// arrive (`Campaign::summary` reads it).  It keeps no events, so
+    /// it is bounded by the distinct cells touched, not by the
+    /// requests served.
+    summary: Arc<SummarySink>,
+    /// Broadcast point every emitter records into; the fold is its
+    /// first sink, and external sinks (e.g. a `JsonLinesSink` under
+    /// `--trace`, a test's `MemorySink`) attach here at any time.
     fanout: Arc<FanoutSink>,
 }
 
@@ -354,12 +360,6 @@ impl Campaign {
         self.fanout.clone()
     }
 
-    /// This campaign's event stream so far, in canonical order (see
-    /// `kc_core::canonicalize`).
-    pub fn telemetry_events(&self) -> Vec<TelemetryEvent> {
-        self.telemetry.canonical_events()
-    }
-
     /// Drain every attached sink (see `TelemetrySink::flush`).  The
     /// explicit lifecycle point for buffered sinks: call after the
     /// end-of-run summary (or on SIGTERM) so trace files on disk are
@@ -368,18 +368,26 @@ impl Campaign {
         self.fanout.flush()
     }
 
-    /// End-of-run aggregates over the events so far.  With
+    /// End-of-run aggregates over the events so far, read from the
+    /// campaign's running fold.  With
     /// [`SummaryOpts::recorded`], the computed `RunSummary` is also
     /// appended to the event stream (so attached sinks — and the
     /// trace — end with a summary line).  This is the one summary
     /// type: the `--metrics` printer and the trace both show exactly
     /// what this returns.
     pub fn summary(&self, opts: SummaryOpts) -> RunSummary {
-        let s = summarize(&self.telemetry.events(), opts.top_n);
+        let s = self.summary.summary(opts.top_n);
         if opts.record {
             self.fanout.record(TelemetryEvent::RunSummary(s.clone()));
         }
         s
+    }
+
+    /// What the campaign's telemetry retains: the fold's entries and
+    /// the number of sinks its fanout feeds.
+    #[cfg(test)]
+    pub(crate) fn retained_telemetry(&self) -> (usize, usize) {
+        (self.summary.retained(), self.fanout.len())
     }
 
     /// Run `f` bracketed by phase started/finished telemetry events.

@@ -38,8 +38,8 @@
 use kc_core::cli::{self, CliError, Flag};
 use kc_experiments::{CampaignArgs, ServeArgs, Session};
 use kc_loadgen::{
-    drive_server, drive_tcp, exactly_once_violations, schedule, spawn_faults, unique_requests,
-    DriveResult, FaultConfig, LoadReport, SloSpec, WorkloadConfig,
+    drive_server, drive_tcp, schedule, spawn_faults, unique_requests, DriveResult, ExecutionAudit,
+    FaultConfig, LoadReport, SloSpec, WorkloadConfig,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -268,10 +268,12 @@ fn run_remote(opts: &Options) -> DriveResult {
 
 /// Host the campaign-backed server in-process and drive the schedule
 /// at it; returns the drive plus `(executions, exactly-once
-/// violations)` audited from campaign telemetry.
+/// violations)` audited from campaign telemetry as it streams.
 fn run_hosted(opts: &Options) -> (DriveResult, u64, u64) {
     let session = Session::open(&opts.campaign).unwrap_or_else(|e| cli::reject(e));
     let campaign = session.campaign().clone();
+    let audit = Arc::new(ExecutionAudit::new());
+    campaign.attach_sink(audit.clone());
     let server = Arc::new(session.server(opts.serve.config()));
 
     let slots = schedule(&opts.workload);
@@ -329,7 +331,7 @@ fn run_hosted(opts: &Options) -> (DriveResult, u64, u64) {
     };
     server.shutdown();
     let executions = campaign.cache_stats().executed - executed_before;
-    let violations = exactly_once_violations(&campaign.telemetry_events());
+    let violations = audit.violations();
     if let Err(e) = session.finish("") {
         cli::fail(e);
     }

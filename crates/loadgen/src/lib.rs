@@ -18,7 +18,7 @@
 //!   [`Server`](kc_serve::Server) or over TCP, stamping client-side
 //!   latency per frame; plus transport fault clients (mid-request
 //!   disconnects, slow-client stalls) and the exactly-once audit over
-//!   campaign telemetry.
+//!   campaign telemetry ([`ExecutionAudit`], folded as events arrive).
 //! * [`report`] — [`LoadReport`]: latency quantiles, throughput,
 //!   overload/error/deadline-miss rates, executions and exactly-once
 //!   violations for one run.
@@ -37,7 +37,8 @@ pub mod workload;
 
 pub use report::{LoadReport, Outcome};
 pub use run::{
-    drive_server, drive_tcp, exactly_once_violations, spawn_faults, DriveResult, FaultConfig,
+    drive_server, drive_tcp, exactly_once_violations, spawn_faults, DriveResult, ExecutionAudit,
+    FaultConfig,
 };
 pub use slo::{Direction, SloBound, SloSpec};
 pub use workload::{schedule, unique_requests, Frame, Slot, WorkloadConfig};

@@ -8,9 +8,9 @@
 
 use crate::report::Outcome;
 use crate::workload::{Frame, Slot};
-use kc_core::TelemetryEvent;
+use kc_core::{TelemetryEvent, TelemetrySink};
 use kc_serve::{PredictResponse, Server, Ticket};
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{Shutdown, TcpStream};
 use std::sync::{mpsc, Arc, Mutex};
@@ -187,13 +187,45 @@ pub fn spawn_faults(addr: &str, faults: &FaultConfig) -> Vec<JoinHandle<()>> {
 /// is 0; a load run asserts the guarantee holds under concurrent
 /// traffic.
 pub fn exactly_once_violations(events: &[TelemetryEvent]) -> u64 {
-    let mut counts: std::collections::HashMap<&str, u64> = std::collections::HashMap::new();
+    let mut counts: HashMap<&str, u64> = HashMap::new();
     for event in events {
         if let TelemetryEvent::CellExecuted { key, .. } = event {
             *counts.entry(key.as_str()).or_insert(0) += 1;
         }
     }
     counts.values().map(|c| c - 1).sum()
+}
+
+/// The exactly-once audit as a telemetry sink: counts `CellExecuted`
+/// events per cell key as they arrive, so a hosted load run audits
+/// its campaign without keeping the event stream.  Bounded by the
+/// number of distinct cells executed; [`ExecutionAudit::violations`]
+/// equals [`exactly_once_violations`] over the same events.
+#[derive(Debug, Default)]
+pub struct ExecutionAudit {
+    executions: Mutex<HashMap<String, u64>>,
+}
+
+impl ExecutionAudit {
+    /// An audit that has seen no executions.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Extra executions beyond the first, summed over every cell key.
+    pub fn violations(&self) -> u64 {
+        let counts = self.executions.lock().unwrap_or_else(|e| e.into_inner());
+        counts.values().map(|c| c - 1).sum()
+    }
+}
+
+impl TelemetrySink for ExecutionAudit {
+    fn record(&self, event: TelemetryEvent) {
+        if let TelemetryEvent::CellExecuted { key, .. } = event {
+            let mut counts = self.executions.lock().unwrap_or_else(|e| e.into_inner());
+            *counts.entry(key).or_insert(0) += 1;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -334,5 +366,26 @@ mod tests {
             2,
             "`a` ran three times: two violations"
         );
+    }
+
+    #[test]
+    fn the_streaming_audit_agrees_with_the_slice_oracle() {
+        let cell = |key: &str| TelemetryEvent::CellExecuted {
+            key: key.to_string(),
+            duration_secs: 0.1,
+            worker: "w0".to_string(),
+        };
+        let other = TelemetryEvent::CellStarted {
+            key: "a".to_string(),
+            worker: "w0".to_string(),
+        };
+        let stream = [cell("a"), other, cell("b"), cell("a"), cell("a")];
+        let audit = ExecutionAudit::new();
+        assert_eq!(audit.violations(), 0, "nothing seen yet");
+        for event in stream.iter().cloned() {
+            audit.record(event);
+        }
+        assert_eq!(audit.violations(), exactly_once_violations(&stream));
+        assert_eq!(audit.violations(), 2);
     }
 }

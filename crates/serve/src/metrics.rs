@@ -20,7 +20,11 @@ pub struct ServeMetrics {
 #[derive(Debug, Default)]
 struct Inner {
     latencies: Vec<f64>,
-    batch_sizes: Vec<usize>,
+    /// Batch shape as exact running aggregates: the report needs only
+    /// the count, the mean and the max.
+    batches: u64,
+    batch_sum: usize,
+    batch_max: usize,
     peak_queue_depth: usize,
     ok: u64,
     errors: u64,
@@ -49,7 +53,10 @@ impl ServeMetrics {
 
     /// Record one engine batch's size.
     pub fn record_batch(&self, size: usize) {
-        self.inner.lock().unwrap().batch_sizes.push(size);
+        let mut m = self.inner.lock().unwrap();
+        m.batches += 1;
+        m.batch_sum += size;
+        m.batch_max = m.batch_max.max(size);
     }
 
     /// Track the peak pending-queue depth.
@@ -63,9 +70,8 @@ impl ServeMetrics {
         let m = self.inner.lock().unwrap();
         let mut sorted = m.latencies.clone();
         sorted.sort_by(f64::total_cmp);
-        let batches = m.batch_sizes.len();
-        let batch_mean = if batches > 0 {
-            m.batch_sizes.iter().sum::<usize>() as f64 / batches as f64
+        let batch_mean = if m.batches > 0 {
+            m.batch_sum as f64 / m.batches as f64
         } else {
             0.0
         };
@@ -79,9 +85,9 @@ impl ServeMetrics {
             latency_p90_secs: quantile(&sorted, 0.90),
             latency_p99_secs: quantile(&sorted, 0.99),
             latency_max_secs: sorted.last().copied().unwrap_or(0.0),
-            batches: batches as u64,
+            batches: m.batches,
             batch_mean,
-            batch_max: m.batch_sizes.iter().copied().max().unwrap_or(0),
+            batch_max: m.batch_max,
             peak_queue_depth: m.peak_queue_depth,
         }
     }

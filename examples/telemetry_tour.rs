@@ -7,13 +7,20 @@
 //! cargo run --release --example telemetry_tour
 //! ```
 
-use kernel_couplings::coupling::{read_jsonl, Disposition, JsonLinesSink, TelemetryEvent};
+use kernel_couplings::coupling::{
+    read_jsonl, Disposition, JsonLinesSink, MemorySink, TelemetryEvent,
+};
 use kernel_couplings::experiments::{AnalysisSpec, Campaign, Runner, SummaryOpts};
 use kernel_couplings::npb::{Benchmark, Class};
 use std::sync::Arc;
 
 fn main() {
-    let campaign = Campaign::builder(Runner::noise_free()).build();
+    // the campaign folds its events into running aggregates and keeps
+    // none of them; to watch the stream, attach a sink that records it
+    let events = Arc::new(MemorySink::new());
+    let campaign = Campaign::builder(Runner::noise_free())
+        .sink(events.clone())
+        .build();
 
     // external sinks attach at any time; this one buffers everything
     // and writes a canonical JSON-lines trace on flush
@@ -28,8 +35,8 @@ fn main() {
         campaign.analysis(&spec).unwrap();
     }
 
-    // the campaign's always-on collector, in canonical order
-    let events = campaign.telemetry_events();
+    // the recorded stream, in canonical order
+    let events = events.canonical_events();
     println!("campaign emitted {} events; the first few:", events.len());
     for e in events.iter().take(6) {
         println!("  {e:?}");

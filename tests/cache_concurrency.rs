@@ -99,7 +99,11 @@ fn stats_invariant_holds_under_concurrent_hammering() {
 fn overlapping_cold_prefetches_execute_each_cell_once() {
     const THREADS: usize = 8;
 
-    let campaign = Campaign::builder(Runner::noise_free()).jobs(4).build();
+    let events = Arc::new(MemorySink::new());
+    let campaign = Campaign::builder(Runner::noise_free())
+        .jobs(4)
+        .sink(events.clone())
+        .build();
     let tables = catalog::get("bt-s")
         .unwrap()
         .requests(&campaign.runner().machine);
@@ -136,5 +140,5 @@ fn overlapping_cold_prefetches_execute_each_cell_once() {
     });
 
     assert_eq!(campaign.cache_stats().executed, unique.len() as u64);
-    assert_eq!(exactly_once_violations(&campaign.telemetry_events()), 0);
+    assert_eq!(exactly_once_violations(&events.canonical_events()), 0);
 }

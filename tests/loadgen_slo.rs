@@ -19,6 +19,7 @@
 //!    with `deadline` sheds instead of burning engine calls on
 //!    requests whose clients have already given up.
 
+use kernel_couplings::coupling::MemorySink;
 use kernel_couplings::experiments::{Campaign, CampaignEngine, Runner};
 use kernel_couplings::loadgen::{
     drive_server, exactly_once_violations, schedule, unique_requests, LoadReport, SloSpec,
@@ -30,10 +31,16 @@ use kernel_couplings::serve::{
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Build the real serving stack and warm it over `cfg`'s distinct
-/// specs, so the timed run measures pure cache-hit serving.
-fn warm_stack(cfg: &WorkloadConfig) -> (Arc<Campaign>, Server) {
-    let campaign = Arc::new(Campaign::builder(Runner::noise_free()).build());
+/// Build the real serving stack, with a sink that records the
+/// campaign's events, and warm it over `cfg`'s distinct specs, so the
+/// timed run measures pure cache-hit serving.
+fn warm_stack(cfg: &WorkloadConfig) -> (Arc<Campaign>, Arc<MemorySink>, Server) {
+    let events = Arc::new(MemorySink::new());
+    let campaign = Arc::new(
+        Campaign::builder(Runner::noise_free())
+            .sink(events.clone())
+            .build(),
+    );
     let server = Server::new(
         Arc::new(CampaignEngine::new(campaign.clone())),
         ServerConfig::default(),
@@ -45,7 +52,7 @@ fn warm_stack(cfg: &WorkloadConfig) -> (Arc<Campaign>, Server) {
     for t in &tickets {
         assert_eq!(t.wait().status, Status::Ok, "warmup must resolve cleanly");
     }
-    (campaign, server)
+    (campaign, events, server)
 }
 
 #[test]
@@ -59,14 +66,14 @@ fn warm_load_run_has_zero_executions_and_passes_its_slo() {
         seed: 11,
         ..WorkloadConfig::default()
     };
-    let (campaign, server) = warm_stack(&cfg);
+    let (campaign, events, server) = warm_stack(&cfg);
 
     let executed_before = campaign.cache_stats().executed;
     let result = drive_server(&server, &schedule(&cfg));
     server.shutdown();
 
     let executions = campaign.cache_stats().executed - executed_before;
-    let violations = exactly_once_violations(&campaign.telemetry_events());
+    let violations = exactly_once_violations(&events.canonical_events());
     let report = LoadReport::from_outcomes(
         &result.outcomes,
         result.elapsed_secs,

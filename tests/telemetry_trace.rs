@@ -4,7 +4,7 @@
 //! round-trips.
 
 use kernel_couplings::coupling::{
-    read_jsonl, summarize, Disposition, JsonLinesSink, TelemetryEvent,
+    read_jsonl, summarize, Disposition, JsonLinesSink, MemorySink, TelemetryEvent,
 };
 use kernel_couplings::experiments::{AnalysisSpec, Campaign, Runner, SummaryOpts};
 use kernel_couplings::npb::{Benchmark, Class};
@@ -21,12 +21,16 @@ fn specs() -> Vec<AnalysisSpec> {
 /// Run the campaign under a `jobs`-sized worker pool and return its
 /// canonical event stream plus the cache counters.
 fn run_with_jobs(jobs: usize) -> (Vec<TelemetryEvent>, kernel_couplings::coupling::CacheStats) {
-    let campaign = Campaign::builder(Runner::default()).jobs(jobs).build();
+    let events = Arc::new(MemorySink::new());
+    let campaign = Campaign::builder(Runner::default())
+        .jobs(jobs)
+        .sink(events.clone())
+        .build();
     for spec in specs() {
         campaign.analysis(&spec).unwrap();
     }
     campaign.summary(SummaryOpts::top(5).recorded());
-    (campaign.telemetry_events(), campaign.cache_stats())
+    (events.canonical_events(), campaign.cache_stats())
 }
 
 #[test]
@@ -66,7 +70,11 @@ fn traces_are_content_identical_across_worker_counts() {
 
 #[test]
 fn aggregates_match_cache_stats_exactly() {
-    let campaign = Campaign::builder(Runner::noise_free()).jobs(4).build();
+    let memory = Arc::new(MemorySink::new());
+    let campaign = Campaign::builder(Runner::noise_free())
+        .jobs(4)
+        .sink(memory.clone())
+        .build();
     for spec in specs() {
         campaign.analysis(&spec).unwrap();
     }
@@ -90,7 +98,7 @@ fn aggregates_match_cache_stats_exactly() {
 
     // every CellStarted has a matching CellFinished, and every
     // Executed disposition has exactly one raw CellExecuted span
-    let events = campaign.telemetry_events();
+    let events = memory.canonical_events();
     let count = |f: &dyn Fn(&TelemetryEvent) -> bool| events.iter().filter(|e| f(e)).count() as u64;
     assert_eq!(
         count(&|e| matches!(e, TelemetryEvent::CellStarted { .. })),
@@ -131,7 +139,10 @@ fn jsonl_trace_roundtrips_through_an_attached_sink() {
     let path = std::env::temp_dir().join("kc_telemetry_trace_test/trace.jsonl");
     let _ = std::fs::remove_file(&path);
 
-    let campaign = Campaign::builder(Runner::noise_free()).build();
+    let memory = Arc::new(MemorySink::new());
+    let campaign = Campaign::builder(Runner::noise_free())
+        .sink(memory.clone())
+        .build();
     let sink = Arc::new(JsonLinesSink::new(path.clone()));
     campaign.attach_sink(sink.clone());
     campaign
@@ -141,7 +152,7 @@ fn jsonl_trace_roundtrips_through_an_attached_sink() {
     sink.flush().unwrap();
 
     let replayed = read_jsonl(&path).unwrap();
-    assert_eq!(replayed.len(), campaign.telemetry_events().len());
+    assert_eq!(replayed.len(), memory.canonical_events().len());
     // the trace ends with the recorded summary, and summarizing the
     // replayed stream reproduces the aggregate counts
     let Some(TelemetryEvent::RunSummary(last)) = replayed.last() else {
