@@ -952,7 +952,10 @@ mod tests {
             jobs: 4,
         });
         events.push(TelemetryEvent::RunSummary(summarize(&events, 3)));
-        let path = std::env::temp_dir().join("kc_telemetry_test/trace.jsonl");
+        let path = std::env::temp_dir().join(format!(
+            "kc_telemetry_test_{}/trace.jsonl",
+            std::process::id()
+        ));
         let _ = std::fs::remove_file(&path);
         write_jsonl(&path, &events).unwrap();
         let back = read_jsonl(&path).unwrap();
@@ -962,7 +965,8 @@ mod tests {
 
     #[test]
     fn read_jsonl_rejects_garbage_lines() {
-        let path = std::env::temp_dir().join("kc_telemetry_garbage.jsonl");
+        let path =
+            std::env::temp_dir().join(format!("kc_telemetry_garbage_{}.jsonl", std::process::id()));
         std::fs::write(&path, "{\"PhaseStarted\":{\"phase\":\"x\"}}\nnot json\n").unwrap();
         assert!(read_jsonl(&path).is_err());
         let _ = std::fs::remove_file(&path);
@@ -971,9 +975,10 @@ mod tests {
     #[test]
     fn sinks_collect_and_fan_out() {
         let memory = Arc::new(MemorySink::new());
-        let jsonl = Arc::new(JsonLinesSink::new(
-            std::env::temp_dir().join("kc_telemetry_fanout/trace.jsonl"),
-        ));
+        let jsonl = Arc::new(JsonLinesSink::new(std::env::temp_dir().join(format!(
+            "kc_telemetry_fanout_{}/trace.jsonl",
+            std::process::id()
+        ))));
         let fanout = FanoutSink::new();
         assert!(fanout.is_empty());
         fanout.add(memory.clone());
@@ -992,9 +997,10 @@ mod tests {
 
     #[test]
     fn trait_flush_drains_buffered_sinks_through_a_fanout() {
-        let jsonl = Arc::new(JsonLinesSink::new(
-            std::env::temp_dir().join("kc_telemetry_trait_flush/trace.jsonl"),
-        ));
+        let jsonl = Arc::new(JsonLinesSink::new(std::env::temp_dir().join(format!(
+            "kc_telemetry_trait_flush_{}/trace.jsonl",
+            std::process::id()
+        ))));
         let fanout = FanoutSink::new();
         fanout.add(Arc::new(MemorySink::new())); // default no-op flush
         fanout.add(jsonl.clone());
@@ -1006,7 +1012,10 @@ mod tests {
 
     #[test]
     fn crashed_buffered_sink_loses_only_the_unflushed_tail() {
-        let path = std::env::temp_dir().join("kc_telemetry_crash/trace.jsonl");
+        let path = std::env::temp_dir().join(format!(
+            "kc_telemetry_crash_{}/trace.jsonl",
+            std::process::id()
+        ));
         let _ = std::fs::remove_dir_all(path.parent().unwrap());
         let jsonl = JsonLinesSink::new(&path);
         jsonl.record(started("flushed", "w"));

@@ -131,7 +131,7 @@ mod tests {
 
     #[test]
     fn writes_artifacts_to_disk() {
-        let dir = std::env::temp_dir().join("kc_render_test");
+        let dir = std::env::temp_dir().join(format!("kc_render_test_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         sample().write_to(&dir).unwrap();
         assert!(dir.join("demo.txt").exists());

@@ -23,8 +23,8 @@
 //!   worker goes on serving the queue.
 //! * **Bounded concurrency** — at most `jobs` cells execute at any
 //!   instant, structurally: there are only `jobs` worker threads.
-//!   They persist for the scheduler's lifetime because each keeps the
-//!   parked rank threads `kc-machine` holds per calling thread.
+//!   A worker runs every rank of its cell itself, as futures on its
+//!   own thread; the workers persist for the scheduler's lifetime.
 //!
 //! Each drain reports [`DrainStats`]: how its cells were satisfied
 //! (executed / backend hit / cache hit) — the raw material for the

@@ -1,10 +1,20 @@
-//! The cluster runner: builds a fresh message mesh and collective
-//! state for each run, executes one program closure per simulated rank
-//! on the calling thread's parked rank workers and collects per-rank
-//! virtual times and results.
+//! The cluster runners: each builds a fresh message transport and
+//! collective state for one run, executes one program per simulated
+//! rank and collects per-rank virtual times and results.
+//!
+//! [`Cluster::run_cooperative`] is the runner campaigns use: every rank
+//! is a future polled on the calling thread ([`crate::coop`]), and the
+//! ranks call [`RankCtx::recv_async`], [`RankCtx::barrier_async`] and
+//! [`RankCtx::allreduce_sum_async`].  [`Cluster::run`] runs a blocking
+//! closure per rank on the calling thread's parked rank workers, over
+//! channels; it stays for the benchmark harness's machine and npb
+//! probes, which link it with blocking closures, until they move to the
+//! cooperative API (ROADMAP 3(a)).  The `*_async` methods work on both:
+//! on a threaded rank they complete at their first poll.
 
 use crate::comm::{CommEndpoint, CommEvent, CommStats, Message};
 use crate::config::MachineConfig;
+use crate::coop::{Mesh, RankProgram};
 use crate::perf::PerfContext;
 use crate::pool::{self, Task};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -13,7 +23,7 @@ use parking_lot::Mutex;
 use std::sync::Barrier;
 
 /// Shared state backing the collectives (barrier / allreduce) of one
-/// run; every run builds its own.
+/// threaded run; every run builds its own.
 struct CollectiveState {
     slots: Vec<Mutex<f64>>,
     gate: Barrier,
@@ -41,15 +51,52 @@ impl CollectiveState {
     }
 }
 
+/// Where a rank's collectives meet the other ranks'.
+enum Collectives<'a> {
+    /// A threaded run's blocking exchange.
+    Threaded(&'a CollectiveState),
+    /// A cooperative run's gate.
+    Cooperative(&'a Mesh),
+}
+
 /// Everything one rank's code needs: identity, virtual clock,
 /// performance model and communication.
 pub struct RankCtx<'a> {
     perf: PerfContext,
     comm: CommEndpoint<'a>,
-    coll: &'a CollectiveState,
+    coll: Collectives<'a>,
 }
 
 impl<'a> RankCtx<'a> {
+    /// A rank of a run on `config` with `p` ranks.
+    fn new(
+        config: &MachineConfig,
+        p: usize,
+        comm: CommEndpoint<'a>,
+        coll: Collectives<'a>,
+    ) -> Self {
+        // A rank of a multicore machine sees its *effective* share of the
+        // node's shared cache (uniprocessor configs return themselves
+        // unchanged).  Cell keys still fingerprint the declared config.
+        let perf = PerfContext::new(config.effective_for_ranks(p));
+        let mut ctx = RankCtx { perf, comm, coll };
+        if config.trace_comm {
+            ctx.comm.enable_trace();
+        }
+        ctx
+    }
+
+    /// This rank's final report.
+    fn report(&mut self) -> RankReport {
+        RankReport {
+            time: self.perf.now(),
+            comm: self.comm.stats(),
+            cache: self.perf.cache_totals(),
+            flops: self.perf.flops_total(),
+            comm_trace: self.comm.take_trace(),
+        }
+    }
+
     /// This rank's id.
     #[inline]
     pub fn rank(&self) -> usize {
@@ -122,25 +169,71 @@ impl<'a> RankCtx<'a> {
     }
 
     /// Receive the next message from `src` with `tag`.
+    ///
+    /// # Panics
+    /// On a cooperative rank, which must use [`RankCtx::recv_async`].
     pub fn recv(&mut self, src: usize, tag: u32) -> Message {
         self.comm.recv(&mut self.perf, src, tag)
     }
 
+    /// [`RankCtx::recv`] on either transport.
+    pub async fn recv_async(&mut self, src: usize, tag: u32) -> Message {
+        self.comm.recv_async(&mut self.perf, src, tag).await
+    }
+
     /// Synchronize all ranks; afterwards every clock reads the maximum
     /// clock plus a log-tree collective cost.
+    ///
+    /// # Panics
+    /// On a cooperative rank, which must use [`RankCtx::barrier_async`].
     pub fn barrier(&mut self) {
-        let t = self.coll.exchange(self.rank(), self.now(), f64::max);
+        let t = self
+            .threaded("barrier")
+            .exchange(self.rank(), self.now(), f64::max);
         self.perf.advance_to(t);
         self.perf.advance(self.collective_cost());
     }
 
+    /// [`RankCtx::barrier`] on either transport.
+    pub async fn barrier_async(&mut self) {
+        match self.coll {
+            Collectives::Threaded(_) => self.barrier(),
+            Collectives::Cooperative(mesh) => {
+                let (t, _) = mesh.exchange(self.rank(), self.now(), 0.0).await;
+                self.perf.advance_to(t);
+                self.perf.advance(self.collective_cost());
+            }
+        }
+    }
+
     /// All-reduce `value` with sum; synchronizes clocks like a barrier.
+    ///
+    /// # Panics
+    /// On a cooperative rank, which must use
+    /// [`RankCtx::allreduce_sum_async`].
     pub fn allreduce_sum(&mut self, value: f64) -> f64 {
-        let clock = self.coll.exchange(self.rank(), self.now(), f64::max);
-        let v = self.coll.exchange(self.rank(), value, |a, b| a + b);
+        let coll = self.threaded("allreduce_sum");
+        let clock = coll.exchange(self.rank(), self.now(), f64::max);
+        let v = coll.exchange(self.rank(), value, |a, b| a + b);
         self.perf.advance_to(clock);
         self.perf.advance(self.collective_cost());
         v
+    }
+
+    /// [`RankCtx::allreduce_sum`] on either transport.  A cooperative
+    /// rank folds the clock and the value in one exchange; both folds
+    /// run in rank order, so the sum is bit-identical to the threaded
+    /// one.
+    pub async fn allreduce_sum_async(&mut self, value: f64) -> f64 {
+        match self.coll {
+            Collectives::Threaded(_) => self.allreduce_sum(value),
+            Collectives::Cooperative(mesh) => {
+                let (clock, v) = mesh.exchange(self.rank(), self.now(), value).await;
+                self.perf.advance_to(clock);
+                self.perf.advance(self.collective_cost());
+                v
+            }
+        }
     }
 
     /// Direct access to the performance context.
@@ -151,6 +244,16 @@ impl<'a> RankCtx<'a> {
     /// The machine configuration.
     pub fn config(&self) -> &MachineConfig {
         self.perf.config()
+    }
+
+    /// The threaded exchange a blocking collective named `op` needs.
+    fn threaded(&self, op: &str) -> &'a CollectiveState {
+        match self.coll {
+            Collectives::Threaded(coll) => coll,
+            Collectives::Cooperative(_) => {
+                panic!("a cooperative rank cannot block its thread in {op}; use {op}_async")
+            }
+        }
     }
 
     fn collective_cost(&self) -> f64 {
@@ -185,8 +288,12 @@ pub struct RankReport {
 pub struct RunOutcome<T> {
     /// Per-rank final reports, indexed by rank.
     pub reports: Vec<RankReport>,
-    /// Per-rank return values of the program closure.
+    /// Per-rank return values of the program.
     pub results: Vec<T>,
+    /// Messages sent during the run that no rank received: counted in
+    /// the mailboxes by [`Cluster::run_cooperative`], sent minus
+    /// received on [`Cluster::run`]'s lossless channels.
+    pub undelivered: usize,
 }
 
 impl<T> RunOutcome<T> {
@@ -223,15 +330,42 @@ impl Cluster {
         &self.config
     }
 
-    /// Run `program` on `p` ranks and collect the per-rank outcomes.
-    /// Panics in any rank propagate.
+    /// Run `program` on `p` ranks, every rank a future polled on the
+    /// calling thread, and collect the per-rank outcomes.  A rank's
+    /// panic unwinds out of this call; a run whose pending ranks can no
+    /// longer be woken panics with what each of them awaits.
+    ///
+    /// The virtual timeline is the one [`Cluster::run`] produces for
+    /// the same program: it is a pure function of the program and the
+    /// machine config, not of which thread carries a rank or in which
+    /// order the ranks are polled.
+    pub fn run_cooperative<P: RankProgram>(&self, p: usize, program: &P) -> RunOutcome<P::Output> {
+        assert!(p > 0, "need at least one rank");
+        let mesh = Mesh::new(p);
+        let mut ctxs: Vec<RankCtx> = (0..p)
+            .map(|rank| {
+                let comm = CommEndpoint::cooperative(rank, p, self.config.net, &mesh);
+                RankCtx::new(&self.config, p, comm, Collectives::Cooperative(&mesh))
+            })
+            .collect();
+        let results = mesh.drive(ctxs.iter_mut().map(|ctx| program.start(ctx)).collect());
+        RunOutcome {
+            reports: ctxs.iter_mut().map(RankCtx::report).collect(),
+            results,
+            undelivered: mesh.undelivered(),
+        }
+    }
+
+    /// Run the blocking `program` on `p` ranks and collect the per-rank
+    /// outcomes.  Panics in any rank propagate.
     ///
     /// The ranks run on the calling thread's parked workers (worker
-    /// *r* carries rank *r* of every run), so consecutive cells
-    /// executed by the same scheduler worker reuse the same rank
-    /// threads instead of paying spawn + join per cell.  The virtual
-    /// timeline is a pure function of the program and machine config,
-    /// not of which threads carry the ranks.
+    /// *r* carries rank *r* of every run), over a fresh channel mesh.
+    /// Campaigns do not use this runner: NPB cells run on
+    /// [`Cluster::run_cooperative`].  It stays, with its blocking
+    /// `recv`/`barrier`/`allreduce_sum`, for the benchmark harness's
+    /// machine and npb probes and as the reference the cooperative
+    /// runner is tested against.
     pub fn run<T, F>(&self, p: usize, program: F) -> RunOutcome<T>
     where
         T: Send,
@@ -282,11 +416,19 @@ impl Cluster {
             );
             *outcomes[rank].lock() = Some(out);
         });
-        let (reports, results) = outcomes
+        let (reports, results): (Vec<RankReport>, _) = outcomes
             .into_iter()
             .map(|slot| slot.into_inner().expect("rank produced no outcome"))
             .unzip();
-        RunOutcome { reports, results }
+        // a channel loses no message, so what was sent and not
+        // received is still queued
+        let sent: u64 = reports.iter().map(|r| r.comm.sent_messages).sum();
+        let received: u64 = reports.iter().map(|r| r.comm.recv_messages).sum();
+        RunOutcome {
+            reports,
+            results,
+            undelivered: (sent - received) as usize,
+        }
     }
 }
 
@@ -304,24 +446,10 @@ where
     F: Fn(&mut RankCtx) -> T,
 {
     let p = senders.len();
-    // A rank of a multicore machine sees its *effective* share of the
-    // node's shared cache (uniprocessor configs return themselves
-    // unchanged).  Cell keys still fingerprint the declared config.
-    let perf = PerfContext::new(config.effective_for_ranks(p));
-    let mut comm = CommEndpoint::new(rank, p, config.net, senders, receiver);
-    if config.trace_comm {
-        comm.enable_trace();
-    }
-    let mut ctx = RankCtx { perf, comm, coll };
+    let comm = CommEndpoint::new(rank, p, config.net, senders, receiver);
+    let mut ctx = RankCtx::new(config, p, comm, Collectives::Threaded(coll));
     let result = program(&mut ctx);
-    let report = RankReport {
-        time: ctx.perf.now(),
-        comm: ctx.comm.stats(),
-        cache: ctx.perf.cache_totals(),
-        flops: ctx.perf.flops_total(),
-        comm_trace: ctx.comm.take_trace(),
-    };
-    (report, result)
+    (ctx.report(), result)
 }
 
 #[cfg(test)]

@@ -1,14 +1,19 @@
 //! Virtual-time message passing between simulated ranks.
 //!
-//! Transport is a crossbeam channel per rank; *timing* is carried on
-//! the messages themselves.  A send stamps the message with its arrival
-//! time under the LogGP model (sender overhead + NIC serialization +
-//! switch latency + wire transfer); the matching receive advances the
-//! receiver's clock to no earlier than that arrival.  Because matching
-//! is always by `(source, tag)`, the virtual timeline is deterministic
-//! regardless of OS thread scheduling.
+//! Two transports carry the messages.  A cooperative run
+//! ([`crate::Cluster::run_cooperative`]) queues them in per-rank
+//! mailboxes on the one thread that polls every rank; a threaded run
+//! ([`crate::Cluster::run`]) sends them over a channel per rank.
+//! *Timing* is carried on the messages themselves, the same on both.  A
+//! send stamps the message with its arrival time under the LogGP model
+//! (sender overhead + NIC serialization + switch latency + wire
+//! transfer); the matching receive advances the receiver's clock to no
+//! earlier than that arrival.  Because matching is always by
+//! `(source, tag)`, the virtual timeline is deterministic regardless of
+//! which thread carries a rank or in which order ranks are polled.
 
 use crate::config::NetModel;
+use crate::coop::Mesh;
 use crate::perf::PerfContext;
 use crossbeam::channel::{Receiver, Sender};
 
@@ -68,16 +73,27 @@ pub struct CommStats {
     pub recv_messages: u64,
 }
 
-/// One rank's endpoint: senders to every rank plus its own receiver,
-/// borrowed from the run's mesh so every queue outlives every rank.
+/// How an endpoint moves messages.
+enum Transport<'a> {
+    /// Blocking channels: senders to every rank plus this rank's own
+    /// receiver, borrowed from the run's mesh so every queue outlives
+    /// every rank.
+    Channels {
+        senders: &'a [Sender<Message>],
+        receiver: &'a Receiver<Message>,
+        /// Messages that arrived before anyone asked for them.
+        pending: Vec<Message>,
+    },
+    /// The cooperative run's mailboxes.
+    Mesh(&'a Mesh),
+}
+
+/// One rank's endpoint: its transport, its NIC and its statistics.
 pub struct CommEndpoint<'a> {
     rank: usize,
     size: usize,
     net: NetModel,
-    senders: &'a [Sender<Message>],
-    receiver: &'a Receiver<Message>,
-    /// Messages that arrived before anyone asked for them.
-    pending: Vec<Message>,
+    transport: Transport<'a>,
     /// Virtual time until which this rank's NIC is busy serializing
     /// earlier messages.
     nic_free_at: f64,
@@ -86,7 +102,7 @@ pub struct CommEndpoint<'a> {
 }
 
 impl<'a> CommEndpoint<'a> {
-    /// Assemble an endpoint (called by the cluster runner).
+    /// Assemble a channel endpoint (called by the threaded runner).
     pub(crate) fn new(
         rank: usize,
         size: usize,
@@ -94,13 +110,25 @@ impl<'a> CommEndpoint<'a> {
         senders: &'a [Sender<Message>],
         receiver: &'a Receiver<Message>,
     ) -> Self {
+        let transport = Transport::Channels {
+            senders,
+            receiver,
+            pending: Vec::new(),
+        };
+        Self::with_transport(rank, size, net, transport)
+    }
+
+    /// Assemble a mailbox endpoint (called by the cooperative runner).
+    pub(crate) fn cooperative(rank: usize, size: usize, net: NetModel, mesh: &'a Mesh) -> Self {
+        Self::with_transport(rank, size, net, Transport::Mesh(mesh))
+    }
+
+    fn with_transport(rank: usize, size: usize, net: NetModel, transport: Transport<'a>) -> Self {
         Self {
             rank,
             size,
             net,
-            senders,
-            receiver,
-            pending: Vec::new(),
+            transport,
             nic_free_at: 0.0,
             stats: CommStats::default(),
             trace: None,
@@ -172,17 +200,50 @@ impl<'a> CommEndpoint<'a> {
             logical_bytes,
             data,
         };
-        self.senders[dest]
-            .send(msg)
-            .expect("receiver endpoint dropped");
+        match &self.transport {
+            Transport::Channels { senders, .. } => {
+                senders[dest].send(msg).expect("receiver endpoint dropped")
+            }
+            Transport::Mesh(mesh) => mesh.deliver(dest, msg),
+        }
     }
 
     /// Receive the next message from `src` with `tag`, blocking the OS
     /// thread until it exists and advancing the virtual clock to its
     /// arrival plus the receive overhead.
+    ///
+    /// # Panics
+    /// On a cooperative rank, which must use [`CommEndpoint::recv_async`].
     pub fn recv(&mut self, perf: &mut PerfContext, src: usize, tag: u32) -> Message {
         let before = perf.now();
-        let msg = self.take_matching(src, tag);
+        let Transport::Channels {
+            receiver, pending, ..
+        } = &mut self.transport
+        else {
+            panic!("a cooperative rank cannot block its thread in recv; use recv_async");
+        };
+        let msg = take_matching(receiver, pending, src, tag);
+        self.complete_recv(perf, before, msg)
+    }
+
+    /// [`CommEndpoint::recv`] for either transport: on a channel
+    /// endpoint it completes at its first poll, on a mailbox endpoint
+    /// it is pending until the message is delivered.
+    pub async fn recv_async(&mut self, perf: &mut PerfContext, src: usize, tag: u32) -> Message {
+        let before = perf.now();
+        let msg = match &mut self.transport {
+            Transport::Channels {
+                receiver, pending, ..
+            } => take_matching(receiver, pending, src, tag),
+            Transport::Mesh(mesh) => mesh.recv(self.rank, src, tag).await,
+        };
+        self.complete_recv(perf, before, msg)
+    }
+
+    /// Advance the clock to `msg`'s arrival plus the receive overhead,
+    /// and count and trace the receive; `before` is the clock when the
+    /// receive was posted.
+    fn complete_recv(&mut self, perf: &mut PerfContext, before: f64, msg: Message) -> Message {
         perf.advance_to(msg.arrival);
         let waited = perf.now() - before;
         perf.advance(self.net.recv_overhead);
@@ -190,32 +251,35 @@ impl<'a> CommEndpoint<'a> {
         if let Some(t) = &mut self.trace {
             t.push(CommEvent::Recv {
                 time: perf.now(),
-                src,
-                tag,
+                src: msg.src,
+                tag: msg.tag,
                 waited,
             });
         }
         msg
     }
+}
 
-    fn take_matching(&mut self, src: usize, tag: u32) -> Message {
-        if let Some(pos) = self
-            .pending
-            .iter()
-            .position(|m| m.src == src && m.tag == tag)
-        {
-            return self.pending.remove(pos);
+/// The first message from `src` with `tag`: from `pending` if it is
+/// already there, else from `receiver`, parking the others in
+/// `pending`.
+fn take_matching(
+    receiver: &Receiver<Message>,
+    pending: &mut Vec<Message>,
+    src: usize,
+    tag: u32,
+) -> Message {
+    if let Some(pos) = pending.iter().position(|m| m.src == src && m.tag == tag) {
+        return pending.remove(pos);
+    }
+    loop {
+        let msg = receiver
+            .recv()
+            .expect("all sender endpoints dropped while waiting for a message");
+        if msg.src == src && msg.tag == tag {
+            return msg;
         }
-        loop {
-            let msg = self
-                .receiver
-                .recv()
-                .expect("all sender endpoints dropped while waiting for a message");
-            if msg.src == src && msg.tag == tag {
-                return msg;
-            }
-            self.pending.push(msg);
-        }
+        pending.push(msg);
     }
 }
 

@@ -4,10 +4,12 @@
 //!
 //! The HPDC 2002 kernel-coupling study ran the NAS Parallel Benchmarks
 //! on an 80-processor IBM SP (120 MHz P2SC nodes).  This crate is the
-//! stand-in for that machine: every simulated rank runs as a real OS
-//! thread executing real (or profiled) kernel code, but *time* is
-//! virtual — each rank carries its own clock that advances according to
-//! a calibrated performance model:
+//! stand-in for that machine: every simulated rank executes real (or
+//! profiled) kernel code — as a future that the run's one thread polls
+//! ([`Cluster::run_cooperative`], [`coop`]), or on its own OS thread
+//! ([`Cluster::run`]) — but *time* is virtual — each rank carries its
+//! own clock that advances according to a calibrated performance
+//! model:
 //!
 //! * **Compute** — a flop-rate model ([`config::CpuModel`]).
 //! * **Memory** — a per-rank two-level cache simulator
@@ -27,7 +29,7 @@
 //! Determinism: receives are always matched by `(source, tag)`, never
 //! by wildcard, and collectives reduce over all ranks, so the virtual
 //! clocks are a pure function of the program and the machine config —
-//! independent of OS scheduling.
+//! independent of OS scheduling and of the order ranks are polled in.
 //!
 //! ```
 //! use kc_machine::{Cluster, MachineConfig};
@@ -51,6 +53,7 @@
 pub mod cluster;
 pub mod comm;
 pub mod config;
+pub mod coop;
 pub mod perf;
 #[allow(unsafe_code)]
 mod pool;
@@ -59,5 +62,6 @@ pub mod timer;
 pub use cluster::{Cluster, RankCtx, RunOutcome};
 pub use comm::{CommEvent, Message};
 pub use config::{CpuModel, MachineConfig, MemTiming, NetModel, NodeModel, TimerModel};
+pub use coop::{RankFuture, RankProgram};
 pub use perf::PerfContext;
 pub use timer::NoisyTimer;

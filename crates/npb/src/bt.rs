@@ -23,7 +23,7 @@
 use crate::app::AppSpec;
 use crate::blocks::{self, Block, Vec5};
 use crate::common;
-use crate::kernel::{tags, KernelSpec, Mode};
+use crate::kernel::{kernel_spec, tags, Mode};
 use crate::state::RankState;
 use kc_machine::RankCtx;
 
@@ -216,16 +216,16 @@ fn backward_line(st: &mut RankState, dir: Dir, b: usize, ln: usize, carry: Vec5)
 }
 
 /// The shared body of X_SOLVE / Y_SOLVE / Z_SOLVE.
-pub fn solve(st: &mut RankState, ctx: &mut RankCtx, mode: Mode, dir: Dir) {
-    solve_forward(st, ctx, mode, dir);
-    solve_backward(st, ctx, mode, dir);
+pub async fn solve(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode, dir: Dir) {
+    solve_forward(st, ctx, mode, dir).await;
+    solve_backward(st, ctx, mode, dir).await;
 }
 
 /// The forward-elimination half of a solve, exposed as its own kernel
 /// for the fine-grained decomposition study (the paper: a kernel "may
 /// be a loop, procedure, or file depending on the level of granularity
 /// of detail that is desired").
-pub fn solve_forward(st: &mut RankState, ctx: &mut RankCtx, mode: Mode, dir: Dir) {
+pub async fn solve_forward(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode, dir: Dir) {
     let (batches, lines, _) = dir.shape(st);
     let (fwd_tag, _) = dir.tags();
     let at_start = dir.at_start(st);
@@ -236,7 +236,7 @@ pub fn solve_forward(st: &mut RankState, ctx: &mut RankCtx, mode: Mode, dir: Dir
     for b in 0..batches {
         let mut carries: Vec<(Block, Vec5)> = Vec::new();
         if let Some(up) = dir.upstream(st) {
-            let msg = ctx.recv(up, fwd_tag);
+            let msg = ctx.recv_async(up, fwd_tag).await;
             if mode.numeric() {
                 carries = msg
                     .data
@@ -278,7 +278,7 @@ pub fn solve_forward(st: &mut RankState, ctx: &mut RankCtx, mode: Mode, dir: Dir
 /// The back-substitution half of a solve (see [`solve_forward`]).
 /// Requires the eliminated coefficients left in the state by the
 /// matching forward sweep.
-pub fn solve_backward(st: &mut RankState, ctx: &mut RankCtx, mode: Mode, dir: Dir) {
+pub async fn solve_backward(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode, dir: Dir) {
     let (batches, lines, _) = dir.shape(st);
     let (_, bwd_tag) = dir.tags();
     let bwd_carry_doubles = lines * 5;
@@ -287,7 +287,7 @@ pub fn solve_backward(st: &mut RankState, ctx: &mut RankCtx, mode: Mode, dir: Di
     for b in 0..batches {
         let mut carries: Vec<Vec5> = Vec::new();
         if let Some(down) = dir.downstream(st) {
-            let msg = ctx.recv(down, bwd_tag);
+            let msg = ctx.recv_async(down, bwd_tag).await;
             if mode.numeric() {
                 carries = msg
                     .data
@@ -313,40 +313,40 @@ pub fn solve_backward(st: &mut RankState, ctx: &mut RankCtx, mode: Mode, dir: Di
     }
 }
 
-fn x_solve(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
-    solve(st, ctx, mode, Dir::X);
+async fn x_solve(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
+    solve(st, ctx, mode, Dir::X).await;
 }
 
-fn y_solve(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
-    solve(st, ctx, mode, Dir::Y);
+async fn y_solve(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
+    solve(st, ctx, mode, Dir::Y).await;
 }
 
-fn z_solve(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
-    solve(st, ctx, mode, Dir::Z);
+async fn z_solve(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
+    solve(st, ctx, mode, Dir::Z).await;
 }
 
-fn x_elim(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
-    solve_forward(st, ctx, mode, Dir::X);
+async fn x_elim(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
+    solve_forward(st, ctx, mode, Dir::X).await;
 }
 
-fn x_subst(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
-    solve_backward(st, ctx, mode, Dir::X);
+async fn x_subst(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
+    solve_backward(st, ctx, mode, Dir::X).await;
 }
 
-fn y_elim(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
-    solve_forward(st, ctx, mode, Dir::Y);
+async fn y_elim(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
+    solve_forward(st, ctx, mode, Dir::Y).await;
 }
 
-fn y_subst(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
-    solve_backward(st, ctx, mode, Dir::Y);
+async fn y_subst(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
+    solve_backward(st, ctx, mode, Dir::Y).await;
 }
 
-fn z_elim(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
-    solve_forward(st, ctx, mode, Dir::Z);
+async fn z_elim(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
+    solve_forward(st, ctx, mode, Dir::Z).await;
 }
 
-fn z_subst(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
-    solve_backward(st, ctx, mode, Dir::Z);
+async fn z_subst(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
+    solve_backward(st, ctx, mode, Dir::Z).await;
 }
 
 /// A finer-grained BT decomposition: each solve split into its
@@ -356,84 +356,39 @@ fn z_subst(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
 /// far more strongly than the paper's procedure-level kernels.
 pub fn fine_spec() -> AppSpec {
     AppSpec {
-        init: vec![KernelSpec {
-            name: "initialization",
-            run: common::kernel_initialization,
-        }],
+        init: vec![kernel_spec!(
+            "initialization",
+            common::kernel_initialization
+        )],
         loop_kernels: vec![
-            KernelSpec {
-                name: "copy_faces",
-                run: common::kernel_copy_faces,
-            },
-            KernelSpec {
-                name: "x_elim",
-                run: x_elim,
-            },
-            KernelSpec {
-                name: "x_subst",
-                run: x_subst,
-            },
-            KernelSpec {
-                name: "y_elim",
-                run: y_elim,
-            },
-            KernelSpec {
-                name: "y_subst",
-                run: y_subst,
-            },
-            KernelSpec {
-                name: "z_elim",
-                run: z_elim,
-            },
-            KernelSpec {
-                name: "z_subst",
-                run: z_subst,
-            },
-            KernelSpec {
-                name: "add",
-                run: common::kernel_add,
-            },
+            kernel_spec!("copy_faces", common::kernel_copy_faces),
+            kernel_spec!("x_elim", x_elim),
+            kernel_spec!("x_subst", x_subst),
+            kernel_spec!("y_elim", y_elim),
+            kernel_spec!("y_subst", y_subst),
+            kernel_spec!("z_elim", z_elim),
+            kernel_spec!("z_subst", z_subst),
+            kernel_spec!("add", common::kernel_add),
         ],
-        final_kernels: vec![KernelSpec {
-            name: "final",
-            run: common::kernel_final,
-        }],
+        final_kernels: vec![kernel_spec!("final", common::kernel_final)],
     }
 }
 
 /// The BT kernel decomposition (paper §4.1).
 pub fn spec() -> AppSpec {
     AppSpec {
-        init: vec![KernelSpec {
-            name: "initialization",
-            run: common::kernel_initialization,
-        }],
+        init: vec![kernel_spec!(
+            "initialization",
+            common::kernel_initialization
+        )],
         loop_kernels: vec![
-            KernelSpec {
-                name: "copy_faces",
-                run: common::kernel_copy_faces,
-            },
-            KernelSpec {
-                name: "x_solve",
-                run: x_solve,
-            },
-            KernelSpec {
-                name: "y_solve",
-                run: y_solve,
-            },
-            KernelSpec {
-                name: "z_solve",
-                run: z_solve,
-            },
-            KernelSpec {
-                name: "add",
-                run: common::kernel_add,
-            },
+            kernel_spec!("copy_faces", common::kernel_copy_faces),
+            kernel_spec!("x_solve", x_solve),
+            kernel_spec!("y_solve", y_solve),
+            kernel_spec!("z_solve", z_solve),
+            kernel_spec!("add", common::kernel_add),
         ],
-        final_kernels: vec![KernelSpec {
-            name: "final",
-            run: common::kernel_final,
-        }],
+        final_kernels: vec![kernel_spec!("final", common::kernel_final)],
     }
 }
 

@@ -29,7 +29,7 @@ pub struct VerifyResult {
 
 /// INITIALIZATION: set `u = u₀ (+ perturbation)` and the manufactured
 /// forcing over the owned box.
-pub fn kernel_initialization(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
+pub async fn kernel_initialization(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
     let (nx, ny, nz) = st.dims();
     for k in 0..nz {
         for j in 0..ny {
@@ -67,7 +67,7 @@ fn bump(phys: &crate::physics::Physics, gi: isize, gj: isize, gk: isize) -> f64 
 /// Exchange the four `u` faces with the grid neighbours, filling
 /// [`RankState::halo`].  Non-blocking-style: all sends are posted
 /// before any receive.
-pub fn exchange_u_faces(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
+pub async fn exchange_u_faces(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
     let (nx, ny, nz) = st.dims();
     let we_bytes = ny * nz * CELL_BYTES;
     let sn_bytes = nx * nz * CELL_BYTES;
@@ -145,7 +145,7 @@ pub fn exchange_u_faces(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
     ];
     for (src, tag, bytes, which) in recvs {
         let Some(src) = src else { continue };
-        let msg = ctx.recv(src, tag);
+        let msg = ctx.recv_async(src, tag).await;
         // halo region offsets: west, east, south, north packed in order
         let off = match which {
             0 => 0,
@@ -169,8 +169,8 @@ pub fn exchange_u_faces(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
 
 /// COPY_FACES: halo exchange plus the right-hand-side computation
 /// (phase-one RHS, as in the paper's kernel description).
-pub fn kernel_copy_faces(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
-    exchange_u_faces(st, ctx, mode);
+pub async fn kernel_copy_faces(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
+    exchange_u_faces(st, ctx, mode).await;
     let (nx, ny, nz) = st.dims();
     for k in 0..nz {
         for j in 0..ny {
@@ -198,7 +198,7 @@ pub fn kernel_copy_faces(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
 }
 
 /// ADD: `u += rhs` (the solved correction).
-pub fn kernel_add(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
+pub async fn kernel_add(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
     let (nx, ny, nz) = st.dims();
     for k in 0..nz {
         for j in 0..ny {
@@ -221,7 +221,7 @@ pub fn kernel_add(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
 
 /// FINAL: verify solution integrity — global residual and
 /// deviation-from-steady-state norms via all-reduce.
-pub fn kernel_final(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
+pub async fn kernel_final(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
     let (nx, ny, nz) = st.dims();
     let mut resid = 0.0;
     let mut dev = 0.0;
@@ -245,8 +245,8 @@ pub fn kernel_final(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
             }
         }
     }
-    let resid_norm = ctx.allreduce_sum(resid);
-    let dev_norm = ctx.allreduce_sum(dev);
+    let resid_norm = ctx.allreduce_sum_async(resid).await;
+    let dev_norm = ctx.allreduce_sum_async(dev).await;
     st.verify = Some(VerifyResult {
         resid_norm,
         dev_norm,
@@ -259,6 +259,7 @@ mod tests {
     use crate::app::Benchmark;
     use crate::physics::Physics;
     use kc_grid::ProcGrid;
+    use kc_machine::coop::complete_now;
     use kc_machine::{Cluster, MachineConfig};
 
     fn run_on(p: usize, n: usize, f: impl Fn(&mut RankState, &mut RankCtx) + Sync) {
@@ -283,7 +284,7 @@ mod tests {
     #[test]
     fn initialization_sets_steady_state() {
         run_on(4, 8, |st, ctx| {
-            kernel_initialization(st, ctx, Mode::Numeric);
+            complete_now(kernel_initialization(st, ctx, Mode::Numeric));
             let (gi, gj, gk) = st.global_of(1, 1, 2);
             assert_eq!(*st.u.at(1, 1, 2), st.phys.u0(gi, gj, gk));
         });
@@ -294,8 +295,8 @@ mod tests {
         // u = u0 everywhere -> rhs must be identically ~0, which
         // exercises the stencil, the halos and the forcing together
         run_on(4, 8, |st, ctx| {
-            kernel_initialization(st, ctx, Mode::Numeric);
-            kernel_copy_faces(st, ctx, Mode::Numeric);
+            complete_now(kernel_initialization(st, ctx, Mode::Numeric));
+            complete_now(kernel_copy_faces(st, ctx, Mode::Numeric));
             let (nx, ny, nz) = st.dims();
             for k in 0..nz {
                 for j in 0..ny {
@@ -336,8 +337,8 @@ mod tests {
                     true,
                 );
                 st.perturb_amp = 0.1;
-                kernel_initialization(&mut st, ctx, Mode::Numeric);
-                kernel_copy_faces(&mut st, ctx, Mode::Numeric);
+                complete_now(kernel_initialization(&mut st, ctx, Mode::Numeric));
+                complete_now(kernel_copy_faces(&mut st, ctx, Mode::Numeric));
                 let (nx, ny, nz) = st.dims();
                 let mut m = map.lock();
                 for k in 0..nz {
@@ -370,10 +371,10 @@ mod tests {
     #[test]
     fn add_applies_correction_and_counts_iters() {
         run_on(1, 8, |st, ctx| {
-            kernel_initialization(st, ctx, Mode::Numeric);
+            complete_now(kernel_initialization(st, ctx, Mode::Numeric));
             let before = st.u.at(2, 2, 2)[0];
             *st.rhs.at_mut(2, 2, 2) = [1.0; 5];
-            kernel_add(st, ctx, Mode::Numeric);
+            complete_now(kernel_add(st, ctx, Mode::Numeric));
             assert_eq!(st.u.at(2, 2, 2)[0], before + 1.0);
             assert_eq!(st.iters_run, 1);
         });
@@ -382,9 +383,9 @@ mod tests {
     #[test]
     fn final_norms_are_global_and_zero_at_steady_state() {
         run_on(4, 8, |st, ctx| {
-            kernel_initialization(st, ctx, Mode::Numeric);
-            kernel_copy_faces(st, ctx, Mode::Numeric);
-            kernel_final(st, ctx, Mode::Numeric);
+            complete_now(kernel_initialization(st, ctx, Mode::Numeric));
+            complete_now(kernel_copy_faces(st, ctx, Mode::Numeric));
+            complete_now(kernel_final(st, ctx, Mode::Numeric));
             let v = st.verify.unwrap();
             assert!(v.resid_norm < 1e-20, "resid {}", v.resid_norm);
             assert!(v.dev_norm < 1e-20, "dev {}", v.dev_norm);
@@ -403,8 +404,8 @@ mod tests {
                     ctx,
                     mode.numeric(),
                 );
-                kernel_initialization(&mut st, ctx, mode);
-                kernel_copy_faces(&mut st, ctx, mode);
+                complete_now(kernel_initialization(&mut st, ctx, mode));
+                complete_now(kernel_copy_faces(&mut st, ctx, mode));
             });
             (out.total_messages(), out.total_bytes(), out.elapsed())
         };

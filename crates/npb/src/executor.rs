@@ -8,7 +8,9 @@ use crate::common::VerifyResult;
 use crate::kernel::{KernelSpec, Mode};
 use crate::state::RankState;
 use kc_core::{ChainExecutor, KernelId, KernelSet, Measurement};
-use kc_machine::{Cluster, MachineConfig, NoisyTimer, RankCtx, RunOutcome};
+use kc_machine::{
+    Cluster, MachineConfig, NoisyTimer, RankCtx, RankFuture, RankProgram, RunOutcome,
+};
 
 /// Measurement-protocol parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -178,6 +180,11 @@ impl NpbExecutor {
         )
     }
 
+    /// Run `program` on every rank of the app, cooperatively.
+    fn cell<P: RankProgram>(&self, program: &P) -> RunOutcome<P::Output> {
+        self.cluster.run_cooperative(self.app.procs, program)
+    }
+
     /// Run a loop whose body is `chain` under the measurement
     /// protocol; returns the *noise-free* total time of the timed
     /// region (seconds for `timed_iters` iterations).
@@ -189,58 +196,23 @@ impl NpbExecutor {
     /// region as its result, and every rank's report (cache and
     /// message totals over the run).
     pub fn run_chain(&self, chain: &[KernelId]) -> RunOutcome<f64> {
-        let kernels = self.resolve(chain);
-        let spec = &self.spec;
-        let cfg = self.cfg;
-        let cold = cfg.cold_start.applies_to(chain.len());
-        self.cluster.run(self.app.procs, |ctx| {
-            let mut st = self.make_state(ctx, cfg.mode);
-            for k in &spec.init {
-                (k.run)(&mut st, ctx, cfg.mode);
-            }
-            ctx.barrier();
-            for _ in 0..cfg.warmup_iters {
-                if cold {
-                    ctx.flush_caches();
-                }
-                for k in &kernels {
-                    (k.run)(&mut st, ctx, cfg.mode);
-                }
-                if cfg.barrier_per_iteration {
-                    ctx.barrier();
-                }
-            }
-            ctx.barrier();
-            let t0 = ctx.now();
-            for _ in 0..cfg.timed_iters {
-                if cold {
-                    ctx.flush_caches();
-                }
-                for k in &kernels {
-                    (k.run)(&mut st, ctx, cfg.mode);
-                }
-                if cfg.barrier_per_iteration {
-                    ctx.barrier();
-                }
-            }
-            ctx.barrier();
-            ctx.now() - t0
+        let cold = self.cfg.cold_start.applies_to(chain.len());
+        self.cell(&Timing {
+            exec: self,
+            protocol: Protocol::Chain {
+                kernels: self.resolve(chain),
+                cold,
+            },
         })
     }
 
     /// Noise-free total time of the one-off init + final kernels.
     pub fn run_overhead_raw(&self) -> f64 {
-        let spec = &self.spec;
-        let cfg = self.cfg;
-        let out = self.cluster.run(self.app.procs, |ctx| {
-            let mut st = self.make_state(ctx, cfg.mode);
-            for k in spec.init.iter().chain(&spec.final_kernels) {
-                (k.run)(&mut st, ctx, cfg.mode);
-            }
-            ctx.barrier();
-            ctx.now()
-        });
-        out.results[0]
+        self.cell(&Timing {
+            exec: self,
+            protocol: Protocol::Overhead,
+        })
+        .results[0]
     }
 
     /// Noise-free total application time: init + `iterations` loop
@@ -248,68 +220,21 @@ impl NpbExecutor {
     /// measured over `timed_iters` and extrapolated to the class's
     /// full count.
     pub fn run_application_raw(&self) -> f64 {
-        let spec = &self.spec;
-        let cfg = self.cfg;
-        let iterations = self.app.problem().iterations;
-        let out = self.cluster.run(self.app.procs, |ctx| {
-            let mut st = self.make_state(ctx, cfg.mode);
-            for k in &spec.init {
-                (k.run)(&mut st, ctx, cfg.mode);
-            }
-            ctx.barrier();
-            for _ in 0..cfg.warmup_iters {
-                for k in &spec.loop_kernels {
-                    (k.run)(&mut st, ctx, cfg.mode);
-                }
-            }
-            ctx.barrier();
-            let t0 = ctx.now();
-            for _ in 0..cfg.timed_iters {
-                for k in &spec.loop_kernels {
-                    (k.run)(&mut st, ctx, cfg.mode);
-                }
-            }
-            ctx.barrier();
-            let t1 = ctx.now();
-            for k in &spec.final_kernels {
-                (k.run)(&mut st, ctx, cfg.mode);
-            }
-            ctx.barrier();
-            // serial parts + extrapolated loop
-            let per_iter = (t1 - t0) / cfg.timed_iters as f64;
-            let loop_total = per_iter * iterations as f64;
-            let warm_start = t0 - per_iter * cfg.warmup_iters as f64;
-            let serial = warm_start + (ctx.now() - t1);
-            serial + loop_total
-        });
-        out.results[0]
+        self.cell(&Timing {
+            exec: self,
+            protocol: Protocol::Application,
+        })
+        .results[0]
     }
 
     /// Run the application numerically (real arithmetic) for
     /// `iters` iterations with an initial perturbation; returns the
     /// verification summary of rank 0.
     pub fn run_numeric(&self, iters: u32, perturb: f64) -> AppRunSummary {
-        let spec = &self.spec;
-        let out = self.cluster.run(self.app.procs, |ctx| {
-            let mut st = self.make_state(ctx, Mode::Numeric);
-            st.perturb_amp = perturb;
-            for k in &spec.init {
-                (k.run)(&mut st, ctx, Mode::Numeric);
-            }
-            for _ in 0..iters {
-                for k in &spec.loop_kernels {
-                    (k.run)(&mut st, ctx, Mode::Numeric);
-                }
-            }
-            for k in &spec.final_kernels {
-                (k.run)(&mut st, ctx, Mode::Numeric);
-            }
-            ctx.barrier();
-            (
-                ctx.now(),
-                st.verify.take().unwrap_or_default(),
-                st.iters_run,
-            )
+        let out = self.cell(&NumericRun {
+            exec: self,
+            iters,
+            perturb,
         });
         let (t, verify, iters_executed) = out.results[0];
         AppRunSummary {
@@ -319,11 +244,171 @@ impl NpbExecutor {
         }
     }
 
+    /// One rank of a chain cell: `kernels` looped under the measurement
+    /// protocol; returns the rank's timed region.
+    async fn chain_rank(&self, ctx: &mut RankCtx<'_>, kernels: &[KernelSpec], cold: bool) -> f64 {
+        let spec = &self.spec;
+        let cfg = self.cfg;
+        let mut st = self.make_state(ctx, cfg.mode);
+        run_kernels(&spec.init, &mut st, ctx, cfg.mode).await;
+        ctx.barrier_async().await;
+        for _ in 0..cfg.warmup_iters {
+            if cold {
+                ctx.flush_caches();
+            }
+            run_kernels(kernels, &mut st, ctx, cfg.mode).await;
+            if cfg.barrier_per_iteration {
+                ctx.barrier_async().await;
+            }
+        }
+        ctx.barrier_async().await;
+        let t0 = ctx.now();
+        for _ in 0..cfg.timed_iters {
+            if cold {
+                ctx.flush_caches();
+            }
+            run_kernels(kernels, &mut st, ctx, cfg.mode).await;
+            if cfg.barrier_per_iteration {
+                ctx.barrier_async().await;
+            }
+        }
+        ctx.barrier_async().await;
+        ctx.now() - t0
+    }
+
+    /// One rank of the overhead cell: init + final kernels; returns the
+    /// rank's clock.
+    async fn overhead_rank(&self, ctx: &mut RankCtx<'_>) -> f64 {
+        let spec = &self.spec;
+        let mode = self.cfg.mode;
+        let mut st = self.make_state(ctx, mode);
+        run_kernels(&spec.init, &mut st, ctx, mode).await;
+        run_kernels(&spec.final_kernels, &mut st, ctx, mode).await;
+        ctx.barrier_async().await;
+        ctx.now()
+    }
+
+    /// One rank of the application cell; returns the rank's
+    /// extrapolated application time.
+    async fn application_rank(&self, ctx: &mut RankCtx<'_>) -> f64 {
+        let spec = &self.spec;
+        let cfg = self.cfg;
+        let iterations = self.app.problem().iterations;
+        let mut st = self.make_state(ctx, cfg.mode);
+        run_kernels(&spec.init, &mut st, ctx, cfg.mode).await;
+        ctx.barrier_async().await;
+        for _ in 0..cfg.warmup_iters {
+            run_kernels(&spec.loop_kernels, &mut st, ctx, cfg.mode).await;
+        }
+        ctx.barrier_async().await;
+        let t0 = ctx.now();
+        for _ in 0..cfg.timed_iters {
+            run_kernels(&spec.loop_kernels, &mut st, ctx, cfg.mode).await;
+        }
+        ctx.barrier_async().await;
+        let t1 = ctx.now();
+        run_kernels(&spec.final_kernels, &mut st, ctx, cfg.mode).await;
+        ctx.barrier_async().await;
+        // serial parts + extrapolated loop
+        let per_iter = (t1 - t0) / cfg.timed_iters as f64;
+        let loop_total = per_iter * iterations as f64;
+        let warm_start = t0 - per_iter * cfg.warmup_iters as f64;
+        let serial = warm_start + (ctx.now() - t1);
+        serial + loop_total
+    }
+
+    /// One rank of a numeric run: `iters` iterations with real
+    /// arithmetic; returns the rank's clock, verification and
+    /// iteration count.
+    async fn numeric_rank(
+        &self,
+        ctx: &mut RankCtx<'_>,
+        iters: u32,
+        perturb: f64,
+    ) -> (f64, VerifyResult, u32) {
+        let spec = &self.spec;
+        let mut st = self.make_state(ctx, Mode::Numeric);
+        st.perturb_amp = perturb;
+        run_kernels(&spec.init, &mut st, ctx, Mode::Numeric).await;
+        for _ in 0..iters {
+            run_kernels(&spec.loop_kernels, &mut st, ctx, Mode::Numeric).await;
+        }
+        run_kernels(&spec.final_kernels, &mut st, ctx, Mode::Numeric).await;
+        ctx.barrier_async().await;
+        (
+            ctx.now(),
+            st.verify.take().unwrap_or_default(),
+            st.iters_run,
+        )
+    }
+
     fn noisy_measurement(&mut self, true_time: f64, reps: u32, scale: f64) -> Measurement {
         let samples = (0..reps.max(1))
             .map(|_| self.timer.sample(true_time) * scale)
             .collect();
         Measurement::from_samples(samples)
+    }
+}
+
+/// Run `kernels` in order on one rank.
+async fn run_kernels(
+    kernels: &[KernelSpec],
+    st: &mut RankState,
+    ctx: &mut RankCtx<'_>,
+    mode: Mode,
+) {
+    for k in kernels {
+        (k.run_async)(st, ctx, mode).await;
+    }
+}
+
+/// Which timing protocol a [`Timing`] cell runs.
+enum Protocol {
+    /// A loop whose body is `kernels` ([`NpbExecutor::run_chain`]).
+    Chain {
+        kernels: Vec<KernelSpec>,
+        cold: bool,
+    },
+    /// The one-off kernels ([`NpbExecutor::run_overhead_raw`]).
+    Overhead,
+    /// The whole application ([`NpbExecutor::run_application_raw`]).
+    Application,
+}
+
+/// A timing cell's rank program: every rank returns one time.
+struct Timing<'e> {
+    exec: &'e NpbExecutor,
+    protocol: Protocol,
+}
+
+impl RankProgram for Timing<'_> {
+    type Output = f64;
+
+    fn start<'c>(&'c self, ctx: &'c mut RankCtx<'_>) -> RankFuture<'c, f64> {
+        Box::pin(async move {
+            match &self.protocol {
+                Protocol::Chain { kernels, cold } => {
+                    self.exec.chain_rank(ctx, kernels, *cold).await
+                }
+                Protocol::Overhead => self.exec.overhead_rank(ctx).await,
+                Protocol::Application => self.exec.application_rank(ctx).await,
+            }
+        })
+    }
+}
+
+/// [`NpbExecutor::run_numeric`]'s rank program.
+struct NumericRun<'e> {
+    exec: &'e NpbExecutor,
+    iters: u32,
+    perturb: f64,
+}
+
+impl RankProgram for NumericRun<'_> {
+    type Output = (f64, VerifyResult, u32);
+
+    fn start<'c>(&'c self, ctx: &'c mut RankCtx<'_>) -> RankFuture<'c, Self::Output> {
+        Box::pin(self.exec.numeric_rank(ctx, self.iters, self.perturb))
     }
 }
 
@@ -358,6 +443,8 @@ mod tests {
     use super::*;
     use crate::app::Benchmark;
     use crate::classes::Class;
+    use kc_cachesim::AccessCounts;
+    use kc_machine::comm::{CommEvent, CommStats};
 
     fn executor(b: Benchmark, p: usize) -> NpbExecutor {
         NpbExecutor::new(
@@ -454,6 +541,169 @@ mod tests {
             );
             assert!(s.verify.dev_norm < 1e-20, "{b}: dev {}", s.verify.dev_norm);
             assert_eq!(s.iters_executed, 2);
+        }
+    }
+
+    /// Everything a run reports, clocks and results as bits.
+    type Fingerprint = (
+        Vec<(u64, AccessCounts, u64, CommStats, Vec<CommEvent>)>,
+        Vec<u64>,
+        usize,
+    );
+
+    fn fingerprint(out: &RunOutcome<f64>) -> Fingerprint {
+        let reports = out
+            .reports
+            .iter()
+            .map(|r| {
+                (
+                    r.time.to_bits(),
+                    r.cache,
+                    r.flops,
+                    r.comm,
+                    r.comm_trace.clone(),
+                )
+            })
+            .collect();
+        let results = out.results.iter().map(|t| t.to_bits()).collect();
+        (reports, results, out.undelivered)
+    }
+
+    /// `run_chain`'s protocol as a blocking program on `Cluster::run`,
+    /// calling every kernel's blocking `run`: the threaded reference the
+    /// cooperative cells are held to.
+    fn threaded_chain(e: &NpbExecutor, chain: &[KernelId]) -> RunOutcome<f64> {
+        let kernels = e.resolve(chain);
+        let cfg = e.cfg;
+        let cold = cfg.cold_start.applies_to(chain.len());
+        e.cluster.run(e.app.procs, |ctx| {
+            let mut st = e.make_state(ctx, cfg.mode);
+            for k in &e.spec.init {
+                (k.run)(&mut st, ctx, cfg.mode);
+            }
+            ctx.barrier();
+            for _ in 0..cfg.warmup_iters {
+                if cold {
+                    ctx.flush_caches();
+                }
+                for k in &kernels {
+                    (k.run)(&mut st, ctx, cfg.mode);
+                }
+                if cfg.barrier_per_iteration {
+                    ctx.barrier();
+                }
+            }
+            ctx.barrier();
+            let t0 = ctx.now();
+            for _ in 0..cfg.timed_iters {
+                if cold {
+                    ctx.flush_caches();
+                }
+                for k in &kernels {
+                    (k.run)(&mut st, ctx, cfg.mode);
+                }
+                if cfg.barrier_per_iteration {
+                    ctx.barrier();
+                }
+            }
+            ctx.barrier();
+            ctx.now() - t0
+        })
+    }
+
+    fn traced(app: NpbApp, mode: Mode, spec: AppSpec) -> NpbExecutor {
+        let machine = MachineConfig::ibm_sp_p2sc()
+            .without_noise()
+            .with_comm_trace();
+        let cfg = ExecConfig {
+            mode,
+            ..ExecConfig::default()
+        };
+        NpbExecutor::with_spec(app, machine, cfg, spec)
+    }
+
+    #[test]
+    fn cooperative_cells_equal_the_threaded_reference() {
+        let mut cases = Vec::new();
+        for b in Benchmark::ALL {
+            let middle = if b == Benchmark::Lu { 8 } else { 9 };
+            for p in [4, middle, 16] {
+                for mode in [Mode::Numeric, Mode::Profile] {
+                    cases.push(traced(NpbApp::new(b, Class::S, p), mode, b.spec()));
+                }
+            }
+        }
+        let fine = traced(
+            NpbApp::new(Benchmark::Bt, Class::S, 4),
+            Mode::Profile,
+            crate::bt::fine_spec(),
+        );
+        cases.push(fine);
+        for e in &cases {
+            let chain: Vec<KernelId> = e.kernel_set().ids().collect();
+            let label = format!("{} {:?} {} kernels", e.app.label(), e.cfg.mode, chain.len());
+            let coop = e.run_chain(&chain);
+            assert!(coop.total_messages() > 0, "{label}: no traffic");
+            assert_eq!(
+                fingerprint(&coop),
+                fingerprint(&threaded_chain(e, &chain)),
+                "{label}"
+            );
+        }
+    }
+
+    /// Mesh conservation on one run: nothing is left unread, every
+    /// send is received, and no rank's clock runs backwards.
+    fn assert_conserved<T>(label: &str, out: &RunOutcome<T>) {
+        assert_eq!(out.undelivered, 0, "{label}: messages left unread");
+        let received: u64 = out.reports.iter().map(|r| r.comm.recv_messages).sum();
+        assert_eq!(out.total_messages(), received, "{label}");
+        for (rank, r) in out.reports.iter().enumerate() {
+            let times: Vec<f64> = r
+                .comm_trace
+                .iter()
+                .map(|ev| match ev {
+                    CommEvent::Send { time, .. } | CommEvent::Recv { time, .. } => *time,
+                })
+                .collect();
+            assert!(
+                times.windows(2).all(|w| w[0] <= w[1]) && times.last() <= Some(&r.time),
+                "{label}: rank {rank}'s clock ran backwards"
+            );
+        }
+    }
+
+    #[test]
+    fn every_class_s_cell_delivers_every_message() {
+        let specs = Benchmark::ALL
+            .map(|b| (b, b.spec()))
+            .into_iter()
+            .chain([(Benchmark::Bt, crate::bt::fine_spec())]);
+        for (b, spec) in specs {
+            let e = traced(NpbApp::new(b, Class::S, 4), Mode::Profile, spec);
+            let label = e.app.label();
+            let ids: Vec<KernelId> = e.kernel_set().ids().collect();
+            for &k in &ids {
+                let name = e.kernel_set().name(k);
+                assert_conserved(&format!("{label} {name}"), &e.run_chain(&[k]));
+            }
+            assert_conserved(&format!("{label} loop"), &e.run_chain(&ids));
+            let overhead = e.cell(&Timing {
+                exec: &e,
+                protocol: Protocol::Overhead,
+            });
+            assert_conserved(&format!("{label} overhead"), &overhead);
+            let application = e.cell(&Timing {
+                exec: &e,
+                protocol: Protocol::Application,
+            });
+            assert_conserved(&format!("{label} application"), &application);
+            let numeric = e.cell(&NumericRun {
+                exec: &e,
+                iters: 2,
+                perturb: 0.1,
+            });
+            assert_conserved(&format!("{label} numeric"), &numeric);
         }
     }
 }

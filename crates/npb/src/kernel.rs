@@ -2,6 +2,8 @@
 
 use crate::state::RankState;
 use kc_machine::RankCtx;
+use std::future::Future;
+use std::pin::Pin;
 
 /// How a kernel executes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -21,15 +23,49 @@ impl Mode {
     }
 }
 
-/// A kernel: a name (as the paper's tables spell it) plus the function
-/// that executes one invocation on one rank.
+/// One kernel invocation in progress on one rank.
+pub type KernelFuture<'c> = Pin<Box<dyn Future<Output = ()> + 'c>>;
+
+/// A kernel: a name (as the paper's tables spell it) plus the body that
+/// executes one invocation on one rank, in two forms built from one
+/// `async fn` by the crate's `kernel_spec!` macro.
 #[derive(Clone, Copy)]
 pub struct KernelSpec {
     /// Kernel name, lower-snake-case (`copy_faces`, `x_solve`, …).
     pub name: &'static str,
-    /// Per-rank, per-invocation body.
+    /// The body run to completion in place, for a blocking program on
+    /// `Cluster::run`'s threaded ranks.
+    ///
+    /// # Panics
+    /// On a cooperative rank, where the body waits for other ranks.
     pub run: fn(&mut RankState, &mut RankCtx, Mode),
+    /// The body as a future, for rank programs on
+    /// `Cluster::run_cooperative` (every campaign cell).
+    pub run_async: for<'c> fn(&'c mut RankState, &'c mut RankCtx<'_>, Mode) -> KernelFuture<'c>,
 }
+
+/// A [`KernelSpec`] named `$name` whose two forms both run the
+/// `async fn` `$body`.
+macro_rules! kernel_spec {
+    ($name:literal, $body:path) => {{
+        fn run(st: &mut crate::RankState, ctx: &mut kc_machine::RankCtx, mode: crate::Mode) {
+            kc_machine::coop::complete_now($body(st, ctx, mode))
+        }
+        fn run_async<'c>(
+            st: &'c mut crate::RankState,
+            ctx: &'c mut kc_machine::RankCtx<'_>,
+            mode: crate::Mode,
+        ) -> crate::kernel::KernelFuture<'c> {
+            Box::pin($body(st, ctx, mode))
+        }
+        crate::KernelSpec {
+            name: $name,
+            run,
+            run_async,
+        }
+    }};
+}
+pub(crate) use kernel_spec;
 
 impl std::fmt::Debug for KernelSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

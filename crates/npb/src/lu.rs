@@ -20,7 +20,7 @@
 use crate::app::AppSpec;
 use crate::blocks::{self, Vec5};
 use crate::common;
-use crate::kernel::{tags, KernelSpec, Mode};
+use crate::kernel::{kernel_spec, tags, Mode};
 use crate::physics::RHS_CELL_FLOPS;
 use crate::state::{HaloSet, RankState, CELL_BYTES};
 use kc_machine::RankCtx;
@@ -39,7 +39,7 @@ pub const PINTGR_CELL_FLOPS: u64 = 4;
 
 /// INITIALIZATION (LU variant): set `u = u₀ (+ perturbation)` only;
 /// the forcing is ERHS's job.
-fn lu_init(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
+async fn lu_init(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
     let (nx, ny, nz) = st.dims();
     for k in 0..nz {
         for j in 0..ny {
@@ -71,7 +71,7 @@ fn lu_init(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
 }
 
 /// ERHS: compute the forcing (right-hand side of the steady system).
-fn erhs(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
+async fn erhs(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
     let (nx, ny, nz) = st.dims();
     for k in 0..nz {
         for j in 0..ny {
@@ -90,8 +90,8 @@ fn erhs(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
 /// SSOR_ITER: the residual right-hand side `rhs = dτ (L u + f)`,
 /// including the halo exchange it needs (identical structure to
 /// BT/SP's COPY_FACES).
-fn ssor_iter(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
-    common::exchange_u_faces(st, ctx, mode);
+async fn ssor_iter(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
+    common::exchange_u_faces(st, ctx, mode).await;
     let (nx, ny, nz) = st.dims();
     for k in 0..nz {
         for j in 0..ny {
@@ -119,8 +119,8 @@ fn ssor_iter(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
 
 /// SSOR_INIT: one residual evaluation plus the global residual norm
 /// (the "initialize various values for SSOR" kernel).
-fn ssor_init(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
-    ssor_iter(st, ctx, mode);
+async fn ssor_init(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
+    ssor_iter(st, ctx, mode).await;
     let (nx, ny, nz) = st.dims();
     let mut norm = 0.0;
     for k in 0..nz {
@@ -136,7 +136,7 @@ fn ssor_init(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
             }
         }
     }
-    let _ = ctx.allreduce_sum(norm);
+    let _ = ctx.allreduce_sum_async(norm).await;
 }
 
 /// The diagonal block `D = I + 6σM + φ(u)I`, factored in place.
@@ -167,7 +167,7 @@ fn charge_plane(st: &RankState, ctx: &mut RankCtx, k: usize) {
 
 /// SSOR_LT: the lower-triangular sweep, `(D + L) y = rhs`, forward
 /// wavefront with west/south ghost values per plane.
-fn ssor_lt(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
+async fn ssor_lt(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
     let (nx, ny, nz) = st.dims();
     let sigma = st.phys.sigma;
     let m = st.phys.m;
@@ -180,11 +180,11 @@ fn ssor_lt(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
         let mut gw: Vec<f64> = Vec::new();
         let mut gs: Vec<f64> = Vec::new();
         if let Some(w) = west {
-            let msg = ctx.recv(w, tags::LT_X);
+            let msg = ctx.recv_async(w, tags::LT_X).await;
             gw = msg.data;
         }
         if let Some(s) = south {
-            let msg = ctx.recv(s, tags::LT_Y);
+            let msg = ctx.recv_async(s, tags::LT_Y).await;
             gs = msg.data;
         }
         charge_plane(st, ctx, k);
@@ -256,7 +256,7 @@ fn ssor_lt(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
 
 /// SSOR_UT: the upper-triangular sweep, `(D + U) z = D y`, reverse
 /// wavefront with east/north ghost values per plane.
-fn ssor_ut(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
+async fn ssor_ut(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
     let (nx, ny, nz) = st.dims();
     let sigma = st.phys.sigma;
     let m = st.phys.m;
@@ -268,10 +268,10 @@ fn ssor_ut(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
         let mut ge: Vec<f64> = Vec::new();
         let mut gn: Vec<f64> = Vec::new();
         if let Some(e) = east {
-            ge = ctx.recv(e, tags::UT_X).data;
+            ge = ctx.recv_async(e, tags::UT_X).await.data;
         }
         if let Some(n) = north {
-            gn = ctx.recv(n, tags::UT_Y).data;
+            gn = ctx.recv_async(n, tags::UT_Y).await.data;
         }
         charge_plane(st, ctx, k);
         ctx.flops(LU_UT_CELL_FLOPS * (nx * ny) as u64);
@@ -351,7 +351,7 @@ fn ssor_ut(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
 }
 
 /// SSOR_RS: apply the correction, `u += z`.
-fn ssor_rs(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
+async fn ssor_rs(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
     let (nx, ny, nz) = st.dims();
     for k in 0..nz {
         for j in 0..ny {
@@ -373,7 +373,7 @@ fn ssor_rs(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
 }
 
 /// ERROR: global deviation norm `‖u − u₀‖²`.
-fn error(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
+async fn error(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
     let (nx, ny, nz) = st.dims();
     let mut dev = 0.0;
     for k in 0..nz {
@@ -393,12 +393,12 @@ fn error(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
             }
         }
     }
-    st.error_norm = Some(ctx.allreduce_sum(dev));
+    st.error_norm = Some(ctx.allreduce_sum_async(dev).await);
 }
 
 /// PINTGR: surface integral of the first component over the global
 /// top z-plane.
-fn pintgr(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
+async fn pintgr(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
     let (nx, ny, nz) = st.dims();
     let k = nz - 1;
     let mut acc = 0.0;
@@ -411,7 +411,7 @@ fn pintgr(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
             }
         }
     }
-    let total = ctx.allreduce_sum(acc * st.phys.h * st.phys.h);
+    let total = ctx.allreduce_sum_async(acc * st.phys.h * st.phys.h).await;
     st.pintgr = Some(total);
 }
 
@@ -419,50 +419,20 @@ fn pintgr(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
 pub fn spec() -> AppSpec {
     AppSpec {
         init: vec![
-            KernelSpec {
-                name: "initialization",
-                run: lu_init,
-            },
-            KernelSpec {
-                name: "erhs",
-                run: erhs,
-            },
-            KernelSpec {
-                name: "ssor_init",
-                run: ssor_init,
-            },
+            kernel_spec!("initialization", lu_init),
+            kernel_spec!("erhs", erhs),
+            kernel_spec!("ssor_init", ssor_init),
         ],
         loop_kernels: vec![
-            KernelSpec {
-                name: "ssor_iter",
-                run: ssor_iter,
-            },
-            KernelSpec {
-                name: "ssor_lt",
-                run: ssor_lt,
-            },
-            KernelSpec {
-                name: "ssor_ut",
-                run: ssor_ut,
-            },
-            KernelSpec {
-                name: "ssor_rs",
-                run: ssor_rs,
-            },
+            kernel_spec!("ssor_iter", ssor_iter),
+            kernel_spec!("ssor_lt", ssor_lt),
+            kernel_spec!("ssor_ut", ssor_ut),
+            kernel_spec!("ssor_rs", ssor_rs),
         ],
         final_kernels: vec![
-            KernelSpec {
-                name: "error",
-                run: error,
-            },
-            KernelSpec {
-                name: "pintgr",
-                run: pintgr,
-            },
-            KernelSpec {
-                name: "final",
-                run: common::kernel_final,
-            },
+            kernel_spec!("error", error),
+            kernel_spec!("pintgr", pintgr),
+            kernel_spec!("final", common::kernel_final),
         ],
     }
 }
@@ -587,7 +557,7 @@ mod tests {
             for kern in &spec.init {
                 (kern.run)(&mut st, ctx, Mode::Numeric);
             }
-            pintgr(&mut st, ctx, Mode::Numeric);
+            kc_machine::coop::complete_now(pintgr(&mut st, ctx, Mode::Numeric));
             vals.lock().push(st.pintgr.unwrap());
         });
         let vals = vals.into_inner();

@@ -20,7 +20,7 @@ use crate::app::AppSpec;
 use crate::blocks::{self, Vec5};
 use crate::bt::Dir;
 use crate::common;
-use crate::kernel::{KernelSpec, Mode};
+use crate::kernel::{kernel_spec, Mode};
 use crate::penta::{self, PentaCoeffs, PentaRow};
 use crate::state::RankState;
 use kc_machine::RankCtx;
@@ -37,7 +37,7 @@ pub const SP_BWD_CELL_FLOPS: u64 = 70;
 const THETA_FRAC: f64 = 0.05;
 
 /// TXINVR: `rhs ← T⁻¹ · rhs` at every cell.
-fn txinvr(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
+async fn txinvr(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
     let (nx, ny, nz) = st.dims();
     for k in 0..nz {
         for j in 0..ny {
@@ -102,7 +102,7 @@ fn charge_batch(st: &RankState, ctx: &mut RankCtx, dir: Dir, b: usize, forward: 
 }
 
 /// One pipelined pentadiagonal solve along `dir`.
-fn solve(st: &mut RankState, ctx: &mut RankCtx, mode: Mode, dir: Dir) {
+async fn solve(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode, dir: Dir) {
     let (batches, lines, len) = dir.shape(st);
     let (fwd_tag, bwd_tag) = dir.tags();
     let n_global = st.phys.n;
@@ -119,7 +119,7 @@ fn solve(st: &mut RankState, ctx: &mut RankCtx, mode: Mode, dir: Dir) {
     for b in 0..batches {
         let mut carries: Vec<[PentaRow; 2]> = Vec::new();
         if let Some(up) = dir.upstream(st) {
-            let msg = ctx.recv(up, fwd_tag);
+            let msg = ctx.recv_async(up, fwd_tag).await;
             if mode.numeric() {
                 carries = msg
                     .data
@@ -172,7 +172,7 @@ fn solve(st: &mut RankState, ctx: &mut RankCtx, mode: Mode, dir: Dir) {
     for b in 0..batches {
         let mut carries: Vec<[Vec5; 2]> = Vec::new();
         if let Some(down) = dir.downstream(st) {
-            let msg = ctx.recv(down, bwd_tag);
+            let msg = ctx.recv_async(down, bwd_tag).await;
             if mode.numeric() {
                 carries = msg
                     .data
@@ -210,55 +210,34 @@ fn solve(st: &mut RankState, ctx: &mut RankCtx, mode: Mode, dir: Dir) {
     }
 }
 
-fn x_solve(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
-    solve(st, ctx, mode, Dir::X);
+async fn x_solve(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
+    solve(st, ctx, mode, Dir::X).await;
 }
 
-fn y_solve(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
-    solve(st, ctx, mode, Dir::Y);
+async fn y_solve(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
+    solve(st, ctx, mode, Dir::Y).await;
 }
 
-fn z_solve(st: &mut RankState, ctx: &mut RankCtx, mode: Mode) {
-    solve(st, ctx, mode, Dir::Z);
+async fn z_solve(st: &mut RankState, ctx: &mut RankCtx<'_>, mode: Mode) {
+    solve(st, ctx, mode, Dir::Z).await;
 }
 
 /// The SP kernel decomposition (paper §4.2).
 pub fn spec() -> AppSpec {
     AppSpec {
-        init: vec![KernelSpec {
-            name: "initialization",
-            run: common::kernel_initialization,
-        }],
+        init: vec![kernel_spec!(
+            "initialization",
+            common::kernel_initialization
+        )],
         loop_kernels: vec![
-            KernelSpec {
-                name: "copy_faces",
-                run: common::kernel_copy_faces,
-            },
-            KernelSpec {
-                name: "txinvr",
-                run: txinvr,
-            },
-            KernelSpec {
-                name: "x_solve",
-                run: x_solve,
-            },
-            KernelSpec {
-                name: "y_solve",
-                run: y_solve,
-            },
-            KernelSpec {
-                name: "z_solve",
-                run: z_solve,
-            },
-            KernelSpec {
-                name: "add",
-                run: common::kernel_add,
-            },
+            kernel_spec!("copy_faces", common::kernel_copy_faces),
+            kernel_spec!("txinvr", txinvr),
+            kernel_spec!("x_solve", x_solve),
+            kernel_spec!("y_solve", y_solve),
+            kernel_spec!("z_solve", z_solve),
+            kernel_spec!("add", common::kernel_add),
         ],
-        final_kernels: vec![KernelSpec {
-            name: "final",
-            run: common::kernel_final,
-        }],
+        final_kernels: vec![kernel_spec!("final", common::kernel_final)],
     }
 }
 
@@ -364,7 +343,7 @@ mod tests {
             );
             let r0 = [1.0, 2.0, 3.0, 4.0, 5.0];
             *st.rhs.at_mut(2, 3, 4) = r0;
-            txinvr(&mut st, ctx, Mode::Numeric);
+            kc_machine::coop::complete_now(txinvr(&mut st, ctx, Mode::Numeric));
             // applying T should give the original back
             let tr = blocks::mat_vec(&st.phys.t_mat, st.rhs.at(2, 3, 4));
             for c in 0..5 {

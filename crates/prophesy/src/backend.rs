@@ -267,7 +267,7 @@ mod tests {
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {
-        let p = std::env::temp_dir().join(format!("kc_backend_{name}"));
+        let p = std::env::temp_dir().join(format!("kc_backend_{}_{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&p);
         let _ = std::fs::remove_file(&p);
         p

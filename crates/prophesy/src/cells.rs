@@ -306,7 +306,10 @@ mod tests {
             vec![0.1, 1.0 / 3.0, 6.02e-23],
         );
         store.insert(&key(CellKind::Application, 1), vec![42.0]);
-        let path = std::env::temp_dir().join("kc_prophesy_cells/cells.json");
+        let path = std::env::temp_dir().join(format!(
+            "kc_prophesy_cells_{}/cells.json",
+            std::process::id()
+        ));
         let _ = std::fs::remove_file(&path);
         store.save(&path).unwrap();
         let loaded = CellStore::load(&path).unwrap();
@@ -336,7 +339,8 @@ mod tests {
 
     #[test]
     fn load_rejects_malformed_files() {
-        let dir = std::env::temp_dir().join("kc_prophesy_cells_bad");
+        let dir =
+            std::env::temp_dir().join(format!("kc_prophesy_cells_bad_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         for (name, text) in [
             ("notjson.json", "not json"),

@@ -952,7 +952,7 @@ mod tests {
     use super::*;
 
     fn tmp(name: &str) -> PathBuf {
-        let p = std::env::temp_dir().join(format!("kc_sharded_{name}"));
+        let p = std::env::temp_dir().join(format!("kc_sharded_{}_{name}", std::process::id()));
         let _ = std::fs::remove_dir_all(&p);
         p
     }

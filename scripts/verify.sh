@@ -30,6 +30,18 @@ echo "== benchmark: harness tests, then one driver-mode run that must pass its g
 # same target directory as run.sh, so the harness reuses the crates
 # the workspace tests just compiled; --locked fails here, instead of
 # rewriting benchmark/Cargo.lock, when a crate change would move it
+# A warning in the benchmark build fails this step, as in the rustdoc
+# step above: an ignored `#[must_use]` in a probe is how a probe that
+# silently stopped running its kernels shows up.
+for profile in --release --tests; do
+    bench_log=$(CARGO_TARGET_DIR=target cargo build "$profile" --offline --locked \
+        --manifest-path benchmark/Cargo.toml 2>&1) || { echo "$bench_log"; exit 1; }
+    if echo "$bench_log" | grep -q "^warning"; then
+        echo "$bench_log" | grep -A6 "^warning"
+        echo "verify: benchmark build warnings ($profile)"
+        exit 1
+    fi
+done
 CARGO_TARGET_DIR=target cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 benchmark/run.sh --workload tables_warm --seed 1 --seconds 2 --trace 0 \
     2> "$smoke/benchmark.log" | tail -n 1 > "$smoke/benchmark.json" || {

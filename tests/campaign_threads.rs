@@ -40,3 +40,29 @@ fn noise_free_campaign_is_bit_identical_across_worker_counts() {
     let parallel = table2_numbers(&Campaign::builder(Runner::noise_free()).build());
     assert_eq!(serial, parallel);
 }
+
+/// Names of this process's live threads.
+#[cfg(target_os = "linux")]
+fn thread_names() -> Vec<String> {
+    std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|name| name.trim_end().to_string())
+        .collect()
+}
+
+/// A cell's ranks are futures on the scheduler worker that executes
+/// it: a campaign that has executed cells, and still holds its
+/// workers, has started no rank thread.
+#[cfg(target_os = "linux")]
+#[test]
+fn executed_cells_start_no_rank_threads() {
+    let campaign = Campaign::builder(Runner::noise_free()).jobs(2).build();
+    table2_numbers(&campaign);
+    assert!(campaign.cache_stats().executed > 0);
+    let rank_threads: Vec<_> = thread_names()
+        .into_iter()
+        .filter(|name| name.starts_with("kc-rank-"))
+        .collect();
+    assert!(rank_threads.is_empty(), "{rank_threads:?}");
+}

@@ -285,3 +285,79 @@ fn tcp_round_trips_do_not_wait_for_delayed_acks() {
     served.unwrap();
     server.shutdown();
 }
+
+/// A request line nested 10,000 levels deep gets an error response on
+/// its own connection; it does not overflow the connection thread's
+/// stack, which would abort the process and every other client with
+/// it.  Client B, connected before the hostile line and served before
+/// and after it, and a client connecting afterwards still get `ok`.
+#[test]
+fn a_deeply_nested_line_fails_alone_over_tcp() {
+    let server = Arc::new(Server::new(Arc::new(EchoEngine), ServerConfig::default()));
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let (done_tx, done) = mpsc::channel();
+    {
+        let server = server.clone();
+        thread::spawn(move || {
+            let _ = done_tx.send(server.serve_tcp(listener));
+        });
+    }
+    let connect = || {
+        let stream = TcpStream::connect(addr).unwrap();
+        let reader = BufReader::new(stream.try_clone().unwrap());
+        (stream, reader)
+    };
+
+    let (mut b, mut b_reader) = connect();
+    assert_eq!(exchange(&mut b, &mut b_reader, 1).0, 1);
+
+    let (mut a, mut a_reader) = connect();
+    a.write_all(format!("{}\n", "[".repeat(10_000)).as_bytes())
+        .unwrap();
+    let mut response = String::new();
+    a_reader.read_line(&mut response).unwrap();
+    let response: PredictResponse = serde_json::from_str(&response).unwrap();
+    assert_eq!(response.status, Status::Error);
+    let error = response.error.unwrap_or_default();
+    assert!(error.contains("recursion limit"), "{error}");
+
+    assert_eq!(exchange(&mut b, &mut b_reader, 2).0, 2);
+    let (mut c, mut c_reader) = connect();
+    assert_eq!(exchange(&mut c, &mut c_reader, 3).0, 3);
+
+    server.request_shutdown();
+    for stream in [&a, &b, &c] {
+        stream.shutdown(Shutdown::Write).unwrap();
+    }
+    done.recv_timeout(Duration::from_secs(10))
+        .expect("serve_tcp returned after its connections closed")
+        .unwrap();
+    server.shutdown();
+}
+
+/// In pipe mode a 100,000-deep line between two valid requests is
+/// answered in order, with an error, and the stream goes on.
+#[test]
+fn a_deeply_nested_line_fails_alone_in_pipe_mode() {
+    let server = Server::new(Arc::new(EchoEngine), ServerConfig::default());
+    let input = format!(
+        "{}\n{}\n{}\n",
+        r#"{"id":1,"benchmark":"bt","class":"S","procs":4,"chain_len":2}"#,
+        "[".repeat(100_000),
+        r#"{"id":3,"benchmark":"bt","class":"S","procs":4,"chain_len":2}"#,
+    );
+    let mut out = Vec::new();
+    server.serve_pipe(input.as_bytes(), &mut out).unwrap();
+    server.shutdown();
+    let responses: Vec<PredictResponse> = String::from_utf8(out)
+        .unwrap()
+        .lines()
+        .map(|l| serde_json::from_str(l).unwrap())
+        .collect();
+    let statuses: Vec<_> = responses.iter().map(|r| (r.id, r.status)).collect();
+    assert_eq!(
+        statuses,
+        [(1, Status::Ok), (0, Status::Error), (3, Status::Ok)]
+    );
+}

@@ -136,7 +136,10 @@ fn aggregates_match_cache_stats_exactly() {
 
 #[test]
 fn jsonl_trace_roundtrips_through_an_attached_sink() {
-    let path = std::env::temp_dir().join("kc_telemetry_trace_test/trace.jsonl");
+    let path = std::env::temp_dir().join(format!(
+        "kc_telemetry_trace_test_{}/trace.jsonl",
+        std::process::id()
+    ));
     let _ = std::fs::remove_file(&path);
 
     let memory = Arc::new(MemorySink::new());
