@@ -99,6 +99,14 @@ pub enum KcError {
         /// What is wrong with it.
         reason: String,
     },
+    /// An assembly read a cell that is not in the in-memory cache: no
+    /// prefetch brought it in.
+    NotPrefetched {
+        /// Canonical form of the missing cell's key.
+        key: String,
+        /// What was being assembled (an analysis, an experiment).
+        reader: String,
+    },
     /// Persistence (store/backend) failure.
     Io(String),
 }
@@ -123,6 +131,9 @@ impl fmt::Display for KcError {
             }
             KcError::BadCell { key, reason } => {
                 write!(f, "invalid measurement cell {key}: {reason}")
+            }
+            KcError::NotPrefetched { key, reader } => {
+                write!(f, "{reader} reads cell {key}, which no prefetch brought in")
             }
             KcError::Io(msg) => write!(f, "measurement store error: {msg}"),
         }

@@ -22,8 +22,8 @@
 //!   plain memo: the campaign scheduler, not the cache, makes sure two
 //!   threads never execute the same cell at once.
 //! * [`assemble_analysis`] — rebuilds a [`CouplingAnalysis`] from
-//!   provider-fetched cells; [`analysis_cells`] enumerates the cells
-//!   it will ask for, so campaigns can prefetch.
+//!   fetched cells; [`analysis_cells`] enumerates the cells it will
+//!   ask for, so campaigns can prefetch.
 
 use crate::analysis::CouplingAnalysis;
 use crate::error::{CouplingError, KcResult};
@@ -409,13 +409,15 @@ pub fn analysis_cells(
     Ok(keys)
 }
 
-/// Rebuild a [`CouplingAnalysis`] from provider-fetched cells — the
-/// provider-backed equivalent of [`CouplingAnalysis::collect`].
+/// Rebuild a [`CouplingAnalysis`] from the cells `measure` returns,
+/// asked for in [`analysis_cells`] order — the provider-backed
+/// equivalent of [`CouplingAnalysis::collect`].
 ///
-/// With a [`CachedProvider`] this is the assembly phase of a campaign:
-/// after a prefetch it touches no executor at all.
+/// With `measure` reading a [`CachedProvider`] this is the assembly
+/// phase of a campaign: after a prefetch it touches no executor at
+/// all.
 pub fn assemble_analysis(
-    provider: &dyn MeasurementProvider,
+    measure: impl Fn(&MeasurementKey) -> KcResult<Measurement>,
     ctx: &CellContext,
     set: &KernelSet,
     chain_len: usize,
@@ -432,14 +434,14 @@ pub fn assemble_analysis(
     }
     let isolated: Vec<Measurement> = set
         .ids()
-        .map(|k| provider.measure(&ctx.key(CellKind::Chain(vec![k]), reps)))
+        .map(|k| measure(&ctx.key(CellKind::Chain(vec![k]), reps)))
         .collect::<KcResult<_>>()?;
     let window_perf: Vec<Measurement> = cyclic_windows(set, chain_len)
         .into_iter()
-        .map(|w| provider.measure(&ctx.key(CellKind::Chain(w.kernels().to_vec()), reps)))
+        .map(|w| measure(&ctx.key(CellKind::Chain(w.kernels().to_vec()), reps)))
         .collect::<KcResult<_>>()?;
-    let overhead = provider.measure(&ctx.key(CellKind::SerialOverhead, 1))?;
-    let actual = provider.measure(&ctx.key(CellKind::Application, 1))?;
+    let overhead = measure(&ctx.key(CellKind::SerialOverhead, 1))?;
+    let actual = measure(&ctx.key(CellKind::Application, 1))?;
     CouplingAnalysis::from_measurements(
         set.clone(),
         chain_len,
@@ -658,7 +660,8 @@ mod tests {
         let p = CachedProvider::new(SyntheticProvider::new());
         let c = ctx();
         let set = exec.kernel_set().clone();
-        let assembled = assemble_analysis(&p, &c, &set, 2, exec.loop_iterations(), 4).unwrap();
+        let assembled =
+            assemble_analysis(|k| p.measure(k), &c, &set, 2, exec.loop_iterations(), 4).unwrap();
 
         assert_eq!(assembled.couplings().unwrap(), direct.couplings().unwrap());
         assert_eq!(assembled.actual(), direct.actual());
@@ -681,7 +684,7 @@ mod tests {
             p.measure(k).unwrap();
         }
         let executed_after_prefetch = p.inner().total_calls();
-        assemble_analysis(&p, &c, &set, 2, exec.loop_iterations(), 4).unwrap();
+        assemble_analysis(|k| p.measure(k), &c, &set, 2, exec.loop_iterations(), 4).unwrap();
         assert_eq!(
             p.inner().total_calls(),
             executed_after_prefetch,
@@ -700,7 +703,7 @@ mod tests {
         ));
         let p = CachedProvider::new(SyntheticProvider::new());
         assert!(matches!(
-            assemble_analysis(&p, &c, &set, 0, 10, 1),
+            assemble_analysis(|k| p.measure(k), &c, &set, 0, 10, 1),
             Err(KcError::Coupling(CouplingError::BadChainLength { .. }))
         ));
     }

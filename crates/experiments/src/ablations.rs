@@ -5,9 +5,9 @@
 //! Sweeps that vary the machine (cache capacity, contention, noise)
 //! express each variant as an [`AnalysisSpec`] with a machine
 //! override — every variant is a distinct fingerprint, hence a
-//! distinct set of cells in the campaign cache.  Each sweep reads the
-//! analyses its `*_requests` function names; prefetch those first to
-//! measure them as one parallel batch.
+//! distinct set of cells in the campaign cache.  Each sweep assembles
+//! exactly the analyses its `*_requests` function names, which a
+//! prefetch must have brought in.
 
 use crate::campaign::{AnalysisSpec, Campaign};
 use crate::transitions::mean_coupling;
@@ -16,7 +16,7 @@ use kc_machine::MachineConfig;
 use kc_npb::{Benchmark, Class};
 
 /// The analyses [`chain_length_sweep`] needs.
-pub fn chain_length_requests(
+pub(crate) fn chain_length_requests(
     benchmark: Benchmark,
     class: Class,
     procs: usize,
@@ -31,7 +31,7 @@ pub fn chain_length_requests(
 /// of equations will lead to the best prediction"): relative error of
 /// the coupling predictor for every admissible chain length, plus the
 /// summation baseline as length 0.
-pub fn chain_length_sweep(
+pub(crate) fn chain_length_sweep(
     campaign: &Campaign,
     benchmark: Benchmark,
     class: Class,
@@ -40,7 +40,7 @@ pub fn chain_length_sweep(
     let requests = chain_length_requests(benchmark, class, procs);
     let mut rows = Vec::new();
     // summation baseline (coefficients all 1)
-    let base = campaign.analysis(&requests[0])?;
+    let base = campaign.assemble(&requests[0])?;
     let actual = base.actual().mean();
     let err = |pred: f64| 100.0 * (pred - actual).abs() / actual;
     rows.push(CouplingRow {
@@ -48,7 +48,7 @@ pub fn chain_length_sweep(
         values: vec![err(base.predict(Predictor::Summation)?)],
     });
     for spec in &requests {
-        let analysis = campaign.analysis(spec)?;
+        let analysis = campaign.assemble(spec)?;
         let pred = analysis.predict(Predictor::coupling(spec.chain_len))?;
         rows.push(CouplingRow {
             label: format!("coupling, {len}-kernel chains", len = spec.chain_len),
@@ -65,7 +65,10 @@ pub fn chain_length_sweep(
 }
 
 /// The analyses [`cache_capacity_sweep`] needs.
-pub fn cache_capacity_requests(base: &MachineConfig, l2_capacities: &[usize]) -> Vec<AnalysisSpec> {
+pub(crate) fn cache_capacity_requests(
+    base: &MachineConfig,
+    l2_capacities: &[usize],
+) -> Vec<AnalysisSpec> {
     l2_capacities
         .iter()
         .map(|&cap| {
@@ -79,14 +82,14 @@ pub fn cache_capacity_requests(base: &MachineConfig, l2_capacities: &[usize]) ->
 /// Cache-capacity sweep: the mean coupling value of BT class A as the
 /// second-level cache grows, demonstrating that the coupling regime is
 /// a function of the memory subsystem (paper §4.1.4).
-pub fn cache_capacity_sweep(
+pub(crate) fn cache_capacity_sweep(
     campaign: &Campaign,
     l2_capacities: &[usize],
 ) -> KcResult<CouplingTable> {
     let requests = cache_capacity_requests(&campaign.runner().machine, l2_capacities);
     let mut values = Vec::new();
     for spec in &requests {
-        values.push(mean_coupling(campaign, spec)?);
+        values.push(mean_coupling(&campaign.assemble(spec)?)?);
     }
     Ok(CouplingTable {
         title: "Ablation: mean BT class-A 4-chain coupling vs L2 capacity".to_string(),
@@ -102,7 +105,7 @@ pub fn cache_capacity_sweep(
 }
 
 /// The analyses [`contention_sweep`] needs.
-pub fn contention_requests(base: &MachineConfig, contentions: &[f64]) -> Vec<AnalysisSpec> {
+pub(crate) fn contention_requests(base: &MachineConfig, contentions: &[f64]) -> Vec<AnalysisSpec> {
     contentions
         .iter()
         .map(|&c| {
@@ -116,15 +119,17 @@ pub fn contention_requests(base: &MachineConfig, contentions: &[f64]) -> Vec<Ana
 /// Network-contention sweep: LU's sensitivity to small-message
 /// performance (paper §4.3) — mean 3-chain coupling value and
 /// predictor error as the switch-contention coefficient grows.
-pub fn contention_sweep(campaign: &Campaign, contentions: &[f64]) -> KcResult<CouplingTable> {
+pub(crate) fn contention_sweep(
+    campaign: &Campaign,
+    contentions: &[f64],
+) -> KcResult<CouplingTable> {
     let requests = contention_requests(&campaign.runner().machine, contentions);
     let mut mean_c = Vec::new();
     let mut sum_err = Vec::new();
     let mut cpl_err = Vec::new();
     for spec in &requests {
-        let analysis = campaign.analysis(spec)?;
-        let cs = analysis.couplings()?;
-        mean_c.push(cs.iter().sum::<f64>() / cs.len() as f64);
+        let analysis = campaign.assemble(spec)?;
+        mean_c.push(mean_coupling(&analysis)?);
         let actual = analysis.actual().mean();
         let err = |p: f64| 100.0 * (p - actual).abs() / actual;
         sum_err.push(err(analysis.predict(Predictor::Summation)?));
@@ -151,7 +156,7 @@ pub fn contention_sweep(campaign: &Campaign, contentions: &[f64]) -> KcResult<Co
 }
 
 /// The analyses [`noise_sweep`] needs.
-pub fn noise_requests(base: &MachineConfig, floor_multipliers: &[f64]) -> Vec<AnalysisSpec> {
+pub(crate) fn noise_requests(base: &MachineConfig, floor_multipliers: &[f64]) -> Vec<AnalysisSpec> {
     let base_floor = MachineConfig::ibm_sp_p2sc().timer.noise_floor;
     floor_multipliers
         .iter()
@@ -166,12 +171,15 @@ pub fn noise_requests(base: &MachineConfig, floor_multipliers: &[f64]) -> Vec<An
 
 /// Timer-noise sweep: the class-S effect (paper §4.1.1) — prediction
 /// errors of both methods as the measurement-noise floor grows.
-pub fn noise_sweep(campaign: &Campaign, floor_multipliers: &[f64]) -> KcResult<CouplingTable> {
+pub(crate) fn noise_sweep(
+    campaign: &Campaign,
+    floor_multipliers: &[f64],
+) -> KcResult<CouplingTable> {
     let requests = noise_requests(&campaign.runner().machine, floor_multipliers);
     let mut sum_err = Vec::new();
     let mut cpl_err = Vec::new();
     for spec in &requests {
-        let analysis = campaign.analysis(spec)?;
+        let analysis = campaign.assemble(spec)?;
         let actual = analysis.actual().mean();
         let err = |p: f64| 100.0 * (p - actual).abs() / actual;
         sum_err.push(err(analysis.predict(Predictor::Summation)?));
@@ -202,13 +210,11 @@ mod tests {
 
     #[test]
     fn chain_length_sweep_runs_for_lu() {
-        let t = chain_length_sweep(
-            &Campaign::builder(crate::Runner::noise_free()).build(),
-            Benchmark::Lu,
-            Class::S,
-            4,
-        )
-        .unwrap();
+        let campaign = Campaign::builder(crate::Runner::noise_free()).build();
+        campaign
+            .prefetch(&chain_length_requests(Benchmark::Lu, Class::S, 4))
+            .unwrap();
+        let t = chain_length_sweep(&campaign, Benchmark::Lu, Class::S, 4).unwrap();
         // summation + 4 chain lengths
         assert_eq!(t.rows.len(), 5);
         t.check();

@@ -16,8 +16,8 @@
 //!   reference.
 
 use crate::campaign::{AnalysisSpec, Campaign};
-use kc_core::report::TableCell;
-use kc_core::{KcResult, PredictionRow, PredictionTable, Predictor};
+use crate::runner::prediction_rows;
+use kc_core::{KcResult, PredictionTable, Predictor};
 use kc_npb::models::analytic_isolated_totals;
 use kc_npb::{Benchmark, Class};
 
@@ -46,10 +46,10 @@ pub fn analytic_table(
     let columns: Vec<String> = procs.iter().map(|p| format!("{p} processors")).collect();
     let mut actual = Vec::new();
     let mut rows_data: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    for &p in procs {
-        let analysis = campaign.analysis(&AnalysisSpec::new(benchmark, class, p, len))?;
+    for spec in &analytic_requests(benchmark, class, procs, len) {
+        let analysis = campaign.assemble(spec)?;
         let models = analytic_isolated_totals(
-            &kc_npb::NpbApp::new(benchmark, class, p),
+            &kc_npb::NpbApp::new(benchmark, class, spec.procs),
             &campaign.runner().machine,
         );
         actual.push(analysis.actual().mean());
@@ -57,46 +57,17 @@ pub fn analytic_table(
         rows_data[1].push(analysis.predict_with_models(Predictor::coupling(len), &models)?);
         rows_data[2].push(analysis.predict(Predictor::coupling(len))?);
     }
-    let err = |t: f64, a: f64| Some(100.0 * (t - a).abs() / a);
-    let mut rows = vec![PredictionRow {
-        label: "Actual".to_string(),
-        cells: actual
-            .iter()
-            .map(|&t| TableCell {
-                time: t,
-                rel_err_pct: None,
-            })
-            .collect(),
-    }];
-    for (label, data) in [
-        ("Analytic models (of isolated runs), summed", &rows_data[0]),
-        (
-            &*format!("Analytic models + coupling ({len} kernels)"),
-            &rows_data[1],
-        ),
-        (
-            &*format!("Measured kernels + coupling ({len} kernels)"),
-            &rows_data[2],
-        ),
-    ] {
-        rows.push(PredictionRow {
-            label: label.to_string(),
-            cells: data
-                .iter()
-                .zip(&actual)
-                .map(|(&t, &a)| TableCell {
-                    time: t,
-                    rel_err_pct: err(t, a),
-                })
-                .collect(),
-        });
-    }
+    let labels = [
+        "Analytic models (of isolated runs), summed".to_string(),
+        format!("Analytic models + coupling ({len} kernels)"),
+        format!("Measured kernels + coupling ({len} kernels)"),
+    ];
     Ok(PredictionTable {
         title: format!(
             "Analytic composition (paper Eq. 3): {benchmark} class {class}, {len}-kernel coefficients"
         ),
         columns,
-        rows,
+        rows: prediction_rows(&actual, labels.into_iter().zip(rows_data).collect()),
     })
 }
 
@@ -107,6 +78,9 @@ mod tests {
     #[test]
     fn analytic_composition_beats_analytic_summation() {
         let campaign = Campaign::builder(crate::Runner::noise_free()).build();
+        campaign
+            .prefetch(&analytic_requests(Benchmark::Bt, Class::W, &[4, 9], 3))
+            .unwrap();
         let t = analytic_table(&campaign, Benchmark::Bt, Class::W, &[4, 9], 3).unwrap();
         t.check();
         let summed = t

@@ -20,9 +20,11 @@
 //!    runs on its own freshly built simulated cluster with a per-cell
 //!    noise seed, so results are bit-identical regardless of `jobs`
 //!    or schedule;
-//! 4. analyses are *assembled* from the shared
-//!    `kc_core::CachedProvider` — by construction each unique cell was
-//!    measured exactly once.
+//! 4. analyses are *assembled* ([`Campaign::assemble`]) by reading the
+//!    shared `kc_core::CachedProvider`'s memory only: a cell no
+//!    prefetch brought in is an error naming its key, never a
+//!    measurement, so each unique cell is measured exactly once and
+//!    only in a prefetch's drain.
 //!
 //! [`CampaignStats`] reports the arithmetic (requested vs unique vs
 //! cached vs backend-served vs executed, and the naive run count a
@@ -38,8 +40,8 @@ use crate::scheduler::CellScheduler;
 use kc_core::telemetry::phases;
 use kc_core::{
     analysis_cells, assemble_analysis, CacheStats, CachedProvider, CellContext, CouplingAnalysis,
-    FanoutSink, KcResult, KernelSet, MeasurementBackend, MeasurementKey, MeasurementProvider,
-    RunSummary, SummarySink, TelemetryEvent, TelemetrySink,
+    FanoutSink, KcError, KcResult, KernelSet, MeasurementBackend, MeasurementKey,
+    MeasurementProvider, RunSummary, SummarySink, TelemetryEvent, TelemetrySink,
 };
 use kc_machine::MachineConfig;
 use kc_npb::{Benchmark, Class, NpbApp, NpbProvider};
@@ -433,9 +435,9 @@ impl Campaign {
     /// need.  Unique uncached cells are submitted to the
     /// campaign-global bounded scheduler as one drain (most expensive
     /// first, at most `jobs` executing at once); results land in the
-    /// shared cache, so subsequent [`Campaign::analysis`] calls for
-    /// these specs measure nothing.  A concurrent prefetch's drain
-    /// waits for this one to finish (see [`crate::scheduler`]).
+    /// shared cache, where [`Campaign::assemble`] reads them.  A
+    /// concurrent prefetch's drain waits for this one to finish (see
+    /// [`crate::scheduler`]).
     pub fn prefetch(&self, specs: &[AnalysisSpec]) -> KcResult<CampaignStats> {
         let enumerate_started = Instant::now();
         let mut stats = CampaignStats::default();
@@ -475,7 +477,7 @@ impl Campaign {
                 enqueued: (drained.executed + drained.backend_hits + drained.hits) as u64,
                 jobs: self.scheduler.jobs() as u64,
             });
-            Ok::<_, kc_core::KcError>(drained)
+            Ok::<_, KcError>(drained)
         })?;
         // attribution: cells a concurrent prefetch's drain completed
         // between our dedupe scan and our own drain come back as
@@ -487,30 +489,37 @@ impl Campaign {
         Ok(stats)
     }
 
-    /// The coupling analysis for one spec, assembled from the cache
-    /// (measuring — in parallel — whatever is not yet cached).
+    /// The coupling analysis for one spec: [`Campaign::prefetch`] of
+    /// it alone, then [`Campaign::assemble`].  For one-off callers; a
+    /// caller with several specs prefetches them together.
     pub fn analysis(&self, spec: &AnalysisSpec) -> KcResult<CouplingAnalysis> {
         self.prefetch(std::slice::from_ref(spec))?;
         self.assemble(spec)
     }
 
-    /// The coupling analysis for one spec whose cells a successful
-    /// [`Campaign::prefetch`] already brought into the cache: the
-    /// assembly half of [`Campaign::analysis`], with no drain of its
-    /// own.
-    pub(crate) fn assemble(&self, spec: &AnalysisSpec) -> KcResult<CouplingAnalysis> {
+    /// The coupling analysis for one spec, read from the in-memory
+    /// cache only.  Every cell must be there already — a successful
+    /// [`Campaign::prefetch`] of any spec set holding this one puts it
+    /// there.  A missing cell is a [`KcError::NotPrefetched`] naming
+    /// it; assembly never loads, executes or drains.
+    pub fn assemble(&self, spec: &AnalysisSpec) -> KcResult<CouplingAnalysis> {
         let ctx = self.context(spec);
         let set = spec.kernel_set();
         let iters = spec.benchmark.problem(spec.class).iterations;
+        let read = |key: &MeasurementKey| {
+            if !self.provider.contains(key) {
+                return Err(KcError::NotPrefetched {
+                    key: key.to_string(),
+                    reader: format!(
+                        "analysis {} {}/{} L={}",
+                        spec.benchmark, spec.class, spec.procs, spec.chain_len
+                    ),
+                });
+            }
+            self.provider.measure(key)
+        };
         self.phase(phases::ASSEMBLE, || {
-            assemble_analysis(
-                self.provider.as_ref(),
-                &ctx,
-                &set,
-                spec.chain_len,
-                iters,
-                self.runner.reps,
-            )
+            assemble_analysis(read, &ctx, &set, spec.chain_len, iters, self.runner.reps)
         })
     }
 }

@@ -8,14 +8,17 @@
 //! analyses to measure ([`Experiment::requests`]) and the tables to
 //! build from them ([`Experiment::assemble`]) are both read from it,
 //! so the `paper_tables` binary, the golden tests and the examples
-//! cannot disagree about what an experiment is.  Adding one is one
-//! entry here plus its golden snapshot.
+//! cannot disagree about what an experiment is.  Each builder
+//! assembles exactly the analyses its `*_requests` function returns,
+//! from the cache only, so `requests` is the one statement of an
+//! experiment's cells.  Adding one is one entry here plus its golden
+//! snapshot.
 
 use crate::campaign::{AnalysisSpec, Campaign, CampaignStats};
 use crate::render::Artifact;
 use crate::runner::{build_tables, table_requests};
 use crate::{ablations, analytic, granularity, machines, reuse, transitions};
-use kc_core::KcResult;
+use kc_core::{KcError, KcResult};
 use kc_machine::MachineConfig;
 use kc_npb::Benchmark::{self, Bt, Lu, Sp};
 use kc_npb::Class::{self, A, B, S, W};
@@ -350,8 +353,10 @@ impl Experiment {
     }
 
     /// Build the output from the campaign's cache.  Reads exactly the
-    /// analyses [`Experiment::requests`] names; whatever a caller has
-    /// not prefetched is measured one analysis at a time.
+    /// analyses [`Experiment::requests`] names, which a prefetch must
+    /// have brought in: a missing cell is a
+    /// [`KcError::NotPrefetched`] naming it and this experiment, and
+    /// nothing is measured.
     pub fn assemble(&self, campaign: &Campaign) -> KcResult<Output> {
         let mut notes = Vec::new();
         let mut tables = Artifact {
@@ -360,7 +365,15 @@ impl Experiment {
             predictions: Vec::new(),
         };
         for study in self.studies {
-            study.assemble(campaign, &mut notes, &mut tables)?;
+            study
+                .assemble(campaign, &mut notes, &mut tables)
+                .map_err(|e| match e {
+                    KcError::NotPrefetched { key, reader } => KcError::NotPrefetched {
+                        key,
+                        reader: format!("experiment `{}` ({reader})", self.id),
+                    },
+                    e => e,
+                })?;
         }
         Ok(Output {
             notes,
@@ -380,5 +393,34 @@ impl Experiment {
             campaign.prefetch(&requests)?
         };
         Ok((self.assemble(campaign)?, stats))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use kc_core::MemorySink;
+    use std::sync::Arc;
+
+    #[test]
+    fn assembling_without_a_prefetch_is_an_error_and_measures_nothing() {
+        let sink = Arc::new(MemorySink::new());
+        let campaign = Campaign::builder(crate::Runner::noise_free())
+            .sink(sink.clone())
+            .build();
+        let Err(e) = get("bt-s").unwrap().assemble(&campaign) else {
+            panic!("an unprefetched assembly must fail");
+        };
+        let KcError::NotPrefetched { key, .. } = &e else {
+            panic!("expected NotPrefetched, got {e}");
+        };
+        let message = e.to_string();
+        assert!(message.contains("experiment `bt-s`"), "{message}");
+        assert!(message.contains(key.as_str()), "{message}");
+        assert_eq!(campaign.cache_stats().executed, 0);
+        assert!(!sink
+            .events()
+            .iter()
+            .any(|e| matches!(e, kc_core::TelemetryEvent::SchedulerDrain { .. })));
     }
 }

@@ -17,25 +17,13 @@
 //!   methodology's advantage *grows* with decomposition detail.
 
 use crate::campaign::{AnalysisSpec, Campaign};
-use kc_core::report::TableCell;
-use kc_core::{
-    CouplingAnalysis, CouplingRow, CouplingTable, KcResult, PredictionRow, PredictionTable,
-    Predictor,
-};
+use crate::runner::prediction_rows;
+use kc_core::{CouplingRow, CouplingTable, KcResult, PredictionTable, Predictor};
 use kc_npb::{Benchmark, Class};
 
-/// Collect an analysis at the fine (8-kernel) BT decomposition.
-pub fn fine_analysis(
-    campaign: &Campaign,
-    class: Class,
-    procs: usize,
-    chain_len: usize,
-) -> KcResult<CouplingAnalysis> {
-    campaign.analysis(&AnalysisSpec::new(Benchmark::Bt, class, procs, chain_len).fine())
-}
-
-/// The analyses [`granularity_tables`] reads; prefetch them first.
-pub fn granularity_requests(class: Class, procs: &[usize]) -> Vec<AnalysisSpec> {
+/// The analyses [`granularity_tables`] reads, three per processor
+/// count: coarse at length 3, fine at lengths 2 and 5.
+pub(crate) fn granularity_requests(class: Class, procs: &[usize]) -> Vec<AnalysisSpec> {
     procs
         .iter()
         .flat_map(|&p| {
@@ -50,7 +38,7 @@ pub fn granularity_requests(class: Class, procs: &[usize]) -> Vec<AnalysisSpec> 
 
 /// The granularity comparison for BT at one class: coarse (paper)
 /// vs fine decomposition, each with its best-suited chain length.
-pub fn granularity_tables(
+pub(crate) fn granularity_tables(
     campaign: &Campaign,
     class: Class,
     procs: &[usize],
@@ -63,15 +51,18 @@ pub fn granularity_tables(
     let mut fine_sum = Vec::new();
     let mut fine_cpl = Vec::new();
 
-    for &p in procs {
+    for specs in granularity_requests(class, procs).chunks(3) {
+        let [coarse, fine2, fine5] = specs else {
+            unreachable!("three analyses per processor count")
+        };
         // coarse: the paper's decomposition, 3-kernel chains
-        let coarse = campaign.analysis(&AnalysisSpec::new(Benchmark::Bt, class, p, 3))?;
+        let coarse = campaign.assemble(coarse)?;
         actual.push(coarse.actual().mean());
         coarse_sum.push(coarse.predict(Predictor::Summation)?);
         coarse_cpl.push(coarse.predict(Predictor::coupling(3))?);
 
         // fine: 8 kernels, pairwise chains highlight the elim/subst bond
-        let fine2 = fine_analysis(campaign, class, p, 2)?;
+        let fine2 = campaign.assemble(fine2)?;
         let set = fine2.kernel_set().clone();
         let elim_subst = fine2
             .windows()
@@ -88,7 +79,7 @@ pub fn granularity_tables(
         pair_coupling.push(elim_subst);
         fine_sum.push(fine2.predict(Predictor::Summation)?);
         // longer chains for the prediction at the fine granularity
-        let fine5 = fine_analysis(campaign, class, p, 5)?;
+        let fine5 = campaign.assemble(fine5)?;
         fine_cpl.push(fine5.predict(Predictor::coupling(5))?);
     }
 
@@ -103,67 +94,16 @@ pub fn granularity_tables(
         }],
     };
 
-    let err = |t: f64, a: f64| Some(100.0 * (t - a).abs() / a);
-    let rows = vec![
-        PredictionRow {
-            label: "Actual".to_string(),
-            cells: actual
-                .iter()
-                .map(|&t| TableCell {
-                    time: t,
-                    rel_err_pct: None,
-                })
-                .collect(),
-        },
-        PredictionRow {
-            label: "Coarse summation (5 kernels)".to_string(),
-            cells: coarse_sum
-                .iter()
-                .zip(&actual)
-                .map(|(&t, &a)| TableCell {
-                    time: t,
-                    rel_err_pct: err(t, a),
-                })
-                .collect(),
-        },
-        PredictionRow {
-            label: "Coarse coupling (L=3)".to_string(),
-            cells: coarse_cpl
-                .iter()
-                .zip(&actual)
-                .map(|(&t, &a)| TableCell {
-                    time: t,
-                    rel_err_pct: err(t, a),
-                })
-                .collect(),
-        },
-        PredictionRow {
-            label: "Fine summation (8 kernels)".to_string(),
-            cells: fine_sum
-                .iter()
-                .zip(&actual)
-                .map(|(&t, &a)| TableCell {
-                    time: t,
-                    rel_err_pct: err(t, a),
-                })
-                .collect(),
-        },
-        PredictionRow {
-            label: "Fine coupling (L=5)".to_string(),
-            cells: fine_cpl
-                .iter()
-                .zip(&actual)
-                .map(|(&t, &a)| TableCell {
-                    time: t,
-                    rel_err_pct: err(t, a),
-                })
-                .collect(),
-        },
+    let predicted = vec![
+        ("Coarse summation (5 kernels)".to_string(), coarse_sum),
+        ("Coarse coupling (L=3)".to_string(), coarse_cpl),
+        ("Fine summation (8 kernels)".to_string(), fine_sum),
+        ("Fine coupling (L=5)".to_string(), fine_cpl),
     ];
     let predictions = PredictionTable {
         title: format!("Granularity study: prediction accuracy — BT class {class}"),
         columns,
-        rows,
+        rows: prediction_rows(&actual, predicted),
     };
     Ok((couplings, predictions))
 }
@@ -176,7 +116,9 @@ mod tests {
     #[test]
     fn elim_subst_pairs_couple_strongly() {
         let campaign = Campaign::builder(crate::Runner::noise_free()).build();
-        let fine = fine_analysis(&campaign, Class::S, 4, 2).unwrap();
+        let spec = AnalysisSpec::new(Benchmark::Bt, Class::S, 4, 2).fine();
+        campaign.prefetch(std::slice::from_ref(&spec)).unwrap();
+        let fine = campaign.assemble(&spec).unwrap();
         let set = fine.kernel_set().clone();
         assert_eq!(set.len(), 8);
         // the x_elim/x_subst pair must couple more constructively than
@@ -229,6 +171,9 @@ mod tests {
     #[test]
     fn coupling_advantage_grows_with_granularity() {
         let campaign = Campaign::builder(crate::Runner::noise_free()).build();
+        campaign
+            .prefetch(&granularity_requests(Class::S, &[4]))
+            .unwrap();
         let (_, table) = granularity_tables(&campaign, Class::S, &[4]).unwrap();
         let get = |label: &str| table.row(label).unwrap().avg_rel_err_pct().unwrap();
         let coarse_sum = get("Coarse summation (5 kernels)");

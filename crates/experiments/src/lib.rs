@@ -8,8 +8,9 @@
 //! its artifact and its studies at the shape the evaluation uses —
 //! Tables 2–4 (BT classes S/W/A at 2-, 3- and 4-kernel chains), 6a–6c
 //! (SP W/A/B, 4- and 5-kernel chains) and 8a–8c (LU W/A/B, 3-kernel
-//! chains) are nine rows over [`runner::build_tables`].  The studies
-//! beyond the paper's tables each have a module of builders:
+//! chains) are nine rows over the paper-table builder in [`runner`].
+//! The studies beyond the paper's tables each have a module of
+//! builders:
 //!
 //! * [`transitions`] — the paper's §4.1.4 finding: coupling values move
 //!   through a finite number of regimes as problem size and processor
@@ -21,12 +22,14 @@
 //! * [`machines`] — relative performance of two machines.
 //! * [`granularity`] — procedure-level against loop-level kernels.
 //!
-//! A builder reads its analyses from a [`Campaign`] and measures
+//! A builder assembles the analyses its `*_requests` function names
+//! from a [`Campaign`]'s cache ([`Campaign::assemble`]) and measures
 //! nothing itself: [`catalog::Experiment::run`] prefetches an
 //! experiment's analyses as one batch, `paper_tables` prefetches the
 //! union over every selected experiment once and then calls
 //! [`catalog::Experiment::assemble`] for each, and a caller that uses
-//! a builder directly prefetches the matching `*_requests` first.
+//! a builder directly prefetches the matching `*_requests` first — a
+//! cell it did not prefetch is an error, not a measurement.
 //! Everything funnels through [`runner::Runner`], which owns the
 //! machine model and measurement protocol, and produces the typed
 //! tables of `kc_core::report` (renderable as text, markdown and
@@ -55,7 +58,7 @@ pub mod session;
 pub mod transitions;
 
 pub use campaign::{AnalysisSpec, Campaign, CampaignBuilder, CampaignStats, SummaryOpts};
-pub use runner::{Runner, TablePair};
-pub use scheduler::{CellScheduler, DrainStats};
+pub use runner::Runner;
+pub use scheduler::CellScheduler;
 pub use serve::CampaignEngine;
 pub use session::{CampaignArgs, ServeArgs, Session};

@@ -11,10 +11,11 @@
 //!
 //! Both machines' campaigns flow through the same shared cache: each
 //! is an [`AnalysisSpec`] with a machine override, so their cells are
-//! distinct by fingerprint but can be measured in one parallel
-//! prefetch of [`comparison_requests`].
+//! distinct by fingerprint but are measured in one parallel prefetch
+//! of [`comparison_requests`], which [`machine_comparison`] reads.
 
 use crate::campaign::{AnalysisSpec, Campaign};
+use crate::transitions::mean_coupling;
 use kc_core::{CouplingRow, CouplingTable, KcResult, Predictor};
 use kc_machine::MachineConfig;
 use kc_npb::{Benchmark, Class};
@@ -41,7 +42,7 @@ fn study_machines() -> [MachineConfig; 2] {
     ]
 }
 
-/// The analyses [`machine_comparison`] needs.
+/// The analyses [`machine_comparison`] reads; prefetch them first.
 pub fn comparison_requests(
     benchmark: Benchmark,
     class: Class,
@@ -54,20 +55,19 @@ pub fn comparison_requests(
         .collect()
 }
 
-/// Run the campaign for one machine-override spec.
-pub fn outcome_on(campaign: &Campaign, spec: &AnalysisSpec) -> KcResult<MachineOutcome> {
+/// One machine's outcome, read from its prefetched analysis.
+pub(crate) fn outcome_on(campaign: &Campaign, spec: &AnalysisSpec) -> KcResult<MachineOutcome> {
     let machine_name = spec
         .machine
         .as_ref()
         .map(|m| m.name.clone())
         .unwrap_or_else(|| campaign.runner().machine.name.clone());
-    let analysis = campaign.analysis(spec)?;
-    let cs = analysis.couplings()?;
+    let analysis = campaign.assemble(spec)?;
     Ok(MachineOutcome {
         machine: machine_name,
         actual: analysis.actual().mean(),
         predicted: analysis.predict(Predictor::coupling(spec.chain_len))?,
-        mean_coupling: cs.iter().sum::<f64>() / cs.len() as f64,
+        mean_coupling: mean_coupling(&analysis)?,
     })
 }
 
@@ -127,10 +127,20 @@ mod tests {
         Campaign::builder(runner).build()
     }
 
+    /// The comparison over a campaign that prefetched its requests.
+    fn compare(class: Class, procs: usize, len: usize) -> Vec<MachineOutcome> {
+        let campaign = quick_campaign();
+        campaign
+            .prefetch(&comparison_requests(Benchmark::Bt, class, procs, len))
+            .unwrap();
+        machine_comparison(&campaign, Benchmark::Bt, class, procs, len)
+            .unwrap()
+            .1
+    }
+
     #[test]
     fn relative_performance_is_predicted_accurately() {
-        let (_, outcomes) =
-            machine_comparison(&quick_campaign(), Benchmark::Bt, Class::W, 9, 3).unwrap();
+        let outcomes = compare(Class::W, 9, 3);
         let (pred_ratio, actual_ratio) = relative_performance(&outcomes);
         let err = (pred_ratio - actual_ratio).abs() / actual_ratio;
         assert!(
@@ -144,8 +154,7 @@ mod tests {
     fn coupling_values_are_machine_dependent() {
         // the same workload couples differently on a machine with a
         // different memory subsystem — the paper's architectural claim
-        let (_, outcomes) =
-            machine_comparison(&quick_campaign(), Benchmark::Bt, Class::S, 4, 2).unwrap();
+        let outcomes = compare(Class::S, 4, 2);
         let diff = (outcomes[0].mean_coupling - outcomes[1].mean_coupling).abs();
         assert!(
             diff > 0.01,
@@ -157,8 +166,7 @@ mod tests {
 
     #[test]
     fn per_machine_predictions_stay_accurate() {
-        let (_, outcomes) =
-            machine_comparison(&quick_campaign(), Benchmark::Bt, Class::S, 4, 2).unwrap();
+        let outcomes = compare(Class::S, 4, 2);
         for o in &outcomes {
             let err = (o.predicted - o.actual).abs() / o.actual;
             assert!(

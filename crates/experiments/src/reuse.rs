@@ -28,7 +28,7 @@ pub fn proc_transfer_requests(
 
 /// Read the analysis of every spec from the campaign cache.
 fn analyses(campaign: &Campaign, specs: &[AnalysisSpec]) -> KcResult<Vec<CouplingAnalysis>> {
-    specs.iter().map(|s| campaign.analysis(s)).collect()
+    specs.iter().map(|s| campaign.assemble(s)).collect()
 }
 
 /// The source × target transfer matrix across processor counts:
@@ -135,6 +135,14 @@ mod tests {
         // count, so coefficients transfer across processor counts with
         // little loss and always beat summation
         let campaign = Campaign::builder(crate::Runner::noise_free()).build();
+        campaign
+            .prefetch(&proc_transfer_requests(
+                Benchmark::Bt,
+                Class::W,
+                &[4, 16],
+                3,
+            ))
+            .unwrap();
         let (table, study) =
             proc_transfer_table(&campaign, Benchmark::Bt, Class::W, &[4, 16], 3).unwrap();
         table.check();

@@ -53,31 +53,43 @@ impl Runner {
 /// A paper table pair: the coupling-value tables (one per chain
 /// length) and the execution-time comparison table.
 #[derive(Clone, Debug)]
-pub struct TablePair {
+pub(crate) struct TablePair {
     /// Coupling tables, one per requested chain length (paper's
     /// "a"-tables).
-    pub couplings: Vec<CouplingTable>,
+    pub(crate) couplings: Vec<CouplingTable>,
     /// Execution-time comparison (paper's "b"-tables).
-    pub predictions: PredictionTable,
+    pub(crate) predictions: PredictionTable,
 }
 
-impl TablePair {
-    /// Pretty-print both tables.
-    pub fn render_text(&self) -> String {
-        let mut s = String::new();
-        for c in &self.couplings {
-            s.push_str(&c.to_string());
-            s.push('\n');
-        }
-        s.push_str(&self.predictions.to_string());
-        s
+/// Prediction-table rows: `Actual`, then one row per `(label,
+/// predicted times)`, each cell with its relative error (%) against
+/// the actual time of its column.
+pub(crate) fn prediction_rows(
+    actual: &[f64],
+    predicted: Vec<(String, Vec<f64>)>,
+) -> Vec<PredictionRow> {
+    let row = |label: String, times: &[f64], rel_err: bool| PredictionRow {
+        label,
+        cells: times
+            .iter()
+            .zip(actual)
+            .map(|(&t, &a)| TableCell {
+                time: t,
+                rel_err_pct: rel_err.then(|| 100.0 * (t - a).abs() / a),
+            })
+            .collect(),
+    };
+    let mut rows = vec![row("Actual".to_string(), actual, false)];
+    for (label, times) in predicted {
+        rows.push(row(label, &times, true));
     }
+    rows
 }
 
-/// The analysis specs a [`build_tables`] call reads — prefetch these
-/// (possibly merged with other tables' requests) to measure the whole
-/// study as one deduplicated parallel campaign.
-pub fn table_requests(
+/// The analysis specs a [`build_tables`] call reads, processor-major —
+/// prefetch these (possibly merged with other tables' requests) to
+/// measure the whole study as one deduplicated parallel campaign.
+pub(crate) fn table_requests(
     benchmark: Benchmark,
     class: Class,
     procs: &[usize],
@@ -94,12 +106,9 @@ pub fn table_requests(
 }
 
 /// The paper's table pair for one benchmark × class over a set of
-/// processor counts and chain lengths.
-///
-/// Call [`Campaign::prefetch`] with [`table_requests`] first to have
-/// the cells measured as one batch; this function only reads analyses
-/// (an analysis that is not cached yet is measured on its own).
-pub fn build_tables(
+/// processor counts and chain lengths, assembled from the analyses
+/// [`table_requests`] names (which a prefetch must have brought in).
+pub(crate) fn build_tables(
     campaign: &Campaign,
     benchmark: Benchmark,
     class: Class,
@@ -119,7 +128,7 @@ pub fn build_tables(
         coupled: Vec<f64>,
     }
     let mut per_proc: Vec<ProcResult> = Vec::new();
-    for &p in procs {
+    for specs in table_requests(benchmark, class, procs, chain_lens).chunks(chain_lens.len()) {
         let mut res = ProcResult {
             actual: 0.0,
             summation: 0.0,
@@ -127,8 +136,8 @@ pub fn build_tables(
             couplings: Vec::new(),
             coupled: Vec::new(),
         };
-        for (li, &len) in chain_lens.iter().enumerate() {
-            let analysis = campaign.analysis(&AnalysisSpec::new(benchmark, class, p, len))?;
+        for (li, spec) in specs.iter().enumerate() {
+            let analysis = campaign.assemble(spec)?;
             res.labels.push(
                 analysis
                     .windows()
@@ -144,7 +153,7 @@ pub fn build_tables(
             }
             res.coupled.push(
                 analysis
-                    .predict(Predictor::coupling(len))
+                    .predict(Predictor::coupling(spec.chain_len))
                     .expect("coupling"),
             );
         }
@@ -189,47 +198,19 @@ pub fn build_tables(
         })
         .collect();
 
-    let mut rows = vec![PredictionRow {
-        label: "Actual".to_string(),
-        cells: actual
+    let mut predicted = vec![("Summation".to_string(), summation)];
+    predicted.extend(
+        chain_lens
             .iter()
-            .map(|&t| TableCell {
-                time: t,
-                rel_err_pct: None,
-            })
-            .collect(),
-    }];
-    let err = |pred: f64, act: f64| Some(100.0 * (pred - act).abs() / act);
-    rows.push(PredictionRow {
-        label: "Summation".to_string(),
-        cells: summation
-            .iter()
-            .zip(&actual)
-            .map(|(&t, &a)| TableCell {
-                time: t,
-                rel_err_pct: err(t, a),
-            })
-            .collect(),
-    });
-    for (li, &len) in chain_lens.iter().enumerate() {
-        rows.push(PredictionRow {
-            label: Predictor::coupling(len).label(),
-            cells: coupled[li]
-                .iter()
-                .zip(&actual)
-                .map(|(&t, &a)| TableCell {
-                    time: t,
-                    rel_err_pct: err(t, a),
-                })
-                .collect(),
-        });
-    }
+            .zip(coupled)
+            .map(|(&len, times)| (Predictor::coupling(len).label(), times)),
+    );
     let predictions = PredictionTable {
         title: format!(
             "{prediction_title}: Comparison of execution times for {benchmark} with class {class}"
         ),
         columns,
-        rows,
+        rows: prediction_rows(&actual, predicted),
     };
     Ok(TablePair {
         couplings,
@@ -244,6 +225,9 @@ mod tests {
     #[test]
     fn bt_class_s_tables_have_paper_shape() {
         let campaign = Campaign::builder(crate::Runner::noise_free()).build();
+        campaign
+            .prefetch(&table_requests(Benchmark::Bt, Class::S, &[4], &[2]))
+            .unwrap();
         let pair = build_tables(
             &campaign,
             Benchmark::Bt,
@@ -273,6 +257,9 @@ mod tests {
     #[test]
     fn coupling_beats_summation_for_bt_class_s() {
         let campaign = Campaign::builder(crate::Runner::noise_free()).build();
+        campaign
+            .prefetch(&table_requests(Benchmark::Bt, Class::S, &[4], &[4]))
+            .unwrap();
         let pair =
             build_tables(&campaign, Benchmark::Bt, Class::S, &[4], &[4], "Ta", "Tb").unwrap();
         let sum_err = pair
@@ -291,24 +278,5 @@ mod tests {
             cpl_err < sum_err,
             "coupling ({cpl_err:.2}%) should beat summation ({sum_err:.2}%)"
         );
-    }
-
-    #[test]
-    fn render_text_contains_both_tables() {
-        let campaign = Campaign::builder(crate::Runner::noise_free()).build();
-        let pair = build_tables(
-            &campaign,
-            Benchmark::Bt,
-            Class::S,
-            &[4],
-            &[2],
-            "Table 2a",
-            "Table 2b",
-        )
-        .unwrap();
-        let text = pair.render_text();
-        assert!(text.contains("Table 2a"));
-        assert!(text.contains("Table 2b"));
-        assert!(text.contains("Summation"));
     }
 }

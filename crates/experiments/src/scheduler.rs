@@ -49,7 +49,7 @@ fn relock<'a, T>(
 
 /// How one cell is executed: the scheduler calls this for every cell
 /// it pops, and the closure reports how the cache satisfied it.
-pub type ExecuteFn = dyn Fn(&MeasurementKey) -> KcResult<Disposition> + Send + Sync;
+pub(crate) type ExecuteFn = dyn Fn(&MeasurementKey) -> KcResult<Disposition> + Send + Sync;
 
 /// How one [`CellScheduler::drain`] call's distinct cells were
 /// satisfied: each is counted exactly once.

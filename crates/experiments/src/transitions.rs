@@ -10,13 +10,12 @@
 //! working set crosses L1 or L2 capacity.
 
 use crate::campaign::{AnalysisSpec, Campaign};
-use kc_core::{CouplingRow, CouplingTable, KcResult};
+use kc_core::{CouplingAnalysis, CouplingRow, CouplingTable, KcResult};
 use kc_npb::state::{lhs_bytes_per_cell, CELL_BYTES};
 use kc_npb::{Benchmark, Class};
 
-/// Mean coupling value over all windows of length `chain_len`.
-pub fn mean_coupling(campaign: &Campaign, spec: &AnalysisSpec) -> KcResult<f64> {
-    let analysis = campaign.analysis(spec)?;
+/// Mean coupling value over all of an analysis's windows.
+pub(crate) fn mean_coupling(analysis: &CouplingAnalysis) -> KcResult<f64> {
     let cs = analysis.couplings()?;
     Ok(cs.iter().sum::<f64>() / cs.len() as f64)
 }
@@ -44,7 +43,8 @@ pub fn cache_regime(machine: &kc_machine::MachineConfig, bytes: usize) -> usize 
     machine.caches.len()
 }
 
-/// The analyses [`transition_table`] reads; prefetch them first.
+/// The analyses [`transition_table`] reads, class-major; prefetch
+/// them first.
 pub fn transition_requests(classes: &[Class], procs: &[usize]) -> Vec<AnalysisSpec> {
     classes
         .iter()
@@ -63,15 +63,14 @@ pub fn transition_table(
     classes: &[Class],
     procs: &[usize],
 ) -> KcResult<CouplingTable> {
+    let mut specs = transition_requests(classes, procs).into_iter();
     let mut rows = Vec::new();
     for &class in classes {
-        let mut values = Vec::new();
-        for &p in procs {
-            values.push(mean_coupling(
-                campaign,
-                &AnalysisSpec::new(Benchmark::Bt, class, p, 2),
-            )?);
-        }
+        let values = specs
+            .by_ref()
+            .take(procs.len())
+            .map(|spec| mean_coupling(&campaign.assemble(&spec)?))
+            .collect::<KcResult<_>>()?;
         rows.push(CouplingRow {
             label: format!("class {class}"),
             values,

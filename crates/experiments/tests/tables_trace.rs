@@ -1,9 +1,10 @@
 //! The `paper_tables --trace` promise, on the real executable: for a
 //! multi-experiment selection, every phase the trace records is closed
-//! before the next one opens, and the traces written at `--jobs 1` and
-//! `--jobs 2` are identical after `canonicalize` + `redacted`.
+//! before the next one opens, the run drains the scheduler exactly
+//! once, and the traces written at `--jobs 1` and `--jobs 2` are
+//! identical after `canonicalize` + `redacted`.
 
-use kc_core::telemetry::{canonicalize, read_jsonl, TelemetryEvent};
+use kc_core::telemetry::{canonicalize, phases, read_jsonl, TelemetryEvent};
 use std::path::Path;
 use std::process::Command;
 
@@ -53,6 +54,24 @@ fn assert_phases_never_interleave(events: &[TelemetryEvent], jobs: usize) {
     assert_eq!(open, None, "--jobs {jobs}: a phase was left open");
 }
 
+/// One prefetch per run, and assembly never drains: the stream holds
+/// one `SchedulerDrain` and one each of the prefetch's `enumerate`,
+/// `dedupe` and `execute` phases.
+fn assert_one_drain(events: &[TelemetryEvent], jobs: usize) {
+    let drains = events
+        .iter()
+        .filter(|e| matches!(e, TelemetryEvent::SchedulerDrain { .. }))
+        .count();
+    assert_eq!(drains, 1, "--jobs {jobs}: scheduler drains");
+    for name in [phases::ENUMERATE, phases::DEDUPE, phases::EXECUTE] {
+        let started = events
+            .iter()
+            .filter(|e| matches!(e, TelemetryEvent::PhaseStarted { phase } if phase == name))
+            .count();
+        assert_eq!(started, 1, "--jobs {jobs}: `{name}` phases");
+    }
+}
+
 #[test]
 fn multi_experiment_traces_keep_phases_whole_and_match_across_jobs() {
     let dir = std::env::temp_dir().join(format!("kc_tables_trace_{}", std::process::id()));
@@ -65,6 +84,8 @@ fn multi_experiment_traces_keep_phases_whole_and_match_across_jobs() {
 
     assert_phases_never_interleave(&serial, 1);
     assert_phases_never_interleave(&parallel, 2);
+    assert_one_drain(&serial, 1);
+    assert_one_drain(&parallel, 2);
     let comparable = |events: Vec<TelemetryEvent>| -> Vec<TelemetryEvent> {
         canonicalize(events)
             .iter()

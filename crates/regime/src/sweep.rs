@@ -83,17 +83,15 @@ pub fn sweep_requests(spec: &SweepSpec) -> Result<Vec<AnalysisSpec>, SpecError> 
     Ok(out)
 }
 
-/// Run the sweep through `campaign` and assemble one curve per
-/// `(machine, chain)`.
-///
-/// Call [`Campaign::prefetch`] with [`sweep_requests`] first if you
-/// want the measurement phase batched/parallel; this function then
-/// only reads warm cells.  Curves come back machine-major in spec
-/// order, chains in window order.
+/// Assemble one curve per `(machine, chain)` from the analyses
+/// [`sweep_requests`] names.  Those must have been brought in by a
+/// [`Campaign::prefetch`]: assembly reads the campaign's cache only,
+/// and a cell no prefetch measured is an error.  Curves come back
+/// machine-major in spec order, chains in window order.
 pub fn run_sweep(campaign: &Campaign, spec: &SweepSpec) -> KcResult<Vec<ChainCurve>> {
-    let bench = spec.benchmark().expect("validated spec");
-    let classes = spec.class_list().expect("validated spec");
     let machines = spec.machine_configs().expect("validated spec");
+    let per_machine = spec.class_list().expect("validated spec").len() * spec.procs.len();
+    let mut requests = sweep_requests(spec).expect("validated spec").into_iter();
 
     let mut curves = Vec::new();
     for machine in &machines {
@@ -101,30 +99,28 @@ pub fn run_sweep(campaign: &Campaign, spec: &SweepSpec) -> KcResult<Vec<ChainCur
         // and the chain length, identical across (class, p)
         let mut chains: Vec<String> = Vec::new();
         let mut chain_points: Vec<Vec<CurvePoint>> = Vec::new();
-        for &class in &classes {
-            for &p in &spec.procs {
-                let aspec = AnalysisSpec::new(bench, class, p, spec.chain_len).on(machine.clone());
-                let analysis = campaign.analysis(&aspec)?;
-                let couplings = analysis.couplings()?;
-                if chains.is_empty() {
-                    chains = analysis
-                        .windows()
-                        .iter()
-                        .map(|w| w.label(analysis.kernel_set()))
-                        .collect();
-                    chain_points = vec![Vec::new(); chains.len()];
-                }
-                let ws = working_set_bytes(bench, class, p);
-                let level = cache_level_at(machine, p, ws);
-                for (w, &c) in couplings.iter().enumerate() {
-                    chain_points[w].push(CurvePoint {
-                        class: class.to_string(),
-                        procs: p,
-                        working_set: ws as u64,
-                        coupling: c,
-                        cache_level: level,
-                    });
-                }
+        for aspec in requests.by_ref().take(per_machine) {
+            let analysis = campaign.assemble(&aspec)?;
+            let couplings = analysis.couplings()?;
+            if chains.is_empty() {
+                chains = analysis
+                    .windows()
+                    .iter()
+                    .map(|w| w.label(analysis.kernel_set()))
+                    .collect();
+                chain_points = vec![Vec::new(); chains.len()];
+            }
+            let (class, p) = (aspec.class, aspec.procs);
+            let ws = working_set_bytes(aspec.benchmark, class, p);
+            let level = cache_level_at(machine, p, ws);
+            for (w, &c) in couplings.iter().enumerate() {
+                chain_points[w].push(CurvePoint {
+                    class: class.to_string(),
+                    procs: p,
+                    working_set: ws as u64,
+                    coupling: c,
+                    cache_level: level,
+                });
             }
         }
         for (chain, mut points) in chains.into_iter().zip(chain_points) {

@@ -41,13 +41,18 @@ use crate::protocol::{
 };
 use kc_core::{TelemetryEvent, TelemetrySink};
 use std::collections::VecDeque;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::TcpListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
+
+/// The longest request line [`Server::serve_pipe`] reads, newline
+/// included.  A longer line is answered with one `error` and the rest
+/// of it is skipped unread.
+const MAX_LINE: usize = 64 * 1024;
 
 /// Resolves batches of prediction requests.
 ///
@@ -387,14 +392,18 @@ impl Server {
     pub fn submit_line(&self, line: &str) -> Ticket {
         match parse_request(line) {
             Ok(request) => self.submit(request),
-            Err(message) => {
-                let response = PredictResponse::new(0, Status::Error, Err(message));
-                self.shared
-                    .metrics
-                    .record_request(response.status.as_str(), 0.0);
-                Ticket::filled(response)
-            }
+            Err(message) => self.reject_line(message),
         }
+    }
+
+    /// An immediate `error` ticket (id 0) for a line that is not a
+    /// request.
+    fn reject_line(&self, message: String) -> Ticket {
+        let response = PredictResponse::new(0, Status::Error, Err(message));
+        self.shared
+            .metrics
+            .record_request(response.status.as_str(), 0.0);
+        Ticket::filled(response)
     }
 
     /// Serve a line-delimited request stream: one response line per
@@ -405,7 +414,10 @@ impl Server {
     /// together; the writer flushes before it waits for anything, so
     /// no answered request sits in its buffer.  Returns after EOF once
     /// every response is written and flushed.
-    pub fn serve_pipe<R, W>(&self, reader: R, writer: W) -> std::io::Result<()>
+    ///
+    /// A line longer than 64 KiB (newline included) or not valid
+    /// UTF-8 gets one `error` response and the stream goes on.
+    pub fn serve_pipe<R, W>(&self, mut reader: R, writer: W) -> std::io::Result<()>
     where
         R: BufRead,
         W: Write + Send,
@@ -436,12 +448,26 @@ impl Server {
                 }
                 out.flush()
             });
-            for line in reader.lines() {
-                let line = line?;
-                if line.trim().is_empty() {
-                    continue;
+            let mut line = Vec::new();
+            loop {
+                line.clear();
+                let read = (&mut reader)
+                    .take(MAX_LINE as u64)
+                    .read_until(b'\n', &mut line)?;
+                if read == 0 {
+                    break; // EOF
                 }
-                if tx.send(self.submit_line(&line)).is_err() {
+                let ticket = if read == MAX_LINE && !line.ends_with(b"\n") {
+                    skip_line(&mut reader)?;
+                    self.reject_line(format!("bad request: line longer than {MAX_LINE} bytes"))
+                } else {
+                    match std::str::from_utf8(&line) {
+                        Ok(text) if text.trim().is_empty() => continue,
+                        Ok(text) => self.submit_line(text),
+                        Err(_) => self.reject_line("bad request: line is not UTF-8".to_string()),
+                    }
+                };
+                if tx.send(ticket).is_err() {
                     break; // writer failed; stop admitting
                 }
             }
@@ -496,6 +522,27 @@ impl Server {
         self.shared.work.notify_all();
         if let Some(handle) = self.batcher.lock().unwrap().take() {
             let _ = handle.join();
+        }
+    }
+}
+
+/// Consume `reader` up to and including the next newline (or EOF)
+/// without buffering what it skips.
+fn skip_line(reader: &mut impl BufRead) -> std::io::Result<()> {
+    loop {
+        let buf = reader.fill_buf()?;
+        if buf.is_empty() {
+            return Ok(());
+        }
+        match buf.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                reader.consume(i + 1);
+                return Ok(());
+            }
+            None => {
+                let len = buf.len();
+                reader.consume(len);
+            }
         }
     }
 }
@@ -739,6 +786,47 @@ mod tests {
             .map(|l| serde_json::from_str::<PredictResponse>(l).unwrap().id)
             .collect();
         assert_eq!(ids, vec![3, 1, 0, 2], "input order, parse failures as id 0");
+    }
+
+    /// Pipe `input` through a mock-engine server; the responses.
+    fn pipe(input: Vec<u8>) -> Vec<PredictResponse> {
+        let server = Server::new(Arc::new(MockEngine::new()), ServerConfig::default());
+        let mut output = Vec::new();
+        server
+            .serve_pipe(std::io::Cursor::new(input), &mut output)
+            .unwrap();
+        server.shutdown();
+        String::from_utf8(output)
+            .unwrap()
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn serve_pipe_answers_a_non_utf8_line_and_reads_on() {
+        let mut input = format!("{}\n", line(1)).into_bytes();
+        input.extend_from_slice(b"{\"id\":2,\xff\xfe}\n");
+        input.extend_from_slice(format!("{}\n", line(3)).as_bytes());
+        let responses = pipe(input);
+        let got: Vec<(u64, Status)> = responses.iter().map(|r| (r.id, r.status)).collect();
+        assert_eq!(
+            got,
+            vec![(1, Status::Ok), (0, Status::Error), (3, Status::Ok)],
+            "three responses, in order"
+        );
+        assert!(responses[1].error.as_ref().unwrap().contains("UTF-8"));
+    }
+
+    #[test]
+    fn serve_pipe_answers_an_over_long_line_once_and_reads_on() {
+        let mut input = vec![b'x'; MAX_LINE + 10];
+        input.push(b'\n');
+        input.extend_from_slice(format!("{}\n", line(4)).as_bytes());
+        let responses = pipe(input);
+        let got: Vec<(u64, Status)> = responses.iter().map(|r| (r.id, r.status)).collect();
+        assert_eq!(got, vec![(0, Status::Error), (4, Status::Ok)]);
+        assert!(responses[0].error.as_ref().unwrap().contains("longer than"));
     }
 
     /// A request stream that yields `first`, then blocks until

@@ -78,6 +78,14 @@ fn cross_machine_ratio_is_predicted() {
     let mut runner = Runner::noise_free();
     runner.reps = 2;
     let campaign = Campaign::builder(runner).build();
+    campaign
+        .prefetch(&machines::comparison_requests(
+            Benchmark::Bt,
+            Class::W,
+            9,
+            3,
+        ))
+        .unwrap();
     let (_, outcomes) =
         machines::machine_comparison(&campaign, Benchmark::Bt, Class::W, 9, 3).unwrap();
     let (pred, actual) = machines::relative_performance(&outcomes);
