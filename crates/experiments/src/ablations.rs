@@ -38,17 +38,20 @@ pub(crate) fn chain_length_sweep(
     procs: usize,
 ) -> KcResult<CouplingTable> {
     let requests = chain_length_requests(benchmark, class, procs);
+    let analyses = requests
+        .iter()
+        .map(|spec| campaign.assemble(spec))
+        .collect::<KcResult<Vec<_>>>()?;
     let mut rows = Vec::new();
-    // summation baseline (coefficients all 1)
-    let base = campaign.assemble(&requests[0])?;
+    // summation baseline (coefficients all 1), from the length-1 analysis
+    let base = &analyses[0];
     let actual = base.actual().mean();
     let err = |pred: f64| 100.0 * (pred - actual).abs() / actual;
     rows.push(CouplingRow {
         label: "summation".to_string(),
         values: vec![err(base.predict(Predictor::Summation)?)],
     });
-    for spec in &requests {
-        let analysis = campaign.assemble(spec)?;
+    for (spec, analysis) in requests.iter().zip(&analyses) {
         let pred = analysis.predict(Predictor::coupling(spec.chain_len))?;
         rows.push(CouplingRow {
             label: format!("coupling, {len}-kernel chains", len = spec.chain_len),

@@ -6,46 +6,50 @@
 //! is a future polled on the calling thread ([`crate::coop`]), and the
 //! ranks call [`RankCtx::recv_async`], [`RankCtx::barrier_async`] and
 //! [`RankCtx::allreduce_sum_async`].  [`Cluster::run`] runs a blocking
-//! closure per rank on the calling thread's parked rank workers, over
-//! channels; it stays for the benchmark harness's machine and npb
-//! probes, which link it with blocking closures, until they move to the
-//! cooperative API (ROADMAP 3(a)).  The `*_async` methods work on both:
+//! closure per rank, each on its own scoped thread, over `std::sync::mpsc`
+//! channels.  It is the independent reference the cooperative runner is
+//! tested against, and the benchmark harness's machine and npb probes
+//! link it with blocking closures.  The `*_async` methods work on both:
 //! on a threaded rank they complete at their first poll.
 
 use crate::comm::{CommEndpoint, CommEvent, CommStats, Message};
 use crate::config::MachineConfig;
 use crate::coop::{Mesh, RankProgram};
 use crate::perf::PerfContext;
-use crate::pool::{self, Task};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use kc_cachesim::{AccessCounts, RegionId};
-use parking_lot::Mutex;
-use std::sync::Barrier;
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
+use std::sync::{mpsc, Barrier};
+use std::thread;
 
 /// Shared state backing the collectives (barrier / allreduce) of one
 /// threaded run; every run builds its own.
 struct CollectiveState {
-    slots: Vec<Mutex<f64>>,
+    /// One `f64` (as bits) per rank.  Each is written before a
+    /// `gate.wait()` and read after it; the barrier's internal mutex
+    /// makes every write before a wait happen before every read after
+    /// it, so `Relaxed` accesses suffice.
+    slots: Vec<AtomicU64>,
     gate: Barrier,
 }
 
 impl CollectiveState {
     fn new(n: usize) -> Self {
         Self {
-            slots: (0..n).map(|_| Mutex::new(0.0)).collect(),
+            slots: (0..n).map(|_| AtomicU64::new(0)).collect(),
             gate: Barrier::new(n),
         }
     }
 
     /// Two-phase exchange: deposit `value`, wait, fold everyone's
-    /// values with `fold`, wait again so slots can be reused.
+    /// values in rank order with `fold`, wait again so slots can be
+    /// reused.
     fn exchange(&self, rank: usize, value: f64, fold: impl Fn(f64, f64) -> f64) -> f64 {
-        *self.slots[rank].lock() = value;
+        let read = |slot: &AtomicU64| f64::from_bits(slot.load(Relaxed));
+        self.slots[rank].store(value.to_bits(), Relaxed);
         self.gate.wait();
-        let mut acc = *self.slots[0].lock();
-        for s in &self.slots[1..] {
-            acc = fold(acc, *s.lock());
-        }
+        let acc = self.slots[1..]
+            .iter()
+            .fold(read(&self.slots[0]), |acc, slot| fold(acc, read(slot)));
         self.gate.wait();
         acc
     }
@@ -119,12 +123,6 @@ impl<'a> RankCtx<'a> {
     #[inline]
     pub fn flops(&mut self, n: u64) {
         self.perf.flops(n);
-    }
-
-    /// Advance the clock by raw `seconds` (non-model costs).
-    #[inline]
-    pub fn advance(&mut self, seconds: f64) {
-        self.perf.advance(seconds);
     }
 
     /// Register a memory region for the cache model.
@@ -236,11 +234,6 @@ impl<'a> RankCtx<'a> {
         }
     }
 
-    /// Direct access to the performance context.
-    pub fn perf(&mut self) -> &mut PerfContext {
-        &mut self.perf
-    }
-
     /// The machine configuration.
     pub fn config(&self) -> &MachineConfig {
         self.perf.config()
@@ -292,7 +285,7 @@ pub struct RunOutcome<T> {
     pub results: Vec<T>,
     /// Messages sent during the run that no rank received: counted in
     /// the mailboxes by [`Cluster::run_cooperative`], sent minus
-    /// received on [`Cluster::run`]'s lossless channels.
+    /// received on [`Cluster::run`]'s channels.
     pub undelivered: usize,
 }
 
@@ -357,10 +350,12 @@ impl Cluster {
     }
 
     /// Run the blocking `program` on `p` ranks and collect the per-rank
-    /// outcomes.  Panics in any rank propagate.
+    /// outcomes.
     ///
-    /// The ranks run on the calling thread's parked workers (worker
-    /// *r* carries rank *r* of every run), over a fresh channel mesh.
+    /// Rank *r* runs on a scoped thread named `kc-rank-<r>`, over a
+    /// fresh channel mesh and collective state, so nothing a run leaves
+    /// behind reaches the next one.  Every rank is joined; if one
+    /// panicked, the lowest such rank's panic is resumed here.
     /// Campaigns do not use this runner: NPB cells run on
     /// [`Cluster::run_cooperative`].  It stays, with its blocking
     /// `recv`/`barrier`/`allreduce_sum`, for the benchmark harness's
@@ -371,57 +366,36 @@ impl Cluster {
         T: Send,
         F: Fn(&mut RankCtx) -> T + Sync,
     {
-        self.run_with(p, &program, pool::run_parked)
-    }
-
-    /// Run `program` on `p` freshly spawned scoped threads: the
-    /// reference `pooled_run_matches_spawned_run` compares the pooled
-    /// path against.
-    #[cfg(test)]
-    pub(crate) fn run_spawned<T, F>(&self, p: usize, program: F) -> RunOutcome<T>
-    where
-        T: Send,
-        F: Fn(&mut RankCtx) -> T + Sync,
-    {
-        self.run_with(p, &program, |p, task| {
-            std::thread::scope(|scope| {
-                for rank in 0..p {
-                    scope.spawn(move || task(rank));
-                }
-            })
-        })
-    }
-
-    /// Build a fresh message mesh and collective state for one run,
-    /// let `dispatch` call the rank task once per rank, and collect the
-    /// outcomes.  `run` and `run_spawned` differ only in `dispatch`.
-    fn run_with<T, F>(&self, p: usize, program: &F, dispatch: fn(usize, &Task<'_>)) -> RunOutcome<T>
-    where
-        T: Send,
-        F: Fn(&mut RankCtx) -> T + Sync,
-    {
         assert!(p > 0, "need at least one rank");
         let coll = CollectiveState::new(p);
-        let (senders, receivers): (Vec<_>, Vec<_>) = (0..p).map(|_| unbounded::<Message>()).unzip();
-        let outcomes: Vec<Mutex<Option<(RankReport, T)>>> =
-            (0..p).map(|_| Mutex::new(None)).collect();
-        dispatch(p, &|rank| {
-            let out = execute_rank(
-                &self.config,
-                rank,
-                &senders,
-                &receivers[rank],
-                &coll,
-                program,
-            );
-            *outcomes[rank].lock() = Some(out);
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..p).map(|_| mpsc::channel()).unzip();
+        let joined: Vec<thread::Result<(RankReport, T)>> = thread::scope(|scope| {
+            let handles: Vec<_> = receivers
+                .into_iter()
+                .enumerate()
+                .map(|(rank, receiver)| {
+                    let (senders, coll, program) = (&senders, &coll, &program);
+                    thread::Builder::new()
+                        .name(format!("kc-rank-{rank}"))
+                        .spawn_scoped(scope, move || {
+                            let comm =
+                                CommEndpoint::new(rank, p, self.config.net, senders, &receiver);
+                            let mut ctx =
+                                RankCtx::new(&self.config, p, comm, Collectives::Threaded(coll));
+                            let result = program(&mut ctx);
+                            (ctx.report(), result)
+                        })
+                        .expect("failed to spawn a rank thread")
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
         });
-        let (reports, results): (Vec<RankReport>, _) = outcomes
+        let (reports, results): (Vec<RankReport>, Vec<T>) = joined
             .into_iter()
-            .map(|slot| slot.into_inner().expect("rank produced no outcome"))
+            .map(|outcome| outcome.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
             .unzip();
-        // a channel loses no message, so what was sent and not
-        // received is still queued
+        // what was sent and not received is still queued, or was sent
+        // to a rank that had already returned
         let sent: u64 = reports.iter().map(|r| r.comm.sent_messages).sum();
         let received: u64 = reports.iter().map(|r| r.comm.recv_messages).sum();
         RunOutcome {
@@ -430,26 +404,6 @@ impl Cluster {
             undelivered: (sent - received) as usize,
         }
     }
-}
-
-/// Execute one rank's program against fresh per-run contexts (perf
-/// clock, comm endpoint) over the given channels and collective state.
-fn execute_rank<T, F>(
-    config: &MachineConfig,
-    rank: usize,
-    senders: &[Sender<Message>],
-    receiver: &Receiver<Message>,
-    coll: &CollectiveState,
-    program: &F,
-) -> (RankReport, T)
-where
-    F: Fn(&mut RankCtx) -> T,
-{
-    let p = senders.len();
-    let comm = CommEndpoint::new(rank, p, config.net, senders, receiver);
-    let mut ctx = RankCtx::new(config, p, comm, Collectives::Threaded(coll));
-    let result = program(&mut ctx);
-    (ctx.report(), result)
 }
 
 #[cfg(test)]
@@ -618,5 +572,58 @@ mod tests {
             ctx.touch(r, 0, 64 * 8);
         });
         assert_eq!(out.reports[0].cache.total(), 8);
+    }
+
+    fn ring(ctx: &mut RankCtx) -> f64 {
+        let right = (ctx.rank() + 1) % ctx.size();
+        let left = (ctx.rank() + ctx.size() - 1) % ctx.size();
+        ctx.flops((ctx.rank() as u64 + 1) * 100_000);
+        ctx.send(right, 0, vec![ctx.rank() as f64]);
+        let m = ctx.recv(left, 0);
+        ctx.barrier();
+        ctx.now() + m.data[0]
+    }
+
+    #[test]
+    fn panicking_rank_propagates_its_own_panic_and_the_next_run_is_healthy() {
+        let healthy = cluster().run(4, ring);
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cluster().run(4, |ctx: &mut RankCtx| {
+                // rank 2 dies before any communication, so no other
+                // rank waits on it
+                assert!(ctx.rank() != 2, "injected rank failure");
+            })
+        }));
+        let payload = panicked.expect_err("rank panics must propagate");
+        let message = payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .unwrap_or_default();
+        assert!(
+            message.contains("injected rank failure"),
+            "the run must resume the rank's own panic, got {message:?}"
+        );
+
+        let next = cluster().run(4, ring);
+        assert_eq!(next.results, healthy.results);
+    }
+
+    #[test]
+    fn unread_message_does_not_reach_the_next_run() {
+        let healthy = cluster().run(4, ring);
+        // rank 0 sends what the ring's rank 1 would receive next, with a
+        // different payload and arrival time, and nobody reads it
+        let unread = cluster().run(4, |ctx: &mut RankCtx| {
+            if ctx.rank() == 0 {
+                ctx.flops(1_000_000_000);
+                ctx.send(1, 0, vec![99.0]);
+            }
+        });
+        assert_eq!(unread.undelivered, 1);
+        let next = cluster().run(4, ring);
+        assert_eq!(next.results, healthy.results);
+        assert_eq!(next.elapsed(), healthy.elapsed());
+        assert_eq!(next.total_messages(), healthy.total_messages());
     }
 }

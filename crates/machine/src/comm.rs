@@ -3,7 +3,8 @@
 //! Two transports carry the messages.  A cooperative run
 //! ([`crate::Cluster::run_cooperative`]) queues them in per-rank
 //! mailboxes on the one thread that polls every rank; a threaded run
-//! ([`crate::Cluster::run`]) sends them over a channel per rank.
+//! ([`crate::Cluster::run`]) sends them over a `std::sync::mpsc`
+//! channel per rank.
 //! *Timing* is carried on the messages themselves, the same on both.  A
 //! send stamps the message with its arrival time under the LogGP model
 //! (sender overhead + NIC serialization + switch latency + wire
@@ -15,7 +16,7 @@
 use crate::config::NetModel;
 use crate::coop::Mesh;
 use crate::perf::PerfContext;
-use crossbeam::channel::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, Sender};
 
 /// A message in flight between two simulated ranks.
 #[derive(Clone, Debug)]
@@ -75,9 +76,8 @@ pub struct CommStats {
 
 /// How an endpoint moves messages.
 enum Transport<'a> {
-    /// Blocking channels: senders to every rank plus this rank's own
-    /// receiver, borrowed from the run's mesh so every queue outlives
-    /// every rank.
+    /// Blocking channels: senders to every rank, borrowed from the run,
+    /// plus this rank's own receiver, borrowed from its thread.
     Channels {
         senders: &'a [Sender<Message>],
         receiver: &'a Receiver<Message>,
@@ -89,7 +89,7 @@ enum Transport<'a> {
 }
 
 /// One rank's endpoint: its transport, its NIC and its statistics.
-pub struct CommEndpoint<'a> {
+pub(crate) struct CommEndpoint<'a> {
     rank: usize,
     size: usize,
     net: NetModel,
@@ -136,34 +136,34 @@ impl<'a> CommEndpoint<'a> {
     }
 
     /// Enable event tracing on this endpoint.
-    pub fn enable_trace(&mut self) {
+    pub(crate) fn enable_trace(&mut self) {
         self.trace = Some(Vec::new());
     }
 
     /// Take the recorded trace (empty if tracing was disabled).
-    pub fn take_trace(&mut self) -> Vec<CommEvent> {
+    pub(crate) fn take_trace(&mut self) -> Vec<CommEvent> {
         self.trace.take().unwrap_or_default()
     }
 
     /// This rank's id.
-    pub fn rank(&self) -> usize {
+    pub(crate) fn rank(&self) -> usize {
         self.rank
     }
 
     /// Number of ranks in the job.
-    pub fn size(&self) -> usize {
+    pub(crate) fn size(&self) -> usize {
         self.size
     }
 
     /// Communication statistics so far.
-    pub fn stats(&self) -> CommStats {
+    pub(crate) fn stats(&self) -> CommStats {
         self.stats
     }
 
     /// Send `data` to `dest` with `tag`, declaring `logical_bytes` on
     /// the wire.  Advances the sender's clock by the send overhead and
     /// any NIC queueing delay.
-    pub fn send_sized(
+    pub(crate) fn send_sized(
         &mut self,
         perf: &mut PerfContext,
         dest: usize,
@@ -201,9 +201,9 @@ impl<'a> CommEndpoint<'a> {
             data,
         };
         match &self.transport {
-            Transport::Channels { senders, .. } => {
-                senders[dest].send(msg).expect("receiver endpoint dropped")
-            }
+            // a rank that has returned has dropped its receiver: what is
+            // sent to it stays undelivered, as in an unread mailbox
+            Transport::Channels { senders, .. } => drop(senders[dest].send(msg)),
             Transport::Mesh(mesh) => mesh.deliver(dest, msg),
         }
     }
@@ -214,7 +214,7 @@ impl<'a> CommEndpoint<'a> {
     ///
     /// # Panics
     /// On a cooperative rank, which must use [`CommEndpoint::recv_async`].
-    pub fn recv(&mut self, perf: &mut PerfContext, src: usize, tag: u32) -> Message {
+    pub(crate) fn recv(&mut self, perf: &mut PerfContext, src: usize, tag: u32) -> Message {
         let before = perf.now();
         let Transport::Channels {
             receiver, pending, ..
@@ -229,7 +229,12 @@ impl<'a> CommEndpoint<'a> {
     /// [`CommEndpoint::recv`] for either transport: on a channel
     /// endpoint it completes at its first poll, on a mailbox endpoint
     /// it is pending until the message is delivered.
-    pub async fn recv_async(&mut self, perf: &mut PerfContext, src: usize, tag: u32) -> Message {
+    pub(crate) async fn recv_async(
+        &mut self,
+        perf: &mut PerfContext,
+        src: usize,
+        tag: u32,
+    ) -> Message {
         let before = perf.now();
         let msg = match &mut self.transport {
             Transport::Channels {
@@ -287,12 +292,12 @@ fn take_matching(
 mod tests {
     use super::*;
     use crate::config::MachineConfig;
-    use crossbeam::channel::unbounded;
+    use std::sync::mpsc::channel;
 
     type Mesh = (Vec<Sender<Message>>, Vec<Receiver<Message>>);
 
     fn mesh() -> Mesh {
-        (0..2).map(|_| unbounded()).unzip()
+        (0..2).map(|_| channel()).unzip()
     }
 
     fn pair((senders, receivers): &Mesh) -> (CommEndpoint<'_>, CommEndpoint<'_>, NetModel) {

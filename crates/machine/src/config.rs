@@ -61,7 +61,7 @@ impl NetModel {
 
     /// Wire transfer time for a message of `bytes`.
     #[inline]
-    pub fn transfer_time(&self, bytes: usize) -> f64 {
+    pub(crate) fn transfer_time(&self, bytes: usize) -> f64 {
         bytes as f64 / self.bandwidth
     }
 }
@@ -348,7 +348,7 @@ impl MachineConfig {
     /// cache: ranks pack densely, so a node holds
     /// `min(p, cores_per_node)` of them (1 for machines without a node
     /// model).
-    pub fn co_resident_ranks(&self, p: usize) -> usize {
+    fn co_resident_ranks(&self, p: usize) -> usize {
         match &self.node {
             Some(node) => p.clamp(1, node.cores_per_node.max(1)),
             None => 1,

@@ -6,8 +6,8 @@
 //! on an 80-processor IBM SP (120 MHz P2SC nodes).  This crate is the
 //! stand-in for that machine: every simulated rank executes real (or
 //! profiled) kernel code — as a future that the run's one thread polls
-//! ([`Cluster::run_cooperative`], [`coop`]), or on its own OS thread
-//! ([`Cluster::run`]) — but *time* is virtual — each rank carries its
+//! ([`Cluster::run_cooperative`], [`coop`]), or on its own scoped OS
+//! thread ([`Cluster::run`]) — but *time* is virtual — each rank carries its
 //! own clock that advances according to a calibrated performance
 //! model:
 //!
@@ -48,15 +48,13 @@
 //! assert!(out.elapsed() > 0.0);
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod cluster;
 pub mod comm;
 pub mod config;
 pub mod coop;
 pub mod perf;
-#[allow(unsafe_code)]
-mod pool;
 pub mod timer;
 
 pub use cluster::{Cluster, RankCtx, RunOutcome};

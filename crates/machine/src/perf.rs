@@ -14,8 +14,8 @@ use kc_cachesim::{AccessCounts, CacheHierarchy, RegionId, RegionMap};
 /// * [`PerfContext::touch`] / [`PerfContext::touch_strided`] — memory
 ///   traffic against registered regions, charged per line according to
 ///   which cache level serves it;
-/// * raw [`PerfContext::advance`] — anything else (used by the
-///   communication layer for overheads).
+/// * a raw clock advance — anything else (used by the communication
+///   layer for overheads).
 #[derive(Debug)]
 pub struct PerfContext {
     clock: f64,
@@ -45,7 +45,7 @@ impl PerfContext {
 
     /// Advance the clock by `seconds` (must be non-negative).
     #[inline]
-    pub fn advance(&mut self, seconds: f64) {
+    pub(crate) fn advance(&mut self, seconds: f64) {
         debug_assert!(seconds >= 0.0, "cannot advance clock backwards");
         self.clock += seconds;
     }
@@ -53,7 +53,7 @@ impl PerfContext {
     /// Jump the clock forward to `t` if `t` is later (used when a
     /// receive waits on a message that has not arrived yet).
     #[inline]
-    pub fn advance_to(&mut self, t: f64) {
+    pub(crate) fn advance_to(&mut self, t: f64) {
         if t > self.clock {
             self.clock = t;
         }
@@ -68,7 +68,7 @@ impl PerfContext {
 
     /// Total flops charged so far.
     #[inline]
-    pub fn flops_total(&self) -> u64 {
+    pub(crate) fn flops_total(&self) -> u64 {
         self.flops_total
     }
 
@@ -128,7 +128,7 @@ impl PerfContext {
     }
 
     /// Running cache totals for this rank.
-    pub fn cache_totals(&self) -> AccessCounts {
+    pub(crate) fn cache_totals(&self) -> AccessCounts {
         self.hierarchy.totals()
     }
 

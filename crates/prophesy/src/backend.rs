@@ -306,6 +306,7 @@ mod tests {
         assert_eq!(store.format(), StoreFormat::Sharded);
         store.append(&key(9), &[4.5]).unwrap();
         store.flush().unwrap();
+        drop(store);
         // bare-path spec auto-detects the sharded store
         let again = StoreSpec::new(root.join("cells.kcs")).open().unwrap();
         assert_eq!(again.get(&key(9)), Some(vec![4.5]));
@@ -330,6 +331,7 @@ mod tests {
         sharded.append(&key(1), &[3.0]).unwrap();
         sharded.flush().unwrap();
         assert_eq!(detect_format(&sharded_path), Some(StoreFormat::Sharded));
+        drop(sharded);
 
         // reopen without a requested format: auto-detection routes to
         // the right reader and the data is still there

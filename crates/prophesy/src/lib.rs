@@ -21,7 +21,7 @@
 //! * [`sharded`] — the binary [`ShardedStore`]: digest-sharded
 //!   append-only segments with checksummed frames, torn-tail
 //!   recovery, per-shard frame indexes and compaction at flush,
-//!   fronted by a lossy hot cache.
+//!   fronted by a lossy hot cache, open in one handle at a time.
 //!
 //! ```
 //! use kc_prophesy::{CellBackend, CellStore, StoreFormat, StoreSpec};
@@ -31,6 +31,7 @@
 //! let store = spec.open().unwrap(); // created on first use
 //! store.append_raw("BT|S|p4|application", &[1.5, 1.25]).unwrap();
 //! store.flush().unwrap();
+//! drop(store); // one open handle per store: it holds the store's lock
 //!
 //! // later (or in another process): a bare path auto-detects the format
 //! let again = StoreSpec::new(&dir).open().unwrap();

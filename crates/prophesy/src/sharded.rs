@@ -9,10 +9,22 @@
 //! ```text
 //! cells.kcs/
 //!   kcstore.json     manifest: {"format":"kc-cell-store/sharded","version":1,"shards":N}
+//!   LOCK             empty; the open handle holds an exclusive lock on it
 //!   shard-000.seg    segment of shard 0
 //!   ...
 //!   shard-N-1.seg
 //! ```
+//!
+//! # One writer
+//!
+//! A handle takes an exclusive advisory lock on `LOCK`
+//! (`File::try_lock`) before it reads or repairs any segment, and holds
+//! it until it is dropped; the OS releases it when the process dies,
+//! so a crash leaves no stale lock behind.  A second open of the same
+//! store — from another process or from this one — fails with an
+//! error naming the store.  Without it, a second writer's compaction
+//! would rename a new segment over the one the first handle appends
+//! to, and every later append of the first handle would be lost.
 //!
 //! A cell lives in shard `fnv1a(key) % N`, where `fnv1a` is the exact
 //! digest `kc_core::MeasurementKey::digest_u64` computes over the
@@ -83,7 +95,7 @@ use kc_core::{TelemetryEvent, TelemetrySink};
 use parking_lot::Mutex;
 use serde::Value;
 use std::collections::{BTreeMap, HashMap};
-use std::fs::{File, OpenOptions};
+use std::fs::{File, OpenOptions, TryLockError};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -282,8 +294,17 @@ impl Shard {
 
     /// Rewrite this shard's segment in `dir` with one frame per live
     /// cell and swap it in by rename, refreshing the handles and the
-    /// index.
+    /// index.  A segment with nothing superseded is left as it is.
     fn compact(&mut self, dir: &Path, shard: u32) -> io::Result<CompactionReport> {
+        if self.frames == self.index.len() as u64 {
+            // nothing superseded: the segment already is its compaction
+            return Ok(CompactionReport {
+                records_before: self.frames,
+                records_after: self.frames,
+                bytes_before: self.len,
+                bytes_after: self.len,
+            });
+        }
         let path = ShardedStore::segment_path(dir, shard);
         let segment = read_segment(&path, shard)?;
         let mut report = CompactionReport {
@@ -353,6 +374,8 @@ pub struct ShardedStore {
     sink: Mutex<Option<Arc<dyn TelemetrySink>>>,
     /// Bytes of torn tail truncated at open, across all segments.
     repaired_bytes: u64,
+    /// The `LOCK` file, locked for as long as this handle lives.
+    _lock: File,
 }
 
 impl ShardedStore {
@@ -378,6 +401,28 @@ impl ShardedStore {
     /// marker auto-detection looks for).
     pub(crate) fn manifest_path(dir: &Path) -> PathBuf {
         dir.join("kcstore.json")
+    }
+
+    /// Lock `dir`'s `LOCK` file, creating it if needed; the lock lasts
+    /// as long as the returned file.  Fails, naming the store, if
+    /// another handle holds it.
+    fn lock(dir: &Path) -> io::Result<File> {
+        let file = OpenOptions::new()
+            .create(true)
+            .truncate(false)
+            .write(true)
+            .open(dir.join("LOCK"))?;
+        match file.try_lock() {
+            Ok(()) => Ok(file),
+            Err(TryLockError::WouldBlock) => Err(io::Error::new(
+                io::ErrorKind::ResourceBusy,
+                format!(
+                    "the sharded store at {} is already open (another handle holds its LOCK)",
+                    dir.display()
+                ),
+            )),
+            Err(TryLockError::Error(e)) => Err(e),
+        }
     }
 
     /// The segment path of one shard.
@@ -456,6 +501,7 @@ impl ShardedStore {
             .filter(|n| (1..=4096).contains(n))
             .ok_or_else(|| bad("manifest lacks a sane shard count".into()))?
             as u32;
+        let lock = Self::lock(dir)?;
 
         let mut repaired_bytes = 0u64;
         let read_path = ReadPathCounters::default();
@@ -487,6 +533,7 @@ impl ShardedStore {
             stats: Mutex::new(BackendStats::default()),
             sink: Mutex::new(None),
             repaired_bytes,
+            _lock: lock,
         })
     }
 
@@ -1067,6 +1114,7 @@ mod tests {
         // appends after repair are visible (not hidden behind garbage)
         store.append_raw("gamma", &[4.0]).unwrap();
         store.flush().unwrap();
+        drop(store);
         let reopened = ShardedStore::open(&dir).unwrap();
         assert_eq!(reopened.repaired_bytes(), 0);
         assert_eq!(reopened.get_raw("gamma"), Some(vec![4.0]));
@@ -1132,8 +1180,53 @@ mod tests {
         // the store still accepts appends after its handles were reset
         store.append_raw("cell-0", &[9.0]).unwrap();
         assert_eq!(store.get_raw("cell-0"), Some(vec![9.0]));
+        drop(store);
         let reopened = ShardedStore::open(&dir).unwrap();
         assert_eq!(reopened.get_raw("cell-0"), Some(vec![9.0]));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn compaction_leaves_a_shard_with_nothing_superseded_untouched() {
+        use std::os::unix::fs::MetadataExt;
+        let dir = tmp("compact-clean");
+        let store = ShardedStore::create(&dir, 1).unwrap();
+        store.append_raw("a", &[1.0]).unwrap();
+        store.append_raw("b", &[2.0]).unwrap();
+        let inode = || {
+            std::fs::metadata(ShardedStore::segment_path(&dir, 0))
+                .unwrap()
+                .ino()
+        };
+        let before = inode();
+        let report = store.compact().unwrap();
+        assert_eq!((report.records_before, report.records_after), (2, 2));
+        assert_eq!(report.bytes_before, report.bytes_after);
+        assert_eq!(inode(), before, "a clean segment is not rewritten");
+
+        store.append_raw("a", &[3.0]).unwrap();
+        let report = store.compact().unwrap();
+        assert_eq!((report.records_before, report.records_after), (3, 2));
+        assert_ne!(inode(), before, "a superseded frame is compacted away");
+        assert_eq!(store.get_raw("a"), Some(vec![3.0]));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_second_open_of_a_live_store_fails_naming_the_store() {
+        let dir = tmp("locked");
+        let store = ShardedStore::create(&dir, 2).unwrap();
+        store.append_raw("k", &[1.0]).unwrap();
+        let err = ShardedStore::open(&dir).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::ResourceBusy);
+        assert!(
+            err.to_string().contains(&dir.display().to_string()),
+            "{err}"
+        );
+        drop(store);
+        let reopened = ShardedStore::open(&dir).unwrap();
+        assert_eq!(reopened.get_raw("k"), Some(vec![1.0]));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1192,6 +1285,7 @@ mod tests {
         assert_eq!(
             listing(&dir),
             [
+                "LOCK",
                 "kcstore.json",
                 "shard-000.seg",
                 "shard-001.seg",
@@ -1345,6 +1439,8 @@ mod tests {
         store.flush().unwrap();
 
         // a failed compaction: a directory squats on the rewrite's tmp
+        // (the re-append gives the compaction a superseded frame to drop)
+        store.append_raw("ok", &[1.0]).unwrap();
         let squatter = segment.with_extension("seg.tmp");
         std::fs::create_dir(&squatter).unwrap();
         assert!(store.compact().is_err());

@@ -41,28 +41,69 @@ fn noise_free_campaign_is_bit_identical_across_worker_counts() {
     assert_eq!(serial, parallel);
 }
 
-/// Names of this process's live threads.
+/// Names of this process's live rank threads (`kc-rank-<r>`, what
+/// `Cluster::run` names them), sorted.
 #[cfg(target_os = "linux")]
-fn thread_names() -> Vec<String> {
-    std::fs::read_dir("/proc/self/task")
+fn rank_threads() -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
         .unwrap()
         .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
         .map(|name| name.trim_end().to_string())
-        .collect()
+        .filter(|name| name.starts_with("kc-rank-"))
+        .collect();
+    names.sort();
+    names
 }
 
 /// A cell's ranks are futures on the scheduler worker that executes
-/// it: a campaign that has executed cells, and still holds its
-/// workers, has started no rank thread.
+/// it: while a campaign executes cells, a helper thread scanning this
+/// process's threads sees no rank thread.  Blocking runs' rank threads
+/// are gone once the run returns, so the scan runs alongside the
+/// campaign; the positive control first shows that the scan sees them
+/// while they live.  (One test, so no other test's ranks run during
+/// the scan.)
 #[cfg(target_os = "linux")]
 #[test]
 fn executed_cells_start_no_rank_threads() {
+    use kernel_couplings::machine::{Cluster, MachineConfig};
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
+
+    // positive control: four blocking ranks park at a barrier shared
+    // with this thread, which scans while they wait there
+    let parked = Barrier::new(5);
+    let seen_parked = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            Cluster::new(MachineConfig::test_tiny()).run(4, |_| {
+                parked.wait();
+                parked.wait();
+            })
+        });
+        parked.wait(); // every rank thread is running
+        let seen = rank_threads();
+        parked.wait(); // release them
+        seen
+    });
+    assert_eq!(
+        seen_parked,
+        ["kc-rank-0", "kc-rank-1", "kc-rank-2", "kc-rank-3"]
+    );
+
+    let stop = AtomicBool::new(false);
     let campaign = Campaign::builder(Runner::noise_free()).jobs(2).build();
-    table2_numbers(&campaign);
+    let seen = std::thread::scope(|scope| {
+        let scanner = scope.spawn(|| {
+            let mut seen = std::collections::BTreeSet::new();
+            while !stop.load(Ordering::Acquire) {
+                seen.extend(rank_threads());
+                std::thread::yield_now();
+            }
+            seen
+        });
+        table2_numbers(&campaign);
+        stop.store(true, Ordering::Release);
+        scanner.join().unwrap()
+    });
     assert!(campaign.cache_stats().executed > 0);
-    let rank_threads: Vec<_> = thread_names()
-        .into_iter()
-        .filter(|name| name.starts_with("kc-rank-"))
-        .collect();
-    assert!(rank_threads.is_empty(), "{rank_threads:?}");
+    assert!(seen.is_empty(), "{seen:?}");
 }

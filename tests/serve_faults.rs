@@ -159,13 +159,14 @@ fn mid_request_disconnects_leave_the_server_responsive_and_the_store_clean() {
     acceptor.join().unwrap().unwrap();
     server.shutdown();
     assert!(campaign.cache_stats().executed > 0, "the run was cold");
+    drop((campaign, server)); // release the store
     assert_store_serves_warm(&dir, &SPECS);
 }
 
 #[test]
 fn malformed_frame_draws_an_error_and_the_same_connection_keeps_serving() {
     let dir = scratch("malformed");
-    let (_campaign, server, addr, acceptor) = tcp_stack(&dir);
+    let (campaign, server, addr, acceptor) = tcp_stack(&dir);
 
     let mut stream = TcpStream::connect(&addr).unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
@@ -202,13 +203,14 @@ fn malformed_frame_draws_an_error_and_the_same_connection_keeps_serving() {
     server.request_shutdown();
     acceptor.join().unwrap().unwrap();
     server.shutdown();
+    drop((campaign, server)); // release the store
     assert_store_serves_warm(&dir, &[(4, 2)]);
 }
 
 #[test]
 fn shutdown_mid_stream_drains_every_admitted_request() {
     let dir = scratch("drain");
-    let (_campaign, server, addr, acceptor) = tcp_stack(&dir);
+    let (campaign, server, addr, acceptor) = tcp_stack(&dir);
 
     let mut stream = TcpStream::connect(&addr).unwrap();
     for (i, &(procs, chain_len)) in SPECS.iter().enumerate() {
@@ -247,5 +249,6 @@ fn shutdown_mid_stream_drains_every_admitted_request() {
 
     acceptor.join().unwrap().unwrap();
     server.shutdown();
+    drop((campaign, server)); // release the store
     assert_store_serves_warm(&dir, &SPECS);
 }

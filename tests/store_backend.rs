@@ -134,6 +134,7 @@ proptest! {
         }
         CellBackend::flush(&json).unwrap();
         CellBackend::flush(&sharded).unwrap();
+        drop(sharded);
 
         // reload both from disk and compare entry-by-entry, bit-exact
         let json2 = CellStore::open(&json_path).unwrap();
@@ -288,6 +289,7 @@ fn sharded_warm_store_answers_concurrent_requests_with_zero_executions() {
         store.flush().unwrap();
     }
     assert!(!store.is_empty());
+    drop(store);
 
     // phase 2: a fresh process image (new store handle, cold hot
     // tier) over the same directory serves everything from disk
@@ -353,6 +355,7 @@ fn concurrent_appenders_and_readers_lose_nothing() {
         "appending each cell once (what campaigns do) never compacts"
     );
     // a fresh open (no hot tier, pure disk) sees every frame intact
+    drop(store);
     let reopened = ShardedStore::open(&dir.join("cells.kcs")).unwrap();
     assert_eq!(reopened.repaired_bytes(), 0, "no torn frames were written");
     for w in 0..writers {
@@ -407,6 +410,7 @@ fn truncated_segment_recovers_the_intact_prefix() {
     assert_eq!(store.get_raw("cell9"), None, "the torn record is dropped");
     store.append_raw("cell9", &[99.0]).unwrap();
     store.flush().unwrap();
+    drop(store);
     let reopened = ShardedStore::open(&store_dir).unwrap();
     assert_eq!(reopened.get_raw("cell9"), Some(vec![99.0]));
     let _ = std::fs::remove_dir_all(&dir);
@@ -428,6 +432,7 @@ fn empty_frames_roundtrip_and_count_as_hits_in_both_backends() {
     }
 
     // reload from disk: the empty frame survives as Some(vec![])
+    drop(sharded);
     let json = CellStore::open(&dir.join("cells.json")).unwrap();
     let sharded = ShardedStore::open(&dir.join("cells.kcs")).unwrap();
     for store in [&json as &dyn CellBackend, &sharded as &dyn CellBackend] {
@@ -501,6 +506,7 @@ fn readers_racing_compaction_always_see_consistent_answers() {
         store.read_stats().positioned_reads > 0,
         "the racing reads must have exercised the positioned-read path"
     );
+    drop(store);
     let reopened = ShardedStore::open(&store_dir).unwrap();
     for i in 0..keys {
         assert_eq!(
